@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"hash/fnv"
+	"runtime"
 	"sort"
 	"testing"
 
@@ -39,7 +41,13 @@ func fingerprint(t *testing.T, n *Network, r *Results) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 
-	flat := *r
+	// Cfg is an input, not an observation: the nil shadow field hides it
+	// from the encoding (a zeroed Config would still spell out its field
+	// names), so goldenFingerprint survives Config gaining or losing fields.
+	flat := struct {
+		Results
+		Cfg *struct{} `json:",omitempty"`
+	}{Results: *r}
 	flat.Collector = nil // pointer identity differs across runs
 	if err := json.NewEncoder(&buf).Encode(flat); err != nil {
 		t.Fatalf("encoding results: %v", err)
@@ -76,6 +84,28 @@ func fingerprint(t *testing.T, n *Network, r *Results) []byte {
 	return buf.Bytes()
 }
 
+// Absolute outputs, recorded while the 4-ary heap scheduler still existed
+// and gave the same values as the timing wheel.
+const (
+	goldenPacketRun uint64 = 0x47363dcac1eb775d // fingerprint of determinismConfig()
+	goldenHybridRun uint64 = 0xa0a8ff58ebfb4524 // fluidFingerprint of fluidConfig(ModeHybrid), Seed 7
+)
+
+// checkGolden pins an absolute simulation output as the FNV-64a of its
+// fingerprint. Asserted on amd64 only: other architectures may fuse
+// multiply-adds, which legitimately moves low-order float bits.
+func checkGolden(t *testing.T, fp []byte, want uint64) {
+	t.Helper()
+	if runtime.GOARCH != "amd64" {
+		return
+	}
+	h := fnv.New64a()
+	h.Write(fp)
+	if got := h.Sum64(); got != want {
+		t.Fatalf("golden fingerprint %#x, want %#x: the simulated outcome changed", got, want)
+	}
+}
+
 // TestSeededRunsAreByteIdentical is the determinism regression: two
 // simulations built from the same Config must agree on every metric, every
 // flow record, every trace event, and the executed-event count. Any global
@@ -109,6 +139,7 @@ func TestSeededRunsAreByteIdentical(t *testing.T) {
 				t.Fatalf("seeded runs diverged:\nrun1 %d bytes, run2 %d bytes\nfirst difference near byte %d",
 					len(fp1), len(fp2), firstDiff(fp1, fp2))
 			}
+			checkGolden(t, fp1, goldenPacketRun)
 		})
 	}
 }

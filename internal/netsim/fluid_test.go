@@ -164,6 +164,10 @@ func TestHybridDeterminism(t *testing.T) {
 	if a != b {
 		t.Fatalf("hybrid runs differ:\n%s\n%s", a, b)
 	}
+	// The long-flows-only run is also pinned absolutely.
+	cfg := fluidConfig(ModeHybrid)
+	cfg.Seed = 7
+	checkGolden(t, []byte(fluidFingerprint(Build(cfg).Run())), goldenHybridRun)
 }
 
 func TestHybridEnginesAgree(t *testing.T) {
@@ -177,6 +181,7 @@ func TestHybridEnginesAgree(t *testing.T) {
 	if a != b {
 		t.Fatalf("heap and wheel hybrid runs differ:\n%s\n%s", a, b)
 	}
+	checkGolden(t, []byte(a), goldenHybridRun)
 }
 
 // TestHybridFCTAgreement is the fidelity harness: background FCTs under
