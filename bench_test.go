@@ -84,13 +84,8 @@ func BenchmarkMinRTO(b *testing.B)           { benchExperiment(b, "minrto") }
 
 // BenchmarkSimulatorThroughput measures raw simulation speed on the paper's
 // default workload: virtual-seconds simulated per wall-second and events
-// processed per second. The Heap variant runs the identical workload on the
-// reference heap engine, so one `go test -bench` invocation yields a
-// machine-noise-free wheel/heap comparison.
-func BenchmarkSimulatorThroughput(b *testing.B)     { benchThroughput(b, "wheel") }
-func BenchmarkSimulatorThroughputHeap(b *testing.B) { benchThroughput(b, "heap") }
-
-func benchThroughput(b *testing.B, engine string) {
+// processed per second.
+func BenchmarkSimulatorThroughput(b *testing.B) {
 	b.ReportAllocs()
 	var events, pkts uint64
 	for i := 0; i < b.N; i++ {
@@ -98,7 +93,6 @@ func benchThroughput(b *testing.B, engine string) {
 		cfg.Seed = int64(i + 1)
 		cfg.Duration = 50 * dibs.Millisecond
 		cfg.Drain = 50 * dibs.Millisecond
-		cfg.Engine = engine
 		n := dibs.Build(cfg)
 		r := n.Run()
 		events += n.Sched.Executed()

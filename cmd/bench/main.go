@@ -1,18 +1,16 @@
 // Command bench produces and checks the repository's tracked performance
 // baseline (BENCH_N.json).
 //
-// It runs the headline Go benchmarks (BenchmarkSimulatorThroughput under
-// both scheduler engines, BenchmarkIncastBurst, BenchmarkPacketPool,
-// BenchmarkNextHops, BenchmarkHybridThroughput) as a `go test -bench`
-// subprocess, times a fixed small-scale fig08+fig09 pass (recording a heap
-// summary around it), a K=16 shard-speedup probe (4 conservative-PDES
-// shards vs 1), a hybrid-speedup probe (packet vs hybrid mode on the
+// It runs the headline Go benchmarks (BenchmarkSimulatorThroughput,
+// BenchmarkIncastBurst, BenchmarkPacketPool, BenchmarkNextHops,
+// BenchmarkHybridThroughput) as a `go test -bench` subprocess, times a
+// fixed small-scale fig08+fig09 pass (recording a heap summary around it),
+// a K=16 shard-speedup probe (4 conservative-PDES shards vs 1), a
+// hybrid-speedup probe (packet vs hybrid mode on the
 // long-background-flows workload), and a full `-all -scale 0.1`
-// experiments pass in-process, and writes the numbers as JSON. The throughput benchmark also reports pkts/op, from which
-// allocs_per_packet is derived — the headline number of the
-// zero-allocation packet path. Running the wheel and heap engines
-// back-to-back in one process makes their ratio robust to machine noise;
-// the two absolute numbers drift together, the ratio does not.
+// experiments pass in-process, and writes the numbers as JSON. The
+// throughput benchmark also reports pkts/op, from which allocs_per_packet
+// is derived — the headline number of the zero-allocation packet path.
 //
 // Usage:
 //
@@ -200,7 +198,7 @@ var metricRe = regexp.MustCompile(`([\d.e+]+)\s+(\S+)`)
 // the results into b.
 func runGoBench(b *Baseline) error {
 	cmd := exec.Command("go", "test", "-run", "^$",
-		"-bench", "^(BenchmarkSimulatorThroughput|BenchmarkSimulatorThroughputHeap|BenchmarkIncastBurst|BenchmarkPacketPool|BenchmarkNextHops|BenchmarkHybridThroughput)$",
+		"-bench", "^(BenchmarkSimulatorThroughput|BenchmarkIncastBurst|BenchmarkPacketPool|BenchmarkNextHops|BenchmarkHybridThroughput)$",
 		"-benchmem", ".")
 	cmd.Stderr = os.Stderr
 	outBytes, err := cmd.Output()
@@ -244,11 +242,6 @@ func runGoBench(b *Baseline) error {
 	}
 	if _, ok := b.Benchmarks["BenchmarkSimulatorThroughput"]; !ok {
 		return fmt.Errorf("BenchmarkSimulatorThroughput missing from bench output")
-	}
-	wheel := b.Benchmarks["BenchmarkSimulatorThroughput"]
-	if heap, ok := b.Benchmarks["BenchmarkSimulatorThroughputHeap"]; ok && heap.EventsPerSec > 0 {
-		fmt.Fprintf(os.Stderr, "   wheel/heap events/sec ratio: %.2fx\n",
-			wheel.EventsPerSec/heap.EventsPerSec)
 	}
 	return nil
 }

@@ -16,6 +16,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 	"time"
 
 	"dibs"
@@ -55,7 +56,6 @@ func main() {
 		confOut  = flag.String("dumpconfig", "", "write the effective JSON config to this file and exit")
 		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf  = flag.String("memprofile", "", "write a heap profile to this file at exit")
-		engine   = flag.String("engine", "wheel", "scheduler engine: wheel|heap (results are byte-identical; heap is the differential reference)")
 		shards   = flag.Int("shards", 1, "conservative-PDES scheduler shards within one run (results are byte-identical for any count; >1 forbids -events)")
 		mode     = flag.String("mode", "packet", "simulation fidelity: packet|fluid|hybrid (fluid/hybrid rate-model long flows; see DESIGN §9 for the options they exclude)")
 	)
@@ -88,7 +88,7 @@ func main() {
 			policy: *policy, tp: *tp, ttl: *ttl, dupack: *dupack,
 			qps: *qps, degree: *degree, respKB: *respKB, bgIAms: *bgIAms,
 			duration: *duration, drain: *drain, seed: *seed, fairN: *fairN,
-			pfc: *pfc, spray: *spray, delack: *delack, engine: *engine,
+			pfc: *pfc, spray: *spray, delack: *delack,
 			shards: *shards, mode: *mode,
 		})
 	}
@@ -112,6 +112,7 @@ func main() {
 // aggregate tail statistics. Each run is a pure function of its seed, so
 // the output is identical for every worker count.
 func runRepeat(cfg dibs.Config, repeat, workers int) {
+	exitIfInvalid(cfg) // the seed, all that varies across repeats, is never a reason
 	start := time.Now()
 	baseSeed := cfg.Seed
 	results := runner.Map(workers, repeat, func(i int) *dibs.Results {
@@ -136,10 +137,29 @@ func runRepeat(cfg dibs.Config, repeat, workers int) {
 	fmt.Fprintf(os.Stderr, "[wall %.1fs]\n", time.Since(start).Seconds())
 }
 
+// exitIfInvalid turns the panic Build would raise on an inconsistent
+// configuration into the one-line reason and exit status 2. Validate panics
+// with a "netsim: ..." string; any other panic is a bug and keeps its trace.
+func exitIfInvalid(cfg dibs.Config) {
+	defer func() {
+		r := recover()
+		if r == nil {
+			return
+		}
+		msg, ok := r.(string)
+		if !ok || !strings.HasPrefix(msg, "netsim:") {
+			panic(r)
+		}
+		fmt.Fprintln(os.Stderr, msg)
+		os.Exit(2)
+	}()
+	cfg.Validate()
+}
+
 // flags bundles the command-line tuning knobs.
 type flags struct {
 	topo, bufMode, policy, tp   string
-	engine, mode                string
+	mode                        string
 	k, oversub, buffer, markAt  int
 	ttl, dupack, degree, fairN  int
 	shards                      int
@@ -236,13 +256,6 @@ func applyFlags(cfg *dibs.Config, f flags) {
 	}
 	cfg.PacketSpray = f.spray
 	cfg.DelayedAck = f.delack
-	switch f.engine {
-	case "wheel", "heap":
-		cfg.Engine = f.engine
-	default:
-		fmt.Fprintf(os.Stderr, "unknown engine %q\n", f.engine)
-		os.Exit(2)
-	}
 	cfg.Shards = f.shards
 	switch f.mode {
 	case "packet":
@@ -271,6 +284,7 @@ func runIt(cfg dibs.Config, confOut, events string) {
 		return
 	}
 
+	exitIfInvalid(cfg)
 	start := time.Now()
 	net := dibs.Build(cfg)
 	res := net.Run()

@@ -5,13 +5,6 @@ import (
 	"testing"
 )
 
-// engines runs a scheduler micro-benchmark under both engines, so every
-// result doubles as a wheel-vs-heap comparison on the same machine state.
-func engines(b *testing.B, bench func(b *testing.B, s *Scheduler)) {
-	b.Run("wheel", func(b *testing.B) { bench(b, NewSchedulerEngine(EngineWheel)) })
-	b.Run("heap", func(b *testing.B) { bench(b, NewSchedulerEngine(EngineHeap)) })
-}
-
 // BenchmarkSchedulePop measures the basic push/pop cycle with a standing
 // population of pending events, the common steady-state shape of a packet
 // simulation (one pop schedules roughly one push). The delay profiles span
@@ -32,26 +25,25 @@ func BenchmarkSchedulePop(b *testing.B) {
 	for _, p := range profiles {
 		span := p.span
 		b.Run(p.name, func(b *testing.B) {
-			engines(b, func(b *testing.B, s *Scheduler) {
-				rng := rand.New(rand.NewSource(1))
-				b.ReportAllocs()
-				remaining := b.N
-				var chain func()
-				chain = func() {
-					if remaining <= 0 {
-						return
-					}
-					remaining--
-					s.After(Time(rng.Intn(span)+1), chain)
+			s := NewScheduler()
+			rng := rand.New(rand.NewSource(1))
+			b.ReportAllocs()
+			remaining := b.N
+			var chain func()
+			chain = func() {
+				if remaining <= 0 {
+					return
 				}
-				// Standing population of 1024 in-flight events.
-				for i := 0; i < 1024 && remaining > 0; i++ {
-					remaining--
-					s.After(Time(rng.Intn(span)+1), chain)
-				}
-				b.ResetTimer()
-				s.Run()
-			})
+				remaining--
+				s.After(Time(rng.Intn(span)+1), chain)
+			}
+			// Standing population of 1024 in-flight events.
+			for i := 0; i < 1024 && remaining > 0; i++ {
+				remaining--
+				s.After(Time(rng.Intn(span)+1), chain)
+			}
+			b.ResetTimer()
+			s.Run()
 		})
 	}
 }
@@ -60,81 +52,77 @@ func BenchmarkSchedulePop(b *testing.B) {
 // event is canceled before it would fire (the ACK arrives first), so
 // tombstone reclamation and the freelist dominate.
 func BenchmarkCancelHeavy(b *testing.B) {
-	engines(b, func(b *testing.B, s *Scheduler) {
-		rng := rand.New(rand.NewSource(2))
-		b.ReportAllocs()
-		remaining := b.N
-		var tick func()
-		var pending Timer
-		tick = func() {
-			// Cancel the previous "RTO", arm a new one, schedule the next tick.
-			pending.Cancel()
-			if remaining <= 0 {
-				return
-			}
-			remaining--
-			pending = s.After(Time(rng.Intn(100)+50), func() {})
-			s.After(1, tick)
+	s := NewScheduler()
+	rng := rand.New(rand.NewSource(2))
+	b.ReportAllocs()
+	remaining := b.N
+	var tick func()
+	var pending Timer
+	tick = func() {
+		// Cancel the previous "RTO", arm a new one, schedule the next tick.
+		pending.Cancel()
+		if remaining <= 0 {
+			return
 		}
+		remaining--
+		pending = s.After(Time(rng.Intn(100)+50), func() {})
 		s.After(1, tick)
-		b.ResetTimer()
-		s.Run()
-	})
+	}
+	s.After(1, tick)
+	b.ResetTimer()
+	s.Run()
 }
 
 // BenchmarkSameInstantBurst models an incast: large batches of events all
 // landing on one instant, stressing the seq tie-break and the slot-batch
-// drain (wheel) or sift paths (heap) where comparisons resolve on the
-// second key.
+// drain, where comparisons resolve on the last key.
 func BenchmarkSameInstantBurst(b *testing.B) {
 	const burst = 256
-	engines(b, func(b *testing.B, s *Scheduler) {
-		b.ReportAllocs()
-		remaining := b.N
-		var arm func()
-		arm = func() {
-			if remaining <= 0 {
-				return
-			}
-			at := s.Now() + 100
-			n := burst
-			if n > remaining {
-				n = remaining
-			}
-			remaining -= n
-			for i := 0; i < n-1; i++ {
-				s.At(at, func() {})
-			}
-			s.At(at, arm) // last of the burst schedules the next burst
+	s := NewScheduler()
+	b.ReportAllocs()
+	remaining := b.N
+	var arm func()
+	arm = func() {
+		if remaining <= 0 {
+			return
 		}
-		arm()
-		b.ResetTimer()
-		s.Run()
-	})
+		at := s.Now() + 100
+		n := burst
+		if n > remaining {
+			n = remaining
+		}
+		remaining -= n
+		for i := 0; i < n-1; i++ {
+			s.At(at, func() {})
+		}
+		s.At(at, arm) // last of the burst schedules the next burst
+	}
+	arm()
+	b.ResetTimer()
+	s.Run()
 }
 
 // BenchmarkLongHorizon measures scheduling far beyond the level-0 window,
 // forcing inserts into the upper wheel levels and cascades back down as
-// virtual time advances — the wheel's worst case against the heap.
+// virtual time advances — the wheel's worst case.
 func BenchmarkLongHorizon(b *testing.B) {
-	engines(b, func(b *testing.B, s *Scheduler) {
-		rng := rand.New(rand.NewSource(3))
-		b.ReportAllocs()
-		remaining := b.N
-		var chain func()
-		chain = func() {
-			if remaining <= 0 {
-				return
-			}
-			remaining--
-			// 350µs-style RTO horizon: lands two wheel levels up.
-			s.After(Time(rng.Intn(400_000)+100_000), chain)
+	s := NewScheduler()
+	rng := rand.New(rand.NewSource(3))
+	b.ReportAllocs()
+	remaining := b.N
+	var chain func()
+	chain = func() {
+		if remaining <= 0 {
+			return
 		}
-		for i := 0; i < 512 && remaining > 0; i++ {
-			remaining--
-			s.After(Time(rng.Intn(400_000)+100_000), chain)
-		}
-		b.ResetTimer()
-		s.Run()
-	})
+		remaining--
+		// 350µs-style RTO horizon: lands two wheel levels up.
+		s.After(Time(rng.Intn(400_000)+100_000), chain)
+	}
+	for i := 0; i < 512 && remaining > 0; i++ {
+		remaining--
+		s.After(Time(rng.Intn(400_000)+100_000), chain)
+	}
+	b.ResetTimer()
+	s.Run()
 }

@@ -1,21 +1,16 @@
 // Package eventq implements the discrete-event core of the simulator: a
-// virtual clock with nanosecond resolution and a pluggable scheduler.
+// virtual clock with nanosecond resolution and a timing-wheel scheduler.
 //
 // All simulator components (links, switches, transport timers, workload
 // generators) advance exclusively by scheduling callbacks on a single
-// Scheduler. Events scheduled for the same instant run in FIFO order of
-// scheduling, which keeps runs deterministic for a fixed seed.
+// Scheduler. Events fire in (at, pri, seq) order: by time, then by an
+// explicit same-instant key (AtPri), then in FIFO order of scheduling,
+// which keeps runs deterministic for a fixed seed.
 //
-// Two engines implement the same (at, seq) total order behind one API:
-//
-//   - EngineWheel (default): a hierarchical timing wheel (wheel.go) —
-//     4 cascading levels of 256 slots at a ~1µs tick, with a small sorted
-//     spill list for events beyond the wheel horizon. Near-horizon events
-//     (link-serialization completions, RTO timers) insert and fire in O(1).
-//   - EngineHeap: the inlined 4-ary min-heap, kept as a differential
-//     reference. Both engines must produce byte-identical simulations;
-//     the determinism regression and the cross-engine property test hold
-//     them to it.
+// The priority structure is a hierarchical timing wheel (wheel.go): 4
+// cascading levels of 256 slots at a ~1µs tick, with a small sorted spill
+// list for events beyond the wheel horizon. Near-horizon events
+// (link-serialization completions, RTO timers) insert and fire in O(1).
 //
 // The hot path is allocation-lean: popped and canceled events are recycled
 // through a per-Scheduler freelist, so a steady-state run allocates no new
@@ -72,39 +67,6 @@ func (t Time) String() string {
 	}
 }
 
-// Engine selects the scheduler's internal priority structure. Both engines
-// realize the identical (at, seq) pop order; they differ only in cost
-// profile.
-type Engine uint8
-
-const (
-	// EngineWheel is the hierarchical timing wheel (default).
-	EngineWheel Engine = iota
-	// EngineHeap is the 4-ary min-heap reference engine.
-	EngineHeap
-)
-
-// String names the engine as accepted by ParseEngine.
-func (e Engine) String() string {
-	if e == EngineHeap {
-		return "heap"
-	}
-	return "wheel"
-}
-
-// ParseEngine maps a config/flag string to an Engine. The empty string
-// selects the default (wheel).
-func ParseEngine(s string) (Engine, error) {
-	switch s {
-	case "", "wheel":
-		return EngineWheel, nil
-	case "heap":
-		return EngineHeap, nil
-	default:
-		return EngineWheel, fmt.Errorf("eventq: unknown engine %q (want wheel or heap)", s)
-	}
-}
-
 // event is a scheduled callback. pri orders events within an instant by an
 // explicit caller-chosen key (0 for ordinary events; link deliveries carry a
 // per-link key so same-instant arrivals order by link identity rather than
@@ -120,18 +82,18 @@ type event struct {
 	fn       func()
 	gen      uint32
 	canceled bool
-	// index is the heap position for the heap engine; the wheel engine
-	// uses the sentinels inWheelIdx/inSpillIdx. -1 once popped or
-	// recycled, under either engine.
-	index int32
+	// where says whether the node is queued and, if so, which structure a
+	// sweep would find it in. The wheel never needs positional removal:
+	// cancellation is lazy.
+	where residency
 }
 
-// Wheel-engine index sentinels: the wheel never needs positional removal
-// (cancellation is lazy), only "is this node still queued, and where would
-// a sweep find it".
+type residency uint8
+
 const (
-	inWheelIdx int32 = 0 // resident in a wheel slot
-	inSpillIdx int32 = 1 // resident in the sorted spill list
+	notQueued residency = iota // popped, recycled, or never scheduled
+	inWheel                    // resident in a wheel slot or live sub-bucket
+	inSpill                    // resident in the sorted spill list
 )
 
 // Timer is a value handle to a scheduled event that can be canceled or
@@ -153,39 +115,19 @@ func (t Timer) live() bool {
 // fired or already canceled timer is a no-op. Cancel reports whether the
 // callback was still pending.
 //
-// Cancel itself is O(1): it only tombstones the node. Reclamation is
-// deferred — the heap engine compacts at the top of the run loop (never
-// re-entrantly from inside a firing callback), and the wheel engine
-// reclaims tombstones when their slot is next drained or cascaded.
+// Cancel itself is O(1): it only tombstones the node. The wheel reclaims
+// tombstones when their slot is next drained or cascaded, never
+// re-entrantly from inside a firing callback.
 func (t Timer) Cancel() bool {
-	if !t.live() || t.ev.canceled || t.ev.index < 0 {
+	if !t.live() || t.ev.canceled || t.ev.where == notQueued {
 		return false
 	}
 	t.ev.canceled = true
-	s := t.s
-	switch s.engine {
-	case EngineHeap:
-		s.tombstones++
-		// Retransmit-style timers are canceled far more often than they
-		// fire; once tombstones dominate the heap, compact it so pops stay
-		// O(log n) over live events and the nodes return to the freelist.
-		// Inside the run loop the compaction is deferred to the top of the
-		// loop: a callback canceling a sibling timer must not restructure
-		// the heap mid-iteration.
-		if s.tombstones*2 > len(s.heap) {
-			if s.running {
-				s.needSweep = true
-			} else {
-				s.sweep()
-			}
-		}
-	default:
-		if t.ev.index == inSpillIdx {
-			// Spill tombstones would otherwise linger forever ("never"
-			// timers are canceled, not fired); compaction runs at the
-			// next refill, outside any firing callback.
-			s.w.spillTombs++
-		}
+	if t.ev.where == inSpill {
+		// Spill tombstones would otherwise linger forever ("never" timers
+		// are canceled, not fired); compaction runs at the next refill,
+		// outside any firing callback.
+		t.s.w.spillTombs++
 	}
 	return true
 }
@@ -193,7 +135,7 @@ func (t Timer) Cancel() bool {
 // Pending reports whether the timer's callback has neither fired nor been
 // canceled.
 func (t Timer) Pending() bool {
-	return t.live() && !t.ev.canceled && t.ev.index >= 0
+	return t.live() && !t.ev.canceled && t.ev.where != notQueued
 }
 
 // When returns the virtual time the timer is scheduled for, or 0 for a zero
@@ -210,46 +152,22 @@ func (t Timer) When() Time {
 // runs are reproducible (parallelism lives above whole runs, in
 // internal/runner).
 type Scheduler struct {
-	now    Time
-	seq    uint64
-	engine Engine
+	now Time
+	seq uint64
+	w   wheel
 
-	// --- heap engine state ---
-	heap []*event // 4-ary min-heap ordered by (at, seq)
-	// tombstones counts canceled events still occupying heap slots.
-	tombstones int
-	// needSweep defers tombstone compaction to the top of the run loop so
-	// Cancel never restructures the heap from inside a firing callback.
-	needSweep bool
-
-	// --- wheel engine state ---
-	w wheel
-
-	// free holds recycled event nodes, shared by both engines.
+	// free holds recycled event nodes.
 	free []*event
 	// queued counts event nodes currently scheduled (including canceled
-	// ones not yet reclaimed), under either engine.
+	// ones not yet reclaimed).
 	queued   int
 	executed uint64
 	running  bool
 	stopped  bool
 }
 
-// NewScheduler returns a scheduler with the clock at zero, using the
-// default engine (the timing wheel).
-func NewScheduler() *Scheduler {
-	return NewSchedulerEngine(EngineWheel)
-}
-
-// NewSchedulerEngine returns a scheduler using the given engine. EngineHeap
-// is the differential-testing reference; simulations are byte-identical
-// under both.
-func NewSchedulerEngine(e Engine) *Scheduler {
-	return &Scheduler{engine: e}
-}
-
-// Engine reports which engine the scheduler runs on.
-func (s *Scheduler) Engine() Engine { return s.engine }
+// NewScheduler returns a scheduler with the clock at zero.
+func NewScheduler() *Scheduler { return &Scheduler{} }
 
 // Now returns the current virtual time.
 func (s *Scheduler) Now() Time { return s.now }
@@ -278,11 +196,7 @@ func (s *Scheduler) AtPri(at Time, pri int64, fn func()) Timer {
 		panic(fmt.Sprintf("eventq: scheduling at %v before now %v", at, s.now))
 	}
 	ev := s.alloc(at, pri, fn)
-	if s.engine == EngineHeap {
-		s.push(ev)
-	} else {
-		s.wheelInsert(ev)
-	}
+	s.wheelInsert(ev)
 	s.queued++
 	return Timer{s: s, ev: ev, gen: ev.gen}
 }
@@ -313,7 +227,6 @@ func (s *Scheduler) alloc(at Time, pri int64, fn func()) *event {
 	if n == 0 {
 		block := make([]event, 64)
 		for i := range block {
-			block[i].index = -1
 			s.free = append(s.free, &block[i])
 		}
 		n = len(s.free)
@@ -332,15 +245,14 @@ func (s *Scheduler) release(ev *event) {
 	ev.gen++
 	ev.fn = nil
 	ev.canceled = false
-	ev.index = -1
+	ev.where = notQueued
 	s.queued--
 	s.free = append(s.free, ev)
 }
 
 // less orders events by (at, pri, seq): time first, then the explicit
 // same-instant key, then scheduling order. seq is unique, so the order is
-// total and runs are deterministic regardless of engine or intermediate
-// layout.
+// total and runs are deterministic regardless of intermediate layout.
 func less(a, b *event) bool {
 	if a.at != b.at {
 		return a.at < b.at
@@ -349,128 +261,6 @@ func less(a, b *event) bool {
 		return a.pri < b.pri
 	}
 	return a.seq < b.seq
-}
-
-// push appends ev and restores the heap property by sifting up. The 4-ary
-// layout (children of i at 4i+1..4i+4) halves tree depth versus a binary
-// heap, trading slightly pricier sift-downs for much cheaper inserts —
-// the right trade for a scheduler where most events are pushed once and
-// popped once in rough time order.
-func (s *Scheduler) push(ev *event) {
-	i := len(s.heap)
-	s.heap = append(s.heap, ev)
-	for i > 0 {
-		p := (i - 1) / 4
-		if !less(ev, s.heap[p]) {
-			break
-		}
-		s.heap[i] = s.heap[p]
-		s.heap[i].index = int32(i)
-		i = p
-	}
-	s.heap[i] = ev
-	ev.index = int32(i)
-}
-
-// siftDown restores the heap property from slot i downward.
-func (s *Scheduler) siftDown(i int) {
-	ev := s.heap[i]
-	n := len(s.heap)
-	for {
-		first := 4*i + 1
-		if first >= n {
-			break
-		}
-		best := first
-		last := first + 4
-		if last > n {
-			last = n
-		}
-		for c := first + 1; c < last; c++ {
-			if less(s.heap[c], s.heap[best]) {
-				best = c
-			}
-		}
-		if !less(s.heap[best], ev) {
-			break
-		}
-		s.heap[i] = s.heap[best]
-		s.heap[i].index = int32(i)
-		i = best
-	}
-	s.heap[i] = ev
-	ev.index = int32(i)
-}
-
-// popMin removes and returns the earliest event.
-func (s *Scheduler) popMin() *event {
-	ev := s.heap[0]
-	n := len(s.heap) - 1
-	last := s.heap[n]
-	s.heap[n] = nil
-	s.heap = s.heap[:n]
-	if n > 0 && last != ev {
-		s.heap[0] = last
-		s.siftDown(0)
-	}
-	ev.index = -1
-	return ev
-}
-
-// sweep compacts canceled events out of the heap and rebuilds it in place.
-// The (at, seq) order is total, so pop order — and therefore simulation
-// output — is identical whatever the intermediate heap layout.
-func (s *Scheduler) sweep() {
-	live := s.heap[:0]
-	for _, ev := range s.heap {
-		if ev.canceled {
-			s.release(ev)
-		} else {
-			live = append(live, ev)
-		}
-	}
-	// Clear the tail so released nodes are not pinned by the backing array.
-	for i := len(live); i < len(s.heap); i++ {
-		s.heap[i] = nil
-	}
-	s.heap = live
-	for i, ev := range s.heap {
-		ev.index = int32(i)
-	}
-	// Note (n-2)/4 truncates toward zero, so guard the small cases rather
-	// than relying on the loop bound going negative.
-	if n := len(s.heap); n > 1 {
-		for i := (n - 2) / 4; i >= 0; i-- {
-			s.siftDown(i)
-		}
-	}
-	s.tombstones = 0
-}
-
-// stepHeap pops and runs the next event. Returns false when the queue is
-// empty or the next event is beyond limit.
-func (s *Scheduler) stepHeap(limit Time) bool {
-	for len(s.heap) > 0 {
-		next := s.heap[0]
-		if next.at > limit {
-			return false
-		}
-		s.popMin()
-		if next.canceled {
-			s.tombstones--
-			s.release(next)
-			continue
-		}
-		at, fn := next.at, next.fn
-		// Recycle before running: fn may schedule and the node can serve
-		// the new event immediately; the old handle's gen is already stale.
-		s.release(next)
-		s.now = at
-		s.executed++
-		fn()
-		return true
-	}
-	return false
 }
 
 // Run executes events until the queue is empty or Stop is called.
@@ -494,20 +284,5 @@ func (s *Scheduler) run(limit Time) {
 	s.running = true
 	s.stopped = false
 	defer func() { s.running = false }()
-	if s.engine == EngineHeap {
-		for !s.stopped {
-			// Deferred tombstone compaction: requested by Cancel from
-			// inside a callback, performed here between events where no
-			// pop is in flight.
-			if s.needSweep {
-				s.sweep()
-				s.needSweep = false
-			}
-			if !s.stepHeap(limit) {
-				return
-			}
-		}
-		return
-	}
 	s.runWheel(limit)
 }

@@ -271,15 +271,15 @@ func BenchmarkSchedulerChurn(b *testing.B) {
 }
 
 // TestSameInstantFIFOUnderHeapChurn pins the (at, seq) tie-break while the
-// heap is busy with events at many other instants: sift-up/down must never
-// reorder equal-time events. A scheduler refactor that drops the seq field
+// queue is busy with events at many other instants: inserts and pops around
+// a tied group must never reorder its equal-time events. A scheduler refactor that drops the seq field
 // passes the simple FIFO test by luck far more easily than this one.
 func TestSameInstantFIFOUnderHeapChurn(t *testing.T) {
 	s := NewScheduler()
 	const tied = 100
 	var got []int
 	// Surround the tied instant with earlier and later events, interleaving
-	// insertion so tied events arrive between unrelated heap operations.
+	// insertion so tied events arrive between unrelated queue operations.
 	for i := 0; i < tied; i++ {
 		i := i
 		s.At(Time(10*i+5), func() {})               // before the tie
@@ -394,7 +394,7 @@ func TestStaleHandleAfterRecycle(t *testing.T) {
 }
 
 // TestCanceledThenSweptHandle pins that handles to canceled events stay
-// inert after the tombstone sweep recycles their nodes mid-queue.
+// inert once their nodes are reclaimed and recycled.
 func TestCanceledThenSweptHandle(t *testing.T) {
 	s := NewScheduler()
 	var timers []Timer
@@ -402,7 +402,7 @@ func TestCanceledThenSweptHandle(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		timers = append(timers, s.At(Time(100+i), func() { ran++ }))
 	}
-	// Cancel well past half the heap to force at least one sweep.
+	// Cancel most of the queue.
 	for i := 0; i < 80; i++ {
 		timers[i].Cancel()
 	}
@@ -425,8 +425,8 @@ func TestCanceledThenSweptHandle(t *testing.T) {
 	}
 }
 
-// TestSweepPreservesOrder pins that the tombstone sweep's re-heapify does
-// not perturb the (at, seq) pop order, including same-instant FIFO ties.
+// TestSweepPreservesOrder pins that tombstone reclamation does not perturb
+// the (at, seq) pop order, including same-instant FIFO ties.
 func TestSweepPreservesOrder(t *testing.T) {
 	s := NewScheduler()
 	var timers []Timer

@@ -21,19 +21,19 @@ import "math/bits"
 // reinsert, landing at strictly lower levels, which makes reusing the
 // slot's backing array safe.
 //
-// Determinism. The global firing order is the same (at, seq) total order
-// the heap engine realizes. Slot lists are append-ordered and cascades can
-// interleave older-seq events behind newer direct inserts, so a level-0
-// slot is sorted (insertion sort, usually a no-op verify pass) once, when
-// its drain starts. Draining then walks the slot linearly — the Run loop
-// fires a whole tick's batch without re-consulting the wheel — and a
+// Determinism. The global firing order is the (at, pri, seq) total order of
+// less. Slot lists are append-ordered and cascades can interleave older-seq
+// events behind newer direct inserts, so the live tick's sub-buckets are
+// each sorted (insertion sort, usually a no-op verify pass) once, when the
+// drain reaches them. Draining then walks the sub-bucket linearly — the Run
+// loop fires a whole tick's batch without re-consulting the wheel — and a
 // callback scheduling into the live tick binary-inserts behind the drain
 // cursor, preserving FIFO within the instant.
 type wheel struct {
 	// cur is the wheel cursor in ticks. Events never reside at ticks
 	// behind it; inserts that would (only possible after a run advanced
 	// cur over tombstone-only slots) clamp their tick to cur, which
-	// preserves the (at, seq) firing order because every other resident
+	// preserves the (at, pri, seq) firing order because every other resident
 	// event's at is >= cur<<tickShift.
 	cur   int64
 	slots [numLevels][wheelSlots][]*event
@@ -161,7 +161,7 @@ func (w *wheel) put(ev *event, tick int64) {
 	}
 	w.slots[level][idx] = append(lst, ev)
 	w.occ[level][idx>>6] |= 1 << uint(idx&63)
-	ev.index = inWheelIdx
+	ev.where = inWheel
 }
 
 // spillInsert binary-inserts ev into the sorted overflow list.
@@ -180,7 +180,7 @@ func (w *wheel) spillInsert(ev *event) {
 	w.spill = append(w.spill, nil)
 	copy(w.spill[lo+1:], w.spill[lo:])
 	w.spill[lo] = ev
-	ev.index = inSpillIdx
+	ev.where = inSpill
 }
 
 // drainInsert places ev into the live tick currently being drained. An
@@ -204,7 +204,7 @@ func (w *wheel) drainInsert(ev *event) {
 			lst = make([]*event, 0, 16)
 		}
 		w.subs[j] = append(lst, ev)
-		ev.index = inWheelIdx
+		ev.where = inWheel
 		return
 	}
 	sub := w.subs[w.curSub]
@@ -230,7 +230,7 @@ func (w *wheel) drainInsert(ev *event) {
 	copy(sub[lo+1:], sub[lo:])
 	sub[lo] = ev
 	w.subs[w.curSub] = sub
-	ev.index = inWheelIdx
+	ev.where = inWheel
 }
 
 // startDrain distributes level-0 slot idx into the live-tick sub-buckets,
@@ -349,8 +349,9 @@ func (s *Scheduler) runWheel(limit Time) {
 					continue
 				}
 				at, fn := ev.at, ev.fn
-				// Recycle before running, matching the heap engine: fn may
-				// schedule and reuse this node immediately.
+				// Recycle before running: fn may schedule and the node can
+				// serve the new event immediately; the old handle's gen is
+				// already stale.
 				s.release(ev)
 				s.now = at
 				s.executed++

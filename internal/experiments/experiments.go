@@ -32,14 +32,11 @@ type Opts struct {
 	// GOMAXPROCS, 1 forces the serial reference path. Results and log
 	// lines are identical for every value — see internal/runner.
 	Workers int
-	// Engine selects the scheduler engine ("", "wheel" or "heap") for
-	// every run; results are byte-identical either way.
-	Engine string
 	// Shards sets the conservative-PDES shard count for every run
 	// (<=1 sequential); results are byte-identical for any value.
 	Shards int
 	// Mode, when non-empty, overrides the simulation mode ("packet",
-	// "fluid" or "hybrid") for every run. Unlike Engine/Shards this CAN
+	// "fluid" or "hybrid") for every run. Unlike Shards this CAN
 	// change results: fluid and hybrid trade per-packet fidelity for
 	// speed (DESIGN §9). Experiments whose configs a non-packet mode
 	// cannot express (query fan-in, tracing, PFC, ...) fail fast in
@@ -215,7 +212,6 @@ func (o *Opts) paperConfig(base eventq.Time) netsim.Config {
 
 // run executes one configuration, logging a one-line summary.
 func (o *Opts) run(label string, cfg netsim.Config) *netsim.Results {
-	cfg.Engine = o.Engine
 	cfg.Shards = o.Shards
 	if o.Mode != "" {
 		cfg.Mode = o.Mode
@@ -250,7 +246,6 @@ func bothArms(points []point, label string, cfg netsim.Config) []point {
 func (o *Opts) runPoints(points []point) []*netsim.Results {
 	results := runner.Map(o.Workers, len(points), func(i int) *netsim.Results {
 		cfg := points[i].cfg
-		cfg.Engine = o.Engine
 		cfg.Shards = o.Shards
 		if o.Mode != "" {
 			cfg.Mode = o.Mode

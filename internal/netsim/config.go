@@ -227,11 +227,6 @@ type Config struct {
 	// NIC-bottleneck steady state, which is the regime the hybrid mode's
 	// standing-queue abstraction models faithfully (DESIGN §9).
 	HostMarkAtPkts int
-	// Engine selects the scheduler's internal priority structure: "wheel"
-	// (default, also the empty string) or "heap". The two engines realize
-	// the same (at, seq) event order, so results are byte-identical; the
-	// heap is kept as a differential-testing reference.
-	Engine string
 	// ForwardJitter adds a uniform per-packet delivery jitter in
 	// [0, ForwardJitter) on every link (FIFO order preserved), modeling
 	// variable switch pipeline latency. Without it, identical self-clocked
@@ -331,6 +326,29 @@ func DefaultConfig() Config {
 	}
 }
 
+// runGlobalInstrumentation names the enabled options that append to a
+// run-global ordered buffer: the ones neither shard workers nor
+// fluid-modeled flows can feed.
+func (c *Config) runGlobalInstrumentation() []string {
+	var on []string
+	if c.TraceEvents {
+		on = append(on, "TraceEvents")
+	}
+	if c.TraceEveryNth > 0 {
+		on = append(on, "TraceEveryNth")
+	}
+	if c.RecordTimeline {
+		on = append(on, "RecordTimeline")
+	}
+	if c.UtilWindow > 0 {
+		on = append(on, "UtilWindow")
+	}
+	if c.BufferSamplePeriod > 0 {
+		on = append(on, "BufferSamplePeriod")
+	}
+	return on
+}
+
 // Validate panics on inconsistent configurations; Build calls it.
 func (c *Config) Validate() {
 	if c.LinkRate <= 0 {
@@ -391,9 +409,6 @@ func (c *Config) Validate() {
 	if c.HostMarkAtPkts < 0 {
 		panic("netsim: HostMarkAtPkts must be >= 0 (0 disables NIC marking)")
 	}
-	if _, err := eventq.ParseEngine(c.Engine); err != nil {
-		panic(err.Error())
-	}
 	if c.Shards < 0 {
 		panic("netsim: Shards must be >= 0")
 	}
@@ -403,23 +418,7 @@ func (c *Config) Validate() {
 		// instrumentation options all share one reason: each appends to a
 		// run-global ordered buffer, which shard workers cannot feed
 		// without breaking the byte-identical-results guarantee.
-		var global []string
-		if c.TraceEvents {
-			global = append(global, "TraceEvents")
-		}
-		if c.TraceEveryNth > 0 {
-			global = append(global, "TraceEveryNth")
-		}
-		if c.RecordTimeline {
-			global = append(global, "RecordTimeline")
-		}
-		if c.UtilWindow > 0 {
-			global = append(global, "UtilWindow")
-		}
-		if c.BufferSamplePeriod > 0 {
-			global = append(global, "BufferSamplePeriod")
-		}
-		if len(global) > 0 {
+		if global := c.runGlobalInstrumentation(); len(global) > 0 {
 			panic(fmt.Sprintf("netsim: %s require Shards <= 1: run-global instrumentation appends to an ordered buffer no shard worker may share", strings.Join(global, ", ")))
 		}
 		if c.PFC {
@@ -452,21 +451,7 @@ func (c *Config) Validate() {
 		if c.PacketSpray {
 			bad = append(bad, "PacketSpray") // fluid paths replicate flow-ECMP; sprayed traffic has no single path
 		}
-		if c.TraceEvents {
-			bad = append(bad, "TraceEvents")
-		}
-		if c.TraceEveryNth > 0 {
-			bad = append(bad, "TraceEveryNth")
-		}
-		if c.RecordTimeline {
-			bad = append(bad, "RecordTimeline")
-		}
-		if c.UtilWindow > 0 {
-			bad = append(bad, "UtilWindow")
-		}
-		if c.BufferSamplePeriod > 0 {
-			bad = append(bad, "BufferSamplePeriod")
-		}
+		bad = append(bad, c.runGlobalInstrumentation()...)
 		if len(bad) > 0 {
 			panic(fmt.Sprintf("netsim: %s cannot combine with Mode=%s: fluid-modeled flows emit no packets for these to observe or control", strings.Join(bad, ", "), c.Mode))
 		}

@@ -43,7 +43,7 @@ func fingerprint(t *testing.T, n *Network, r *Results) []byte {
 
 	// Cfg is an input, not an observation: the nil shadow field hides it
 	// from the encoding (a zeroed Config would still spell out its field
-	// names), so goldenFingerprint survives Config gaining or losing fields.
+	// names), so the golden constants survive Config gaining or losing fields.
 	flat := struct {
 		Results
 		Cfg *struct{} `json:",omitempty"`
@@ -84,8 +84,8 @@ func fingerprint(t *testing.T, n *Network, r *Results) []byte {
 	return buf.Bytes()
 }
 
-// Absolute outputs, recorded while the 4-ary heap scheduler still existed
-// and gave the same values as the timing wheel.
+// Absolute outputs, recorded when a 4-ary heap scheduler still shipped next
+// to the timing wheel and both produced these values.
 const (
 	goldenPacketRun uint64 = 0x47363dcac1eb775d // fingerprint of determinismConfig()
 	goldenHybridRun uint64 = 0xa0a8ff58ebfb4524 // fluidFingerprint of fluidConfig(ModeHybrid), Seed 7
@@ -109,67 +109,38 @@ func checkGolden(t *testing.T, fp []byte, want uint64) {
 // TestSeededRunsAreByteIdentical is the determinism regression: two
 // simulations built from the same Config must agree on every metric, every
 // flow record, every trace event, and the executed-event count. Any global
-// randomness, wall-clock read, or map-order dependence breaks it. It runs
-// under both scheduler engines; each must be self-consistent.
+// randomness, wall-clock read, or map-order dependence breaks it. The run
+// is also held to its golden fingerprint, so a scheduler change that
+// reorders events consistently — invisible run-vs-run — still fails.
 func TestSeededRunsAreByteIdentical(t *testing.T) {
-	for _, engine := range []string{"wheel", "heap"} {
-		t.Run(engine, func(t *testing.T) {
-			cfg := determinismConfig()
-			cfg.Engine = engine
-
-			n1 := Build(cfg)
-			r1 := n1.Run()
-			fp1 := fingerprint(t, n1, r1)
-
-			n2 := Build(cfg)
-			r2 := n2.Run()
-			fp2 := fingerprint(t, n2, r2)
-
-			if len(n1.Trace.Events()) == 0 {
-				t.Fatal("trace recorded no events; fingerprint would be vacuous")
-			}
-			if r1.DeliveredData == 0 || r1.QueriesDone == 0 {
-				t.Fatalf("run delivered nothing (delivered=%d queries=%d); config too small",
-					r1.DeliveredData, r1.QueriesDone)
-			}
-			if got, want := len(n2.Trace.Events()), len(n1.Trace.Events()); got != want {
-				t.Fatalf("trace event counts differ: %d vs %d", got, want)
-			}
-			if !bytes.Equal(fp1, fp2) {
-				t.Fatalf("seeded runs diverged:\nrun1 %d bytes, run2 %d bytes\nfirst difference near byte %d",
-					len(fp1), len(fp2), firstDiff(fp1, fp2))
-			}
-			checkGolden(t, fp1, goldenPacketRun)
-		})
-	}
-}
-
-// TestEnginesProduceIdenticalRuns is the engine-parity regression: the
-// timing wheel and the reference heap must produce byte-identical
-// simulations — same metrics, same flow records, same event trace, same
-// executed-event count. This is what licenses shipping the wheel as the
-// default engine: any FIFO-within-instant violation in the wheel (cascade
-// reordering, slot-drain interleaving, spill migration) diverges the
-// packet-level interleaving and shows up here.
-func TestEnginesProduceIdenticalRuns(t *testing.T) {
-	runWith := func(engine string) (*Network, []byte) {
+	// The lone subtest keeps the test ID that CI baselines know.
+	t.Run("wheel", func(t *testing.T) {
 		cfg := determinismConfig()
-		cfg.Engine = engine
-		n := Build(cfg)
-		r := n.Run()
-		r.Cfg.Engine = "" // the engine name itself is the one allowed difference
-		return n, fingerprint(t, n, r)
-	}
-	nw, fpw := runWith("wheel")
-	nh, fph := runWith("heap")
 
-	if nw.Sched.Engine() == nh.Sched.Engine() {
-		t.Fatal("both runs used the same engine; config plumbing is broken")
-	}
-	if !bytes.Equal(fpw, fph) {
-		t.Fatalf("wheel and heap runs diverged:\nwheel %d bytes, heap %d bytes\nfirst difference near byte %d",
-			len(fpw), len(fph), firstDiff(fpw, fph))
-	}
+		n1 := Build(cfg)
+		r1 := n1.Run()
+		fp1 := fingerprint(t, n1, r1)
+
+		n2 := Build(cfg)
+		r2 := n2.Run()
+		fp2 := fingerprint(t, n2, r2)
+
+		if len(n1.Trace.Events()) == 0 {
+			t.Fatal("trace recorded no events; fingerprint would be vacuous")
+		}
+		if r1.DeliveredData == 0 || r1.QueriesDone == 0 {
+			t.Fatalf("run delivered nothing (delivered=%d queries=%d); config too small",
+				r1.DeliveredData, r1.QueriesDone)
+		}
+		if got, want := len(n2.Trace.Events()), len(n1.Trace.Events()); got != want {
+			t.Fatalf("trace event counts differ: %d vs %d", got, want)
+		}
+		if !bytes.Equal(fp1, fp2) {
+			t.Fatalf("seeded runs diverged:\nrun1 %d bytes, run2 %d bytes\nfirst difference near byte %d",
+				len(fp1), len(fp2), firstDiff(fp1, fp2))
+		}
+		checkGolden(t, fp1, goldenPacketRun)
+	})
 }
 
 // TestDifferentSeedsDiverge guards the fingerprint itself: if two different

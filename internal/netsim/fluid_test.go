@@ -170,20 +170,6 @@ func TestHybridDeterminism(t *testing.T) {
 	checkGolden(t, []byte(fluidFingerprint(Build(cfg).Run())), goldenHybridRun)
 }
 
-func TestHybridEnginesAgree(t *testing.T) {
-	mk := func(engine string) *Results {
-		cfg := fluidConfig(ModeHybrid)
-		cfg.Engine = engine
-		cfg.Seed = 7
-		return Build(cfg).Run()
-	}
-	a, b := fluidFingerprint(mk("heap")), fluidFingerprint(mk("wheel"))
-	if a != b {
-		t.Fatalf("heap and wheel hybrid runs differ:\n%s\n%s", a, b)
-	}
-	checkGolden(t, []byte(a), goldenHybridRun)
-}
-
 // TestHybridFCTAgreement is the fidelity harness: background FCTs under
 // hybrid mode must stay within 5% of the packet-mode reference at p50 and
 // p99 (ISSUE: fluid-vs-packet divergence bound on bystander traffic).

@@ -73,7 +73,6 @@ func (r portRef) Receive(p *packet.Packet, port int) {
 // Build constructs the network described by cfg.
 func Build(cfg Config) *Network {
 	cfg.Validate()
-	engine, _ := eventq.ParseEngine(cfg.Engine) // Validate already vetted it
 	n := &Network{Cfg: cfg}
 	n.Topo = buildTopo(cfg)
 
@@ -91,7 +90,7 @@ func Build(cfg Config) *Network {
 	n.part = n.Topo.Partition(nsh)
 	n.shards = make([]*shardCtx, nsh)
 	for i := range n.shards {
-		sc := &shardCtx{id: i, sched: eventq.NewSchedulerEngine(engine), pool: packet.NewPool()}
+		sc := &shardCtx{id: i, sched: eventq.NewScheduler(), pool: packet.NewPool()}
 		sc.coll = metrics.NewCollector(sc.sched)
 		sc.coll.RecordTimeline = cfg.RecordTimeline
 		n.shards[i] = sc

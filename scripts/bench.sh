@@ -1,14 +1,13 @@
 #!/usr/bin/env bash
 # bench.sh — measure the simulator's performance baseline.
 #
-# Runs BenchmarkSimulatorThroughput under both scheduler engines (wheel and
-# heap — their in-process ratio is the noise-robust number), plus
-# BenchmarkIncastBurst, BenchmarkPacketPool, BenchmarkNextHops and
-# BenchmarkHybridThroughput (via go test), a fixed fig08+fig09 pass with a
-# heap summary, a K=16 shard-speedup probe (4 conservative-PDES shards vs
-# 1), a hybrid-speedup probe (packet vs hybrid mode on the
-# long-background-flows workload), and the full `-all -scale 0.1`
-# experiments workload, writing everything to a tracked JSON baseline.
+# Runs BenchmarkSimulatorThroughput, BenchmarkIncastBurst,
+# BenchmarkPacketPool, BenchmarkNextHops and BenchmarkHybridThroughput (via
+# go test), a fixed fig08+fig09 pass with a heap summary, a K=16
+# shard-speedup probe (4 conservative-PDES shards vs 1), a hybrid-speedup
+# probe (packet vs hybrid mode on the long-background-flows workload), and
+# the full `-all -scale 0.1` experiments workload, writing everything to a
+# tracked JSON baseline.
 #
 #   scripts/bench.sh                       # print, write BENCH_9.json
 #   scripts/bench.sh -out BENCH_10.json    # write a new baseline

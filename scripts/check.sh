@@ -52,12 +52,12 @@ else
     go test ./...
 fi
 
-# The hybrid mode's two acceptance properties run by name even in SHORT
-# mode, so a future -short guard on them can never silently retire the
-# gate: byte-identical hybrid runs, and fluid-path FCT percentiles within
-# tolerance of the all-packet reference.
-step "hybrid determinism + FCT agreement"
-go test -count=1 -run 'TestHybridDeterminism|TestHybridEnginesAgree|TestHybridFCTAgreement' ./internal/netsim
+# The determinism gates run by name even in SHORT mode, so a future -short
+# guard on them can never silently retire them: seeded packet and hybrid
+# runs byte-identical and equal to their golden fingerprints, and
+# fluid-path FCT percentiles within tolerance of the all-packet reference.
+step "determinism + golden fingerprints, hybrid FCT agreement"
+go test -count=1 -run 'TestSeededRunsAreByteIdentical|TestHybridDeterminism|TestHybridFCTAgreement' ./internal/netsim
 
 if [ "${RACE:-1}" = "1" ]; then
     step "go test -race (short)"
