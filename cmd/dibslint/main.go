@@ -11,9 +11,10 @@
 // repo-root-relative URIs, ready for GitHub code-scanning upload. Exit
 // status: 0 clean or warnings only, 1 error-level findings, 2 usage or
 // load failure. -disable=rule1,rule2 drops specific rules for one
-// invocation. -workers=n analyzes packages in parallel (default one
-// worker per CPU); findings are identical and identically ordered at any
-// worker count.
+// invocation; an ID that -rules does not list is a usage error, so a typo
+// or a retired rule cannot silently disable nothing. -workers=n analyzes
+// packages in parallel (default one worker per CPU); findings are
+// identical and identically ordered at any worker count.
 //
 // Suppress a single finding with a trailing or preceding comment:
 //
@@ -65,11 +66,19 @@ func main() {
 		return
 	}
 
+	known := make(map[string]bool)
+	for _, r := range lint.AllRules() {
+		known[r.ID] = true
+	}
 	disabled := make(map[string]bool)
 	for _, id := range strings.Split(*disable, ",") {
-		if id = strings.TrimSpace(id); id != "" {
-			disabled[id] = true
+		if id = strings.TrimSpace(id); id == "" {
+			continue
 		}
+		if !known[id] {
+			fatal(fmt.Errorf("-disable: unknown rule %q (see dibslint -rules)", id))
+		}
+		disabled[id] = true
 	}
 
 	patterns := flag.Args()

@@ -128,8 +128,6 @@ func (s *Scheduler) wheelInsert(ev *event) {
 
 // put places ev (at the given tick, >= w.cur) into its level slot or the
 // spill list.
-//
-//dibslint:owns the slot array keeps the node until its tick drains or cascades
 func (w *wheel) put(ev *event, tick int64) {
 	c := w.cur
 	var level int
@@ -165,8 +163,6 @@ func (w *wheel) put(ev *event, tick int64) {
 }
 
 // spillInsert binary-inserts ev into the sorted overflow list.
-//
-//dibslint:owns the spill list keeps the node until it migrates into the wheel
 func (w *wheel) spillInsert(ev *event) {
 	lo, hi := 0, len(w.spill)
 	for lo < hi {
@@ -194,8 +190,6 @@ func (w *wheel) spillInsert(ev *event) {
 // FIFO-within-instant guarantee. The clamp into curSub preserves global
 // order because every event in a later sub-bucket has a strictly larger
 // sub-tick address, hence a strictly larger at.
-//
-//dibslint:owns the live sub-bucket keeps the node until the drain reaches it
 func (w *wheel) drainInsert(ev *event) {
 	j := int(int64(ev.at)>>subShift) & subMask
 	if j > w.curSub {

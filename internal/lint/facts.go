@@ -38,40 +38,6 @@ type FuncFacts struct {
 	SeedSinkParams     uint64
 	ParamToResult      uint64
 	ParamArithToResult uint64
-
-	// Ownership summary (facts_own.go). Parameter slots follow the
-	// SeedSinkParams convention: for methods the receiver is slot 0 and
-	// argument i maps to slot i+1.
-	//
-	//   ReleasesParams    the parameter can reach packet.Free / Pool.Put
-	//                     (transitively) on some path;
-	//   ConsumesParams    the function takes ownership on some path: the
-	//                     parameter is released, stored into longer-lived
-	//                     state, returned, or handed to another consumer;
-	//   StoresOwnedParams subset of ConsumesParams stored into state;
-	//   ReturnsOwned      some result is an owned resource the caller must
-	//                     discharge (a Pool.Get/Timer birth, a ReturnsOwned
-	//                     callee, or a //dibslint:owns annotation).
-	ReleasesParams    uint64
-	ConsumesParams    uint64
-	StoresOwnedParams uint64
-	ReturnsOwned      bool
-
-	// Shard-confinement summary (facts_escape.go), same slot convention.
-	//
-	//   EscapingParams      the parameter can become reachable from heap
-	//                       state another shard can see: stored to a
-	//                       package variable, captured by a go-spawned
-	//                       closure, sent on a channel, placed into a
-	//                       pdes.Message, or passed to another function's
-	//                       escaping position;
-	//   ResultLookaheadSafe the function returns eventq.Time and every
-	//                       result flows only from constants, zero values,
-	//                       Delay/LinkDelay topology fields, or other
-	//                       lookahead-safe functions — never arithmetic
-	//                       that could undercut the conservative window.
-	EscapingParams      uint64
-	ResultLookaheadSafe bool
 }
 
 // FactsFor returns the computed summary for a function, if its declaring
@@ -439,9 +405,6 @@ func (l *Loader) factsForDecl(pkg *Package, obj *types.Func, decl *ast.FuncDecl)
 
 	du := l.funcData(info, decl.Recv, decl.Type, decl.Body)
 	fe := &flowEval{l: l, info: info, du: du, enclosing: obj}
-	l.computeOwnFacts(info, obj, du, &facts)
-	l.computeEscapeFacts(info, du, decl, &facts)
-	l.computeLookaheadFacts(info, obj, du, &facts)
 
 	// Result taint: explicit return values, plus every assignment to a
 	// named result (covers naked returns, over-approximating which return

@@ -134,15 +134,6 @@ type Loader struct {
 	facts  map[*types.Func]FuncFacts
 	funcDU map[*ast.BlockStmt]*defUse
 	duMu   sync.Mutex
-
-	// owns records //dibslint:owns transfer annotations (facts_own.go) on
-	// functions, interface methods and func-typed fields.
-	owns map[types.Object]bool
-
-	// confined records //dibslint:confined region annotations
-	// (facts_escape.go) on functions, parameters, types, struct fields and
-	// interface methods: the declared shard/coordinator/immutable boundary.
-	confined map[types.Object]string
 }
 
 // NewLoader locates the module root by walking up from dir to the nearest
@@ -177,8 +168,6 @@ func NewLoader(dir string) (*Loader, error) {
 		loading:    make(map[string]bool),
 		facts:      make(map[*types.Func]FuncFacts),
 		funcDU:     make(map[*ast.BlockStmt]*defUse),
-		owns:       make(map[types.Object]bool),
-		confined:   make(map[types.Object]string),
 	}, nil
 }
 
@@ -328,8 +317,6 @@ func (l *Loader) checkWith(typePath, dir string, sources map[string]string, imp 
 		return nil, fmt.Errorf("lint: type-checking %s: %w", typePath, err)
 	}
 	pkg := &Package{Path: typePath, Dir: dir, Files: files, Types: tpkg, Info: info, TestOf: testOf}
-	l.collectOwns(pkg)
-	l.collectConfined(pkg)
 	l.computeFacts(pkg)
 	return pkg, nil
 }
@@ -464,8 +451,8 @@ type directive struct {
 // suppressions scans //dibslint: comments, returning the suppression index
 // (file -> line -> rule -> directive; a directive covers its own line and
 // the line after it, so it can trail the offending statement or sit above
-// it) plus the ordered directive list. Malformed directives — including
-// reason-less ignore and owns forms — are reported as lint-badignore.
+// it) plus the ordered directive list. Malformed directives — including a
+// reason-less ignore — are reported as lint-badignore.
 func suppressions(fset *token.FileSet, files []*ast.File, report func(pos token.Pos, rule, msg string)) (map[string]map[int]map[string]*directive, []*directive) {
 	sup := make(map[string]map[int]map[string]*directive)
 	var dirs []*directive
@@ -481,33 +468,6 @@ func suppressions(fset *token.FileSet, files []*ast.File, report func(pos token.
 	for _, f := range files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
-				if m := ownsRe.FindStringSubmatch(c.Text); m != nil {
-					// Transfer annotations feed the fact store
-					// (collectOwns); here only the mandatory reason is
-					// enforced.
-					if strings.TrimSpace(m[2]) == "" {
-						report(c.Pos(), "lint-badignore",
-							"owns annotation needs a reason: //dibslint:owns <why the callee keeps the resource>")
-					}
-					continue
-				}
-				if strings.HasPrefix(c.Text, "//dibslint:confined") {
-					// Region annotations feed the fact store
-					// (collectConfined); here only well-formedness and the
-					// mandatory reason are enforced.
-					switch m := confinedRe.FindStringSubmatch(c.Text); {
-					case m == nil:
-						report(c.Pos(), "lint-badignore",
-							"malformed confinement annotation; use //dibslint:confined[(param)] <shard|coordinator|immutable> reason")
-					case !validRegion(m[2]):
-						report(c.Pos(), "lint-badignore",
-							fmt.Sprintf("unknown confinement region %q; use shard, coordinator, or immutable", m[2]))
-					case strings.TrimSpace(m[3]) == "":
-						report(c.Pos(), "lint-badignore",
-							"confined annotation needs a reason: //dibslint:confined "+m[2]+" <why this boundary holds>")
-					}
-					continue
-				}
 				m := ignoreRe.FindStringSubmatch(c.Text)
 				if m == nil {
 					if strings.HasPrefix(c.Text, "//dibslint:") {

@@ -17,21 +17,28 @@ func parallelCorpus(t *testing.T) []*Package {
 		src := fmt.Sprintf(`
 package fixpar%d
 
-import "dibs/internal/packet"
+import (
+	"errors"
+	"time"
 
-func Leak(p *packet.Packet, cond bool) {
-	if cond {
-		packet.Free(p)
-		return
+	"dibs/internal/rng"
+)
+
+func mayFail() error { return errors.New("boom") }
+
+func handle(error) {}
+
+func DroppedOnOnePath(check bool) {
+	err := mayFail()
+	if check {
+		handle(err)
 	}
-	p.Hops++
 }
 
-func DoubleFree(p *packet.Packet, cond bool) {
-	if cond {
-		packet.Free(p)
-	}
-	packet.Free(p)
+func ClockSeed() {
+	s := time.Now().UnixNano()
+	s2 := s
+	_ = rng.New(s2, "workload")
 }
 `, i)
 		pkg, err := l.LoadSynthetic(path, map[string]string{fmt.Sprintf("fixpar%d.go", i): src})

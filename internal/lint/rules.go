@@ -22,8 +22,6 @@ func Analyzers() []*Analyzer {
 		VtimeFlow(),
 		PathDroppedErr(),
 		HotPathAlloc(),
-		OwnershipAnalysis(),
-		ShardConfinement(),
 	}
 }
 
@@ -112,41 +110,33 @@ func Nondeterminism() *Analyzer {
 
 // Concurrency keeps simulation packages single-threaded: a goroutine or a
 // sync primitive below the run boundary means event order can depend on the
-// Go scheduler, which breaks the one-seed-one-output contract. Two escapes
-// exist. internal/runner fans out over whole runs and stays allowlisted.
-// And a function annotated //dibslint:confined coordinator — the
-// conservative-PDES barrier driver — may spawn shard workers, with every
-// value those goroutines capture checked by shard-escape (rules_shard.go)
-// instead of the blanket package allowlist internal/pdes used to carry.
-// Everything else stays banned — determinism inside a shard is exactly
-// what lets pdes exist at all.
+// Go scheduler, which breaks the one-seed-one-output contract. Two packages
+// are allowlisted, each with a runtime proof run by name in check.sh and CI:
+// internal/runner fans out over whole runs (go test -race ./internal/runner),
+// and internal/pdes holds the one go statement that spawns shard workers
+// (go test -race -run TestShardCountInvariance ./internal/netsim). Everything
+// else stays banned — determinism inside a shard is exactly what lets pdes
+// exist at all.
 func Concurrency() *Analyzer {
 	return &Analyzer{
 		Rules: []RuleDoc{
-			{ID: "nondet-goroutine", Doc: "goroutine or sync primitive in a simulation package; runs are single-threaded — parallelize whole runs via internal/runner, or spawn shard workers from a coordinator-confined function checked by shard-escape", Severity: SevError},
+			{ID: "nondet-goroutine", Doc: "goroutine or sync primitive in a simulation package; runs are single-threaded — parallelize whole runs via internal/runner, shards via internal/pdes", Severity: SevError},
 		},
 		Check: func(l *Loader, pkg *Package, report func(token.Pos, string, string)) {
 			switch p := effectivePath(pkg); {
 			case !l.SimPackage(p),
-				strings.HasSuffix(p, "internal/runner"):
+				strings.HasSuffix(p, "internal/runner"),
+				strings.HasSuffix(p, "internal/pdes"):
 				return
 			}
 			for _, f := range pkg.Files {
-				for _, d := range f.Decls {
-					if fd, ok := d.(*ast.FuncDecl); ok && fd.Body != nil &&
-						l.confinedOf(pkg.Info.Defs[fd.Name]) == RegionCoordinator {
-						// The coordinator's worker spawns are shard-escape's
-						// to police, capture by capture.
-						continue
+				ast.Inspect(f, func(n ast.Node) bool {
+					if g, ok := n.(*ast.GoStmt); ok {
+						report(g.Pos(), "nondet-goroutine",
+							"go statement in a simulation package; event order must not depend on the Go scheduler")
 					}
-					ast.Inspect(d, func(n ast.Node) bool {
-						if g, ok := n.(*ast.GoStmt); ok {
-							report(g.Pos(), "nondet-goroutine",
-								"go statement in a simulation package; event order must not depend on the Go scheduler")
-						}
-						return true
-					})
-				}
+					return true
+				})
 			}
 			for ident, obj := range pkg.Info.Uses {
 				if obj == nil || obj.Pkg() == nil {

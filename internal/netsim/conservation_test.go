@@ -6,6 +6,8 @@ import (
 
 	"dibs/internal/eventq"
 	"dibs/internal/metrics"
+	"dibs/internal/switching"
+	"dibs/internal/transport"
 	"dibs/internal/workload"
 )
 
@@ -39,6 +41,20 @@ func poolConserved(t *testing.T, n *Network) bool {
 		t.Logf("leaked: %v (gen %d)", p, p.Gen())
 	}
 	return false
+}
+
+// terminalsAccountForReturns checks that every pool return happened on a
+// known terminal path: delivery (data or ACK), a switch drop, or a NIC
+// refusal. Anything else would mean a packet was silently destroyed.
+func terminalsAccountForReturns(t *testing.T, r *Results) bool {
+	t.Helper()
+	accounted := uint64(r.DeliveredData) + r.Collector.DeliveredAcks +
+		r.TotalDrops + r.HostNICDrops
+	if r.PoolReturned != accounted {
+		t.Logf("pool returned %d but terminal paths account for %d", r.PoolReturned, accounted)
+		return false
+	}
+	return true
 }
 
 // Property: after a fully drained run, no packets remain queued anywhere,
@@ -127,16 +143,7 @@ func TestQuickNoPacketLeaks(t *testing.T) {
 		if !poolConserved(t, n) {
 			return false
 		}
-		// Every pool return happened on a known terminal path: delivery
-		// (data or ACK), a switch drop, or a NIC refusal. Anything else
-		// would mean a packet was silently destroyed.
-		accounted := uint64(r.DeliveredData) + r.Collector.DeliveredAcks +
-			r.TotalDrops + r.HostNICDrops
-		if r.PoolReturned != accounted {
-			t.Logf("pool returned %d but terminal paths account for %d", r.PoolReturned, accounted)
-			return false
-		}
-		return true
+		return terminalsAccountForReturns(t, r)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 15}); err != nil {
 		t.Fatal(err)
@@ -166,6 +173,63 @@ func TestQuickInfiniteBufferNeverDrops(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 10}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestDropPathPoolConservation drives every switch drop path — overflow,
+// no-detour + TTL expiry, pFabric eviction, CIOQ ingress overflow — and
+// checks the pool identity there: each dropped packet went back to the pool
+// exactly once, and the drop hook saw it while it was still live (the pool
+// poisons Flow on return under StrictFree, so a hook fired after the Free
+// attributes the drop to no class). The other conservation tests run
+// configurations whose switches never drop.
+func TestDropPathPoolConservation(t *testing.T) {
+	for _, row := range []struct {
+		name    string
+		reasons []switching.DropReason // each must have fired
+		mk      func(c *Config)
+	}{
+		{"droptail-overflow", []switching.DropReason{switching.DropOverflow},
+			func(c *Config) { c.DIBS = false; c.BufferPkts = 10 }},
+		{"dibs-nodetour-ttl", []switching.DropReason{switching.DropNoDetour, switching.DropTTL},
+			func(c *Config) { c.TTL = 8; c.BufferPkts = 5 }},
+		{"pfabric-evicted", []switching.DropReason{switching.DropEvicted}, func(c *Config) {
+			c.DIBS = false
+			c.Buffer = BufferPFabric
+			c.BufferPkts = 8
+			c.MarkAtPkts = 0
+			c.Transport = transport.PFabric
+		}},
+		{"cioq-ingress", []switching.DropReason{switching.DropOverflow},
+			func(c *Config) { c.Arch = ArchCIOQ; c.CIOQIngressCap = 4 }},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			cfg := smallConfig()
+			cfg.Query = incastQuery(1500, 12, 20_000)
+			cfg.Duration = 30 * eventq.Millisecond
+			cfg.Drain = 2 * eventq.Second
+			row.mk(&cfg)
+			n := Build(cfg)
+			r := n.Run()
+			if r.TotalDrops == 0 {
+				t.Fatalf("no drops; the row does not exercise a drop path: %s", r)
+			}
+			for _, reason := range row.reasons {
+				if r.Drops[reason] == 0 {
+					t.Fatalf("no %v drops: %v", reason, r.Drops)
+				}
+			}
+			if !poolConserved(t, n) {
+				t.Fatalf("packet pool leaked after %d drops", r.TotalDrops)
+			}
+			if !terminalsAccountForReturns(t, r) {
+				t.Fatal("a pool return happened off the terminal paths")
+			}
+			if r.Collector.DropsByClass[metrics.ClassQuery] == 0 {
+				t.Fatalf("%d drops but none attributed to the query class %v: OnDrop read a freed packet",
+					r.TotalDrops, r.Collector.DropsByClass)
+			}
+		})
 	}
 }
 

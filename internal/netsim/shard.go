@@ -17,8 +17,6 @@ import (
 // network is one shardCtx and the run is the plain sequential engine — the
 // sharded configuration differs only in how many of these exist and in
 // which links hand off through the outbox instead of scheduling locally.
-//
-//dibslint:confined shard owned by its worker during windows and by the coordinator between them; never aliased across shards
 type shardCtx struct {
 	id    int
 	sched *eventq.Scheduler
@@ -29,8 +27,6 @@ type shardCtx struct {
 	// window; the coordinator drains it at each barrier. Only this shard's
 	// worker appends (during windows) and only the coordinator reads
 	// (between windows), with the barrier channels ordering the two.
-	//
-	//dibslint:confined shard appended by the owning worker, drained by the coordinator; the barrier orders the two
 	outbox []pdes.Message
 	// emitted counts packets returned to this shard's arena because they
 	// left for another shard; adopted counts packets borrowed from this
@@ -52,8 +48,6 @@ type shardCtx struct {
 // wraps the snapshot and, on delivery, borrows from dst's arena, restores
 // the snapshot, and hands it to the receiving node exactly as a local
 // delivery event would.
-//
-//dibslint:confined shard the emitter runs on src's worker and the Message closure on dst's; the outbox append stays inside the custody protocol
 func (n *Network) makeEmit(src, dst *shardCtx, peer packet.NodeID, peerPort int) func(at eventq.Time, pri int64, w packet.Wire) {
 	return func(at eventq.Time, pri int64, w packet.Wire) {
 		src.emitted++
@@ -90,8 +84,6 @@ func (n *Network) lookahead() eventq.Time {
 
 // runSharded drives all shards to end under the conservative window
 // protocol.
-//
-//dibslint:confined coordinator runs between windows only; every shard is quiescent whenever its closures touch shard state
 func (n *Network) runSharded(end eventq.Time) {
 	pdes.Run(len(n.shards), n.lookahead(), end,
 		func(i int, limit eventq.Time) { n.shards[i].sched.RunUntil(limit) },

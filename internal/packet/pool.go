@@ -78,7 +78,9 @@ func (pl *Pool) Get() *Packet {
 // any holder that kept the (packet, generation) pair can detect staleness;
 // returning the same borrow twice panics with the packet's identity, since
 // a double return would silently free some other owner's packet after the
-// node is recycled.
+// node is recycled. Under StrictFree (test binaries) the returned node's
+// Kind/Flow/Src/Dst/Seq are also poisoned, so use-after-free reads are
+// visibly wrong instead of plausibly right.
 func (pl *Pool) Put(p *Packet) {
 	if p.pool != pl {
 		panic("packet: Put of a packet from a different pool")
@@ -94,6 +96,12 @@ func (pl *Pool) Put(p *Packet) {
 		// signal, so it must not survive into the next borrow.
 		p.traceBuf = p.Trace[:0]
 		p.Trace = nil
+	}
+	if StrictFree {
+		// Poison the identity fields so a read through a stale pointer
+		// cannot pass for the live packet (a freed node otherwise keeps
+		// its contents until Get rewrites it on re-borrow).
+		p.Kind, p.Flow, p.Src, p.Dst, p.Seq = 0xFF, -1, -1, -1, -1
 	}
 	pl.returned++
 	pl.free = append(pl.free, p)

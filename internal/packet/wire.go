@@ -12,8 +12,6 @@ import "fmt"
 //
 // Trace is deliberately absent: packet tracing shares an append-only buffer
 // across the run and is rejected by Config.Validate for sharded runs.
-//
-//dibslint:confined immutable a pointer-free value copy; safe to cross shards by value
 type Wire struct {
 	Kind         Kind
 	Flow         FlowID
@@ -33,8 +31,6 @@ type Wire struct {
 }
 
 // Snapshot captures p's simulation-visible state for a shard crossing.
-//
-//dibslint:confined shard called by the emitting worker; the node must return to the source arena before the snapshot is emitted
 func (p *Packet) Snapshot() Wire {
 	return Wire{
 		Kind:         p.Kind,
@@ -61,8 +57,6 @@ func (p *Packet) Snapshot() Wire {
 // sitting in a freelist (a double adoption, or a stale alias of a freed
 // node) panics: the node belongs to the pool, and writing into it would
 // corrupt whatever borrows it next.
-//
-//dibslint:confined shard called by the destination worker on a node freshly adopted from its own arena
 func (w Wire) Restore(p *Packet) {
 	if p.pooled && StrictFree {
 		panic(fmt.Sprintf("packet: Restore into pooled node %s (gen %d); adopt with Pool.Get before restoring", p, p.gen))

@@ -22,12 +22,14 @@
 // what the cross-shard-count determinism test pins.
 //
 // This package is the one place below the run boundary where goroutines
-// are allowed: Run is declared //dibslint:confined coordinator, so the
-// shard-escape rule checks every value its workers capture instead of the
-// blanket nondet-goroutine allowlist this package used to carry. All shard
-// state is owned by its worker during a window and by the coordinator
-// between windows; the channel sends are the happens-before edges, which
-// the -race proof in scripts/check.sh exercises.
+// are allowed: dibslint's nondet-goroutine rule allowlists it next to
+// internal/runner. Run's callback contract is the whole isolation
+// argument — runWindow(i, ...) is called only on shard i's worker, flush
+// and inject only on the coordinator between windows, and the cmd/done
+// channel sends are the only happens-before edges. Nothing static checks
+// what the callbacks capture; the proof is at runtime: the lookahead panic
+// below, pdes_test.go, and TestShardCountInvariance under -race, which
+// scripts/check.sh and CI run by name.
 package pdes
 
 import (
@@ -58,8 +60,7 @@ type Message struct {
 	Dst int
 	// Deliver schedules nothing itself: the coordinator hands it to
 	// inject, which schedules it on the destination shard at (At, Pri).
-	//
-	//dibslint:confined shard built by the emitting worker, executed by the destination worker; custody crosses only at the barrier
+	// Built by the emitting worker, executed by the destination worker.
 	Deliver func()
 }
 
@@ -68,20 +69,17 @@ type Message struct {
 //
 //   - runWindow(shard, limit) must execute shard's events through limit
 //     (eventq.Scheduler.RunUntil semantics: events at <= limit run, the
-//     clock ends at limit).
+//     clock ends at limit). It is called only on that shard's worker
+//     goroutine, one window at a time.
 //   - flush(shard) must return and clear the messages shard emitted since
-//     the last flush.
+//     the last flush. It is called only between windows, after every
+//     worker has parked.
 //   - inject(m) must schedule m.Deliver on shard m.Dst at (m.At, m.Pri).
 //     It is called only between windows, in globally sorted order.
 //
 // lookahead must be the minimum cross-shard link latency (> 0); until is
 // the virtual end of the run. Panics on invalid arguments rather than
 // limping into a lookahead violation.
-//
-//dibslint:confined coordinator the barrier loop runs between windows only; cmd/done sends are the happens-before edges to every worker
-//dibslint:confined(runWindow) shard invoked only from the owning shard's worker goroutine, one window at a time
-//dibslint:confined(flush) coordinator called only between windows, after every worker has parked on cmd
-//dibslint:confined(inject) coordinator called only between windows, in globally sorted message order
 func Run(nShards int, lookahead, until eventq.Time,
 	runWindow func(shard int, limit eventq.Time),
 	flush func(shard int) []Message,

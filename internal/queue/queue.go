@@ -34,10 +34,8 @@ type Result struct {
 // Queue is a single output-port queue.
 type Queue interface {
 	// Enqueue offers p to the queue.
-	//dibslint:owns the queue stores p on accept; the caller keeps it only when Result.Accepted is false
 	Enqueue(p *packet.Packet) Result
 	// Dequeue removes the next packet to transmit, or nil when empty.
-	//dibslint:owns the dequeued packet leaves the queue's custody; the caller must discharge it
 	Dequeue() *packet.Packet
 	// Len is the number of queued packets.
 	Len() int
@@ -97,7 +95,6 @@ func (f *fifo) push(p *packet.Packet) {
 	f.bytes += p.Size()
 }
 
-//dibslint:owns pop hands the buffered packet back out of the ring's custody
 func (f *fifo) pop() *packet.Packet {
 	if f.n == 0 {
 		return nil

@@ -51,7 +51,6 @@ type voq struct {
 func (q *voq) push(p *packet.Packet) { q.pkts = append(q.pkts, p) }
 func (q *voq) empty() bool           { return q.head >= len(q.pkts) }
 
-//dibslint:owns pop hands the buffered packet back out of the VOQ's custody
 func (q *voq) pop() *packet.Packet {
 	p := q.pkts[q.head]
 	q.pkts[q.head] = nil

@@ -25,7 +25,6 @@ import (
 type Handler interface {
 	// Receive is invoked when a packet fully arrives at the node's port.
 	// The handler takes ownership of p: it forwards, buffers, or frees it.
-	//dibslint:owns the receiving node assumes custody of the packet
 	Receive(p *packet.Packet, port int)
 }
 
@@ -359,7 +358,6 @@ func (r *pktRing) push(p *packet.Packet) {
 	r.n++
 }
 
-//dibslint:owns pop hands the in-flight packet back out of the ring's custody
 func (r *pktRing) pop() *packet.Packet {
 	if r.n == 0 {
 		return nil

@@ -30,7 +30,6 @@ type Env struct {
 	// Sched is the simulation scheduler (clock + timers).
 	Sched *eventq.Scheduler
 	// Emit hands a packet to the host NIC for transmission.
-	//dibslint:owns the NIC (and the network beyond it) assumes custody of the packet
 	Emit func(p *packet.Packet)
 	// Pool supplies the packet nodes for emitted segments and ACKs; the
 	// network gives every endpoint the per-run pool. When nil (unit tests

@@ -27,18 +27,13 @@ go vet ./...
 step "dibslint"
 go run ./cmd/dibslint -tests ./...
 
-# The shard-confinement proof must hold with zero suppressions: the PDES
-# engine and its netsim sharding layer may not carry any //dibslint:ignore
-# without a reason, and must lint clean on their own. The fluid solver joins
-# the same regime: float rates and coarse ticks are exactly what the
-# float-eq and vtime rules police, so it may not suppress them.
-step "dibslint shard confinement + fluid solver (zero suppressions)"
-go run ./cmd/dibslint ./internal/pdes ./internal/netsim ./internal/fluid
-bare_ignores=$(grep -rn '//dibslint:ignore[[:space:]]*$\|//dibslint:ignore[[:space:]]\+[a-z-]\+[[:space:]]*$' \
-    internal/pdes internal/netsim internal/fluid --include='*.go' || true)
-if [ -n "$bare_ignores" ]; then
-    echo "reason-less //dibslint:ignore directives in shard packages:" >&2
-    echo "$bare_ignores" >&2
+# No suppressions in the sharded engine, its netsim layer, or the fluid
+# solver: float rates, coarse ticks and barrier code are exactly what the
+# float-eq, vtime-* and nondet-* rules police, so these packages may not
+# opt out of any of them. (The dibslint step above already linted them.)
+step "no //dibslint:ignore in internal/pdes, internal/netsim, internal/fluid"
+if grep -rn '//dibslint:ignore' internal/pdes internal/netsim internal/fluid --include='*.go' >&2; then
+    echo "suppressions are not allowed in the shard or fluid packages" >&2
     exit 1
 fi
 
@@ -50,6 +45,12 @@ if [ "${SHORT:-0}" = "1" ]; then
     go test -short ./...
 else
     go test ./...
+
+    # Plant each bug of the seeded-mutation corpus and require the named
+    # runtime check to fail: the score sheet for the packet-ownership and
+    # shard-isolation backstops, which no lint rule covers.
+    step "seeded-mutation corpus"
+    scripts/mutants.sh
 fi
 
 # The determinism gates run by name even in SHORT mode, so a future -short
@@ -70,7 +71,9 @@ if [ "${RACE:-1}" = "1" ]; then
 
     # The sharded engine's determinism property (every shard count produces
     # the byte-identical run) doubles as its data-race proof: the window
-    # loop's channel handoffs are the only synchronization it has.
+    # loop's channel handoffs are the only synchronization it has. No lint
+    # rule checks what shard workers share, so this named step is the sole
+    # proof of shard isolation — do not fold it into a -short run.
     step "go test -race shard determinism"
     go test -race -count=1 -run TestShardCountInvariance ./internal/netsim
 fi

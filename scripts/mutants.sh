@@ -1,0 +1,70 @@
+#!/usr/bin/env bash
+# mutants.sh — seeded-mutation corpus for the runtime backstops on packet
+# ownership and shard isolation (no lint rule covers either). Each row plants
+# one bug in a temp copy of the tree and names the test that must catch it,
+# with the output that proves it failed for the right reason. A row whose
+# source text no longer matches exactly once is an error (fix the row, do
+# not skip it); so is a mutant that does not compile, a command that fails
+# on the clean copy, and a mutant that survives. DESIGN.md §8 "Runtime
+# backstops" maps rows to checks.
+set -uo pipefail
+root=$(cd "$(dirname "$0")/.." && pwd)
+tmp=$(mktemp -d)
+trap 'rm -rf "$tmp"' EXIT
+(cd "$root" && tar -c --exclude=.git .) | tar -x -C "$tmp"
+cd "$tmp" || exit 1
+failed=0
+declare -A clean # commands already seen passing on the unmutated copy
+
+# mutant ID FILE OLD NEW WANT CMD...: replace OLD by NEW in FILE, run CMD.
+mutant() {
+    local id=$1 file=$2 old=$3 new=$4 want=$5 src out
+    shift 5
+    src=$(<"$file")
+    local rest=${src#*"$old"}
+    if [[ $rest == "$src" || $rest == *"$old"* ]]; then
+        echo "$id STALE: text to replace is not found exactly once in $file"; failed=1; return
+    fi
+    if [[ -z ${clean[$*]-} ]] && ! out=$("$@" 2>&1); then
+        echo "$id BROKEN: '$*' fails on the unmutated tree:"; echo "$out" | tail -20; failed=1; return
+    fi
+    clean[$*]=1
+    printf '%s\n' "${src/"$old"/"$new"}" >"$file"
+    if out=$("$@" 2>&1); then
+        echo "$id SURVIVED: '$*' passes with the bug planted"; failed=1
+    elif [[ $out == *"build failed"* ]]; then
+        echo "$id STALE: mutant does not compile:"; echo "$out" | head -5; failed=1
+    elif ! grep -qE -- "$want" <<<"$out"; then
+        echo "$id WRONG FAILURE: wanted /$want/, got:"; echo "$out" | tail -20; failed=1
+    else
+        echo "$id caught by '$*': $(grep -m1 -E -- "$want" <<<"$out" | cut -c1-100)"
+    fi
+    cp "$root/$file" "$file"
+}
+
+sw=internal/switching/switching.go
+drop=$'\t\ts.hooks.OnDrop(s.ID, p, reason)\n\t}\n\tpacket.Free(p)\n'
+droptest=(go test -count=1 -run TestDropPathPoolConservation ./internal/netsim)
+shards=(go test -count=1 -run TestShardCountInvariance ./internal/netsim)
+
+# Leaks: one terminal path at a time forgets to return its packet.
+mutant M1 $sw $'\t\tw := p.Snapshot()\n\t\tpacket.Free(p)\n' $'\t\tw := p.Snapshot()\n' '"PoolLive":[1-9]' "${shards[@]}"
+mutant M2 internal/switching/cioq.go $'\t}\n\tpacket.Free(p)\n' $'\t}\n' 'overflow drops freed 0' \
+    go test -count=1 -run TestCIOQIngressOverflow ./internal/switching
+mutant M3 internal/host/host.go $'\t\th.NICDrops++\n\t\tpacket.Free(p)\n' $'\t\th.NICDrops++\n' '^--- FAIL' \
+    go test -count=1 -run TestNICDropCounting ./internal/host
+mutant M4 internal/host/host.go $'\t}\n\tpacket.Free(p)\n}\n' $'\t}\n}\n' 'pool: borrowed' \
+    go test -count=1 -run TestQuickNoPacketLeaks ./internal/netsim
+mutant M5 $sw "$drop" "${drop%$'\tpacket.Free(p)\n'}" 'packet pool leaked' "${droptest[@]}"
+# Double free and use after free in the switch drop path.
+mutant M6 $sw "$drop" "$drop"$'\tpacket.Free(p)\n' 'double return' "${droptest[@]}"
+mutant M7 $sw $'\tif s.hooks != nil && s.hooks.OnDrop != nil {\n'"$drop" \
+    $'\tpacket.Free(p)\n\tif s.hooks != nil && s.hooks.OnDrop != nil {\n'"${drop%$'\tpacket.Free(p)\n'}" \
+    'OnDrop read a freed packet' "${droptest[@]}"
+# Shard protocol: a window wider than the lookahead; a worker sharing memory.
+mutant M8 internal/netsim/shard.go 'n.lookahead(), end,' '2*n.lookahead(), end,' 'pdes: lookahead violation' "${shards[@]}"
+mutant M9 internal/pdes/pdes.go $'\tfor i := 0; i < nShards; i++ {\n\t\tcmd[i] = make(chan eventq.Time, 1)\n\t\tgo func(i int) {\n\t\t\tfor limit := range cmd[i] {\n' \
+    $'\tvar ran []int\n\tfor i := 0; i < nShards; i++ {\n\t\tcmd[i] = make(chan eventq.Time, 1)\n\t\tgo func(i int) {\n\t\t\tfor limit := range cmd[i] {\n\t\t\t\tran = append(ran, i)\n' \
+    'DATA RACE' env GORACE=halt_on_error=1 go test -race -count=1 -run TestShardCountInvariance ./internal/netsim # passes without -race
+
+exit $failed
