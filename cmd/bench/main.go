@@ -57,9 +57,8 @@ type Baseline struct {
 	AllScale01Seconds float64 `json:"all_scale_0.1_seconds"`
 	// ShardSpeedup is the events/sec ratio of a 4-shard over a 1-shard run
 	// of the same K=16 fat-tree workload (conservative PDES, byte-identical
-	// results). On a machine with fewer than 4 procs the sharded run cannot
-	// win — the number is still recorded for transparency, but the >= 2x
-	// gate only applies when GOMAXPROCS >= 4.
+	// results). The floor it is gated against depends on GOMAXPROCS, see
+	// shardSpeedupFloor.
 	ShardSpeedup float64 `json:"shard_speedup,omitempty"`
 	// HybridSpeedup is the wall-clock ratio of a packet-mode run over a
 	// hybrid-mode run of the same long-background-flows workload (the
@@ -100,9 +99,22 @@ type BenchResult struct {
 // measurement may lose before -compare fails the run.
 const regressionTolerance = 0.20
 
-// minShardSpeedup is the events/sec ratio a 4-shard K=16 run must reach
-// over the 1-shard run when the machine actually has 4 procs to run them on.
-const minShardSpeedup = 2.0
+// shardSpeedupFloor is the events/sec ratio a 4-shard K=16 run must reach
+// over the 1-shard run. The engine runs min(shards, GOMAXPROCS) workers:
+// with four or more procs every shard has its own and must double the
+// throughput; with two or three the four shards share two or three
+// workers; with one they run inline on the caller's goroutine, where the
+// windows and the hand-off are pure overhead that may cost 15% at most.
+func shardSpeedupFloor(procs int) float64 {
+	switch {
+	case procs >= 4:
+		return 2.0
+	case procs >= 2:
+		return 1.3
+	default:
+		return 0.85
+	}
+}
 
 // minHybridSpeedup is the wall-clock factor the hybrid fluid/packet mode
 // must gain over full packet fidelity on the long-background-flows
@@ -247,26 +259,38 @@ func runGoBench(b *Baseline) error {
 }
 
 // measureShardSpeedup times one K=16 fat-tree workload (1024 hosts, 320
-// switches, default background + query traffic) under 1 and then 4
-// conservative-PDES scheduler shards and returns the events/sec ratio.
-// Results are byte-identical by construction (the property netsim's
+// switches) under 1 and then 4 conservative-PDES scheduler shards and
+// returns the events/sec ratio. The input is the repository benchmark's
+// fabric_k16_shards2 (5 ms background, 8000 qps incast, 10 + 30 ms), where
+// the ROADMAP's exit criterion for sharding is read: a window there carries
+// ~60 µs of work. The probe this replaces ran 3 ms of default traffic and
+// 20 ms of drain, ~19 µs a window, most of it the per-message hand-off, and
+// measures 1.1x at 2 procs and 0.85x at 1 where this one measures 1.5x and
+// 1.0x; what that regime needs is listed in ROADMAP. Results are
+// byte-identical by construction (the property netsim's
 // TestShardCountInvariance pins), so this measures pure engine throughput.
 func measureShardSpeedup() float64 {
 	run := func(shards int) float64 {
 		cfg := netsim.DefaultConfig()
 		cfg.FatTreeK = 16
 		cfg.Seed = 7
-		cfg.Duration = 3 * eventq.Millisecond
-		cfg.Drain = 20 * eventq.Millisecond
+		cfg.Duration = 10 * eventq.Millisecond
+		cfg.Drain = 30 * eventq.Millisecond
 		cfg.BGInterarrival = 5 * eventq.Millisecond
+		cfg.Query.QPS = 8000
 		cfg.Shards = shards
 		n := netsim.Build(cfg)
 		start := time.Now()
 		n.Run()
 		return float64(n.Executed()) / time.Since(start).Seconds()
 	}
-	one := run(1)
-	four := run(4)
+	// Best of three, alternating: the floors gate wherever CI runs, and
+	// one stolen core during a one-second run would fail them.
+	var one, four float64
+	for i := 0; i < 3; i++ {
+		one = max(one, run(1))
+		four = max(four, run(4))
+	}
 	fmt.Fprintf(os.Stderr, "   1 shard: %.0f events/sec, 4 shards: %.0f events/sec\n", one, four)
 	return four / one
 }
@@ -394,17 +418,15 @@ func gate(path string, got Baseline) error {
 		fmt.Fprintf(os.Stderr, "IncastBurst allocs/op: baseline %.0f, now %.0f (%+.1f%%)\n",
 			baseIB.AllocsPerOp, nowIB.AllocsPerOp, 100*(nowIB.AllocsPerOp/baseIB.AllocsPerOp-1))
 	}
-	// The parallel engine must pay for itself where it can: with >= 4 procs
-	// a 4-shard K=16 run has to clear minShardSpeedup. Below that the
-	// sharded run shares one core with the coordinator and a slowdown is
-	// expected, so the measurement is recorded but not gated.
-	if got.GOMAXPROCS >= 4 && got.ShardSpeedup > 0 && got.ShardSpeedup < minShardSpeedup {
-		return fmt.Errorf("shard speedup %.2fx at GOMAXPROCS=%d is below the %.1fx floor",
-			got.ShardSpeedup, got.GOMAXPROCS, minShardSpeedup)
-	}
+	// The parallel engine must pay for itself wherever it runs.
 	if got.ShardSpeedup > 0 {
-		fmt.Fprintf(os.Stderr, "shard speedup: %.2fx at GOMAXPROCS=%d (gated >= %.1fx when GOMAXPROCS >= 4)\n",
-			got.ShardSpeedup, got.GOMAXPROCS, minShardSpeedup)
+		floor := shardSpeedupFloor(got.GOMAXPROCS)
+		if got.ShardSpeedup < floor {
+			return fmt.Errorf("shard speedup %.2fx at GOMAXPROCS=%d is below the %.2fx floor for that many procs",
+				got.ShardSpeedup, got.GOMAXPROCS, floor)
+		}
+		fmt.Fprintf(os.Stderr, "shard speedup: %.2fx at GOMAXPROCS=%d (gated >= %.2fx, the floor for that many procs)\n",
+			got.ShardSpeedup, got.GOMAXPROCS, floor)
 	}
 	if got.HybridSpeedup > 0 {
 		if got.HybridSpeedup < minHybridSpeedup {

@@ -318,5 +318,10 @@ func runIt(cfg dibs.Config, confOut, events string) {
 		fmt.Printf("fluid  %d bytes rate-modeled  %d demotions  %d promotions  %d flows still fluid\n",
 			res.FluidBytes, res.FluidDemotions, res.FluidPromotions, res.FluidFlows)
 	}
+	if st := net.ShardStats(); st.Windows > 0 {
+		// stderr, like the wall time: parks depend on the machine.
+		fmt.Fprintf(os.Stderr, "[shards: %d windows, %d cross-shard messages, %d barrier parks]\n",
+			st.Windows, st.Messages, st.Parks)
+	}
 	fmt.Fprintf(os.Stderr, "[wall %.1fs]\n", time.Since(start).Seconds())
 }

@@ -9,6 +9,7 @@ import (
 	"dibs/internal/host"
 	"dibs/internal/metrics"
 	"dibs/internal/packet"
+	"dibs/internal/pdes"
 	"dibs/internal/queue"
 	"dibs/internal/rng"
 	"dibs/internal/switching"
@@ -48,6 +49,10 @@ type Network struct {
 	// shard.
 	shards []*shardCtx
 	part   []int
+	// inLinks holds the receiving end of every cross-shard link, indexed
+	// by receiving node and port (nil without shards).
+	inLinks    [][]*inLink
+	shardStats pdes.Stats
 
 	// fluid is non-nil in fluid/hybrid mode (see fluid.go).
 	fluid *fluidState
@@ -139,7 +144,7 @@ func Build(cfg Config) *Network {
 		if cfg.ForwardJitter > 0 {
 			op.SetJitter(rng.Derive2(uint64(cfg.Seed), "link/jitter", int(nid), pi), cfg.ForwardJitter)
 		}
-		op.SetDeliveryPri(1 + (int64(peer)<<16 | int64(peerPort)))
+		op.SetDeliveryPri(linkPri(peer, peerPort))
 		if n.part[nid] != n.part[peer] {
 			op.SetRemote(n.makeEmit(n.shards[n.part[nid]], n.shards[n.part[peer]], peer, peerPort))
 		}

@@ -24,9 +24,10 @@ type shardCtx struct {
 	coll  *metrics.Collector
 
 	// outbox collects the shard's cross-shard emissions of the current
-	// window; the coordinator drains it at each barrier. Only this shard's
-	// worker appends (during windows) and only the coordinator reads
-	// (between windows), with the barrier channels ordering the two.
+	// window; the coordinator drains it at each barrier and hands the
+	// backing array back. Only the worker running this shard appends
+	// (during windows) and only the coordinator reads (between windows),
+	// with the barrier epochs ordering the two.
 	outbox []pdes.Message
 	// emitted counts packets returned to this shard's arena because they
 	// left for another shard; adopted counts packets borrowed from this
@@ -42,25 +43,93 @@ type shardCtx struct {
 	longRx  []*transport.Receiver
 }
 
+// inLink is the receiving end of one directed link whose transmitter
+// lives in another shard: the snapshots the coordinator has injected but
+// the receiving shard has not yet delivered, in arrival order, and the one
+// delivery event that consumes them (the OutPort inflight/deliver pattern,
+// holding values because no pooled node exists until delivery).
+type inLink struct {
+	dst      *shardCtx
+	to       portRef
+	peerPort int
+	pending  wireRing
+	deliver  func()
+}
+
+// onDeliver borrows from the receiving arena, restores the oldest pending
+// snapshot, and hands it to the receiving node exactly as a local delivery
+// event would.
+func (l *inLink) onDeliver() {
+	l.dst.adopted++
+	p := l.dst.pool.Get()
+	l.pending.pop().Restore(p)
+	l.to.Receive(p, l.peerPort)
+}
+
+// linkPri is the delivery ordering key of the directed link that ends at
+// (peer, peerPort): unique per link and > 0 (ordinary events use pri 0 and
+// run first). It names the receiving port, which is how a cross-shard
+// message finds its inLink.
+func linkPri(peer packet.NodeID, peerPort int) int64 {
+	return 1 + (int64(peer)<<16 | int64(peerPort))
+}
+
+// inLinkOf returns the receiving end registered for delivery key pri.
+func (n *Network) inLinkOf(pri int64) *inLink {
+	return n.inLinks[(pri-1)>>16][(pri-1)&0xffff]
+}
+
 // makeEmit builds the cross-shard hand-off for one directed link whose
-// transmitter lives in src and receiver (node peer, port peerPort) in dst.
-// The OutPort has already freed the packet into src's arena; the message
-// wraps the snapshot and, on delivery, borrows from dst's arena, restores
-// the snapshot, and hands it to the receiving node exactly as a local
-// delivery event would.
+// transmitter lives in src and receiver (node peer, port peerPort) in dst,
+// and registers the receiving end. The OutPort has already freed the
+// packet into src's arena; the snapshot travels by value in the message,
+// so a hand-off allocates nothing.
 func (n *Network) makeEmit(src, dst *shardCtx, peer packet.NodeID, peerPort int) func(at eventq.Time, pri int64, w packet.Wire) {
+	l := &inLink{dst: dst, to: portRef{n, peer}, peerPort: peerPort}
+	l.deliver = l.onDeliver
+	if n.inLinks == nil {
+		n.inLinks = make([][]*inLink, n.Topo.NumNodes())
+	}
+	if n.inLinks[peer] == nil {
+		n.inLinks[peer] = make([]*inLink, len(n.Topo.Ports(peer)))
+	}
+	n.inLinks[peer][peerPort] = l
 	return func(at eventq.Time, pri int64, w packet.Wire) {
 		src.emitted++
 		src.outbox = append(src.outbox, pdes.Message{
-			At: at, Pri: pri, Seq: src.emitted, Dst: dst.id,
-			Deliver: func() {
-				dst.adopted++
-				p := dst.pool.Get()
-				w.Restore(p)
-				n.handlers[peer].Receive(p, peerPort)
-			},
+			At: at, Pri: pri, Seq: src.emitted, Dst: dst.id, Wire: w, Deliver: l.deliver,
 		})
 	}
+}
+
+// wireRing is a never-shrinking power-of-two FIFO ring of snapshots.
+type wireRing struct {
+	buf  []packet.Wire
+	head int
+	n    int
+}
+
+func (r *wireRing) push(w packet.Wire) {
+	if r.n == len(r.buf) {
+		grown := make([]packet.Wire, max(8, 2*len(r.buf)))
+		for i := 0; i < r.n; i++ {
+			grown[i] = r.buf[(r.head+i)&(len(r.buf)-1)]
+		}
+		r.buf = grown
+		r.head = 0
+	}
+	r.buf[(r.head+r.n)&(len(r.buf)-1)] = w
+	r.n++
+}
+
+func (r *wireRing) pop() packet.Wire {
+	if r.n == 0 {
+		panic("netsim: cross-shard delivery with no pending snapshot")
+	}
+	w := r.buf[r.head]
+	r.head = (r.head + 1) & (len(r.buf) - 1)
+	r.n--
+	return w
 }
 
 // lookahead returns the conservative window width: the minimum propagation
@@ -83,20 +152,29 @@ func (n *Network) lookahead() eventq.Time {
 }
 
 // runSharded drives all shards to end under the conservative window
-// protocol.
+// protocol. Injection pushes the snapshot onto its link's ring before
+// scheduling the link's delivery event: same-link messages arrive sorted
+// by (At, Seq) and the scheduler runs same-(time, pri) events in insertion
+// order, so each delivery pops the snapshot it was scheduled for.
 func (n *Network) runSharded(end eventq.Time) {
-	pdes.Run(len(n.shards), n.lookahead(), end,
+	n.shardStats = pdes.Run(len(n.shards), n.lookahead(), end,
 		func(i int, limit eventq.Time) { n.shards[i].sched.RunUntil(limit) },
 		func(i int) []pdes.Message {
 			sh := n.shards[i]
 			out := sh.outbox
-			sh.outbox = nil
+			sh.outbox = out[:0]
 			return out
 		},
 		func(m pdes.Message) {
+			n.inLinkOf(m.Pri).pending.push(m.Wire)
 			n.shards[m.Dst].sched.AtPri(m.At, m.Pri, m.Deliver)
 		})
 }
+
+// ShardStats reports what the window loop of the last sharded Run did
+// (zero with one shard). It describes the engine, not the simulation —
+// Parks varies from run to run — so it is kept out of Results.
+func (n *Network) ShardStats() pdes.Stats { return n.shardStats }
 
 // Executed sums executed events over all shards.
 func (n *Network) Executed() uint64 {

@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"runtime"
 	"sort"
 	"testing"
 
 	"dibs/internal/eventq"
 	"dibs/internal/metrics"
+	"dibs/internal/pdes"
 	"dibs/internal/workload"
 )
 
@@ -136,4 +138,43 @@ func tail(b []byte, off int) []byte {
 		start = 0
 	}
 	return b[start:]
+}
+
+// TestShardHandOffDoesNotAllocatePerPacket pins the cross-shard hand-off's
+// cost model on the fabric it exists for: a K=16 run on two shards may
+// allocate at most twice what the same run on one shard does (a second
+// collector's flow tables, the link rings and outboxes growing to size),
+// while it hands more packets across the boundary than the one-shard run
+// makes allocations in total — so one allocation per message fails this.
+func TestShardHandOffDoesNotAllocatePerPacket(t *testing.T) {
+	if testing.Short() {
+		t.Skip("two K=16 runs")
+	}
+	cfg := DefaultConfig()
+	cfg.FatTreeK = 16
+	cfg.BGInterarrival = 5 * eventq.Millisecond
+	cfg.Query.QPS = 8000
+	cfg.Duration = 4 * eventq.Millisecond
+	cfg.Drain = 8 * eventq.Millisecond
+	run := func(shards int) (mallocs uint64, st pdes.Stats) {
+		cfg.Shards = shards
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		n := Build(cfg)
+		n.Run()
+		runtime.ReadMemStats(&after)
+		return after.Mallocs - before.Mallocs, n.ShardStats()
+	}
+	one, st1 := run(1)
+	two, st2 := run(2)
+	if st1 != (pdes.Stats{}) {
+		t.Errorf("one shard reported window-loop stats %+v", st1)
+	}
+	if st2.Messages < one {
+		t.Fatalf("only %d cross-shard messages against %d mallocs on one shard; run too small to tell", st2.Messages, one)
+	}
+	if two > 2*one {
+		t.Errorf("2 shards: %d mallocs for %d cross-shard messages, 1 shard: %d; want at most 2x", two, st2.Messages, one)
+	}
+	t.Logf("mallocs: 1 shard %d, 2 shards %d (%+v)", one, two, st2)
 }

@@ -7,8 +7,10 @@ import "fmt"
 // engine. The pooled node itself never travels: the sending shard snapshots
 // the packet and returns the node to its own arena, and the receiving shard
 // borrows a node from *its* arena and restores the snapshot — so arena
-// custody stays shard-local, StrictFree holds, and the dibslint ownership
-// rules keep proving the discipline on both sides of the hand-off.
+// custody stays shard-local and the runtime backstops (Pool.Put's
+// double-return panic, StrictFree poisoning, the conservation identities)
+// keep checking the discipline on both sides of the hand-off. The snapshot
+// itself travels by value inside a pdes.Message; nothing is allocated.
 //
 // Trace is deliberately absent: packet tracing shares an append-only buffer
 // across the run and is rejected by Config.Validate for sharded runs.

@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"dibs/internal/eventq"
 )
@@ -156,5 +158,138 @@ func TestWindowsClampToUntil(t *testing.T) {
 				t.Errorf("until %d, shard %d: window limits %v, want %v", c.until, i, got, c.want)
 			}
 		}
+	}
+}
+
+// Within one lookahead of eventq.MaxTime the next window's base overflows;
+// the loop must stop on reaching until rather than wrap and run forever.
+func TestRunEndsNearMaxTime(t *testing.T) {
+	var limits []eventq.Time
+	msg := panicOf(func() {
+		Run(1, eventq.MaxTime/2+1, eventq.MaxTime,
+			func(_ int, limit eventq.Time) {
+				if len(limits) == 2 {
+					panic("a third window")
+				}
+				limits = append(limits, limit)
+			},
+			func(int) []Message { return nil }, func(Message) {})
+	})
+	if want := []eventq.Time{eventq.MaxTime / 2, eventq.MaxTime}; msg != "" || !reflect.DeepEqual(limits, want) {
+		t.Fatalf("window limits %v (panic %q), want %v", limits, msg, want)
+	}
+}
+
+// The worker/barrier contract, for shard counts below, at and above any
+// worker count -cpu selects: each window runs every shard exactly once and
+// never twice at a time, and flush sees every shard finished with it. The
+// per-shard logs are plain slices, so under -race a missing barrier edge
+// is a reported race as well as a wrong count.
+func TestEveryShardRunsOncePerWindow(t *testing.T) {
+	const windows = 300
+	var want []eventq.Time
+	for w := 1; w <= windows; w++ {
+		want = append(want, eventq.Time(w*10-1))
+	}
+	for _, nShards := range []int{1, 2, 3, 8} {
+		running := make([]atomic.Int32, nShards)
+		ran := make([][]eventq.Time, nShards)
+		st := Run(nShards, 10, windows*10-1,
+			func(i int, limit eventq.Time) {
+				if running[i].Add(1) != 1 {
+					t.Errorf("%d shards: shard %d ran concurrently with itself", nShards, i)
+				}
+				ran[i] = append(ran[i], limit)
+				running[i].Add(-1)
+			},
+			func(i int) []Message {
+				for j := range ran {
+					if len(ran[j]) != len(ran[0]) {
+						t.Errorf("%d shards: flush(%d) with shard %d at window %d and shard 0 at %d",
+							nShards, i, j, len(ran[j]), len(ran[0]))
+					}
+				}
+				return nil
+			},
+			func(Message) {})
+		for i := range ran {
+			if !reflect.DeepEqual(ran[i], want) {
+				t.Errorf("%d shards: shard %d ran %d windows, want each of %d once in order", nShards, i, len(ran[i]), windows)
+			}
+		}
+		if st.Windows != windows || st.Messages != 0 {
+			t.Errorf("%d shards: stats %+v, want %d windows and no messages", nShards, st, windows)
+		}
+	}
+}
+
+// A barrier that only spun would need the scheduler's 10 ms preemption to
+// get a descheduled worker running again, every window; yielding and
+// parking hand the processor over at once.
+func TestProgressWhileAProcIsHogged(t *testing.T) {
+	var stop atomic.Bool
+	hogged := make(chan struct{})
+	go func() {
+		defer close(hogged)
+		for !stop.Load() {
+		}
+	}()
+	defer func() {
+		stop.Store(true)
+		<-hogged
+	}()
+
+	const windows = 1000
+	done := make(chan Stats, 1)
+	go func() {
+		done <- Run(8, 10, windows*10-1, func(int, eventq.Time) {},
+			func(int) []Message { return nil }, func(Message) {})
+	}()
+	select {
+	case st := <-done:
+		if st.Windows != windows {
+			t.Errorf("ran %d windows, want %d", st.Windows, windows)
+		}
+		t.Logf("%+v", st)
+	case <-time.After(2 * time.Minute):
+		t.Fatalf("%d windows on 8 shards did not finish beside a goroutine hogging a processor", windows)
+	}
+}
+
+// Steady state allocates nothing: the batch and its sort index are reused,
+// and neither the barrier nor the sort allocates. AllocsPerRun measures at
+// GOMAXPROCS=1 while the workers were started under -cpu, so with -cpu 2,4
+// every barrier wait here also goes the whole way to yielding or parking.
+func TestWarmWindowsDoNotAllocate(t *testing.T) {
+	const nShards, perShard = 3, 16
+	out := make([][]Message, nShards)
+	seq := make([]uint64, nShards)
+	deliver := func() {}
+	injected := 0
+	e := newEngine(nShards,
+		func(i int, limit eventq.Time) {
+			out[i] = out[i][:0]
+			for k := 0; k < perShard; k++ {
+				seq[i]++
+				out[i] = append(out[i], Message{At: limit + 1 + eventq.Time(k%5), Pri: int64(1 + i), Seq: seq[i], Dst: (i + 1) % nShards, Deliver: deliver})
+			}
+		},
+		func(i int) []Message { return out[i] },
+		func(Message) { injected++ })
+	defer e.close()
+	limit := eventq.Time(-1)
+	window := func() {
+		limit += 10
+		e.window(limit)
+	}
+	for i := 0; i < 5; i++ {
+		window()
+	}
+	const runs = 50
+	if avg := testing.AllocsPerRun(runs, window); avg != 0 {
+		t.Errorf("%v allocations per warm window carrying %d messages, want 0", avg, nShards*perShard)
+	}
+	if want := (5 + 1 + runs) * nShards * perShard; injected != want {
+		t.Errorf("injected %d messages, want %d", injected, want)
 	}
 }

@@ -69,13 +69,24 @@ if [ "${RACE:-1}" = "1" ]; then
     step "go test -race internal/runner"
     go test -race -count=1 ./internal/runner
 
+    # The window loop itself, at one, two and four workers: every shard
+    # once per window and never twice at a time, progress beside a hogged
+    # processor (the barrier's park fallback), no allocation in warm windows.
+    step "go test -race -cpu 1,2,4 internal/pdes"
+    go test -race -cpu 1,2,4 -count=1 ./internal/pdes
+
     # The sharded engine's determinism property (every shard count produces
-    # the byte-identical run) doubles as its data-race proof: the window
-    # loop's channel handoffs are the only synchronization it has. No lint
-    # rule checks what shard workers share, so this named step is the sole
-    # proof of shard isolation — do not fold it into a -short run.
+    # the byte-identical run) doubles as its data-race proof: the barrier's
+    # epoch gates are the only synchronization it has. No lint rule checks
+    # what shard workers share, so this named step is the sole proof of
+    # shard isolation — do not fold it into a -short run.
     step "go test -race shard determinism"
     go test -race -count=1 -run TestShardCountInvariance ./internal/netsim
 fi
+
+# With one proc every shard runs inline on the caller's goroutine — no
+# worker, no barrier — and the run must still be the byte-identical one.
+step "shard determinism at GOMAXPROCS=1"
+GOMAXPROCS=1 go test -count=1 -run TestShardCountInvariance ./internal/netsim
 
 printf '\nall checks passed\n'

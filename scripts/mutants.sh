@@ -61,10 +61,20 @@ mutant M6 $sw "$drop" "$drop"$'\tpacket.Free(p)\n' 'double return' "${droptest[@
 mutant M7 $sw $'\tif s.hooks != nil && s.hooks.OnDrop != nil {\n'"$drop" \
     $'\tpacket.Free(p)\n\tif s.hooks != nil && s.hooks.OnDrop != nil {\n'"${drop%$'\tpacket.Free(p)\n'}" \
     'OnDrop read a freed packet' "${droptest[@]}"
-# Shard protocol: a window wider than the lookahead; a worker sharing memory.
+# Shard protocol: a window wider than the lookahead; a worker sharing memory;
+# a coordinator that flushes before its last worker is done; a merge that
+# reverses per-link FIFO order (merely dropping Seq from the comparator
+# survives: batches this small are insertion-sorted, which is stable, from
+# emission order). GOMAXPROCS=2 so that there is a second worker to race
+# with wherever this runs.
+race=(env GOMAXPROCS=2 GORACE=halt_on_error=1 go test -race -count=1 -run TestShardCountInvariance ./internal/netsim)
 mutant M8 internal/netsim/shard.go 'n.lookahead(), end,' '2*n.lookahead(), end,' 'pdes: lookahead violation' "${shards[@]}"
-mutant M9 internal/pdes/pdes.go $'\tfor i := 0; i < nShards; i++ {\n\t\tcmd[i] = make(chan eventq.Time, 1)\n\t\tgo func(i int) {\n\t\t\tfor limit := range cmd[i] {\n' \
-    $'\tvar ran []int\n\tfor i := 0; i < nShards; i++ {\n\t\tcmd[i] = make(chan eventq.Time, 1)\n\t\tgo func(i int) {\n\t\t\tfor limit := range cmd[i] {\n\t\t\t\tran = append(ran, i)\n' \
-    'DATA RACE' env GORACE=halt_on_error=1 go test -race -count=1 -run TestShardCountInvariance ./internal/netsim # passes without -race
+mutant M9 internal/pdes/pdes.go $'\tfor s := w; s < e.nShards; s += e.workers {\n' \
+    $'\tfor s := w; s < e.nShards; s += e.workers {\n\t\te.order = append(e.order, int32(s))\n' \
+    'DATA RACE' "${race[@]}" # passes without -race
+mutant M10 internal/pdes/pdes.go $'\tfor w := 1; w < e.workers; w++ {\n\t\te.done[w].wait(' $'\tfor w := 1; w < e.workers-1; w++ {\n\t\te.done[w].wait(' \
+    'DATA RACE' "${race[@]}"
+mutant M11 internal/pdes/pdes.go $'\treturn cmp.Compare(x.Seq, y.Seq)\n' $'\treturn cmp.Compare(y.Seq, x.Seq)\n' \
+    'diverged from Shards=1|cross-shard delivery|panic:' "${shards[@]}"
 
 exit $failed
