@@ -7,14 +7,12 @@
 //
 // Output is one finding per line, file:line:col: rule-id: message, sorted
 // by position; -json emits a JSON array (rule, position, message,
-// severity) instead, and -sarif emits a SARIF 2.1.0 log with
-// repo-root-relative URIs, ready for GitHub code-scanning upload. Exit
-// status: 0 clean or warnings only, 1 error-level findings, 2 usage or
-// load failure. -disable=rule1,rule2 drops specific rules for one
-// invocation; an ID that -rules does not list is a usage error, so a typo
-// or a retired rule cannot silently disable nothing. -workers=n analyzes
-// packages in parallel (default one worker per CPU); findings are
-// identical and identically ordered at any worker count.
+// severity) instead. Exit status: 0 clean or warnings only, 1 error-level
+// findings, 2 usage or load failure. -disable=rule1,rule2 drops specific
+// rules for one invocation; an ID that -rules does not list is a usage
+// error, so a typo or a retired rule cannot silently disable nothing.
+// -workers=n analyzes packages in parallel (default one worker per CPU);
+// findings are identical and identically ordered at any worker count.
 //
 // Suppress a single finding with a trailing or preceding comment:
 //
@@ -43,17 +41,13 @@ func main() {
 	rules := flag.Bool("rules", false, "list rule IDs and exit")
 	tests := flag.Bool("tests", false, "also lint _test.go files (test-relevant rules only)")
 	jsonOut := flag.Bool("json", false, "emit findings as a JSON array on stdout")
-	sarifOut := flag.Bool("sarif", false, "emit findings as a SARIF 2.1.0 log on stdout (for code-scanning upload)")
 	disable := flag.String("disable", "", "comma-separated rule IDs to skip")
 	workers := flag.Int("workers", 0, "packages analyzed in parallel (0 = one per CPU); output is identical at any setting")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: dibslint [-rules] [-tests] [-json|-sarif] [-disable=rule,...] [-workers=n] [packages]\n\npatterns: directories, or dir/... for recursion (default ./...)\n")
+		fmt.Fprintf(os.Stderr, "usage: dibslint [-rules] [-tests] [-json] [-disable=rule,...] [-workers=n] [packages]\n\npatterns: directories, or dir/... for recursion (default ./...)\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
-	if *jsonOut && *sarifOut {
-		fatal(fmt.Errorf("-json and -sarif are mutually exclusive"))
-	}
 
 	if *rules {
 		for _, r := range lint.AllRules() {
@@ -130,14 +124,6 @@ func main() {
 	}
 	if *jsonOut {
 		if err := lint.WriteJSON(os.Stdout, findings); err != nil {
-			fatal(err)
-		}
-	} else if *sarifOut {
-		root, err := os.Getwd()
-		if err != nil {
-			root = ""
-		}
-		if err := lint.WriteSARIF(os.Stdout, findings, root); err != nil {
 			fatal(err)
 		}
 	} else {

@@ -9,15 +9,16 @@ import (
 	"testing"
 )
 
-// TestDisableValidatesRuleIDs builds the command and drives it as a script
-// would: -disable of an ID that -rules does not list (a typo, or a rule
-// since retired) is a usage error naming the ID, not a silent no-op.
-func TestDisableValidatesRuleIDs(t *testing.T) {
+// buildDibslint builds the command and returns a runner that drives it as
+// a script would, from the module root, reporting exit status, stdout and
+// stderr.
+func buildDibslint(t *testing.T) func(args ...string) (int, string, string) {
+	t.Helper()
 	bin := filepath.Join(t.TempDir(), "dibslint")
 	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
 		t.Fatalf("building dibslint: %v\n%s", err, out)
 	}
-	run := func(args ...string) (int, string, string) {
+	return func(args ...string) (int, string, string) {
 		t.Helper()
 		var stdout, stderr bytes.Buffer
 		cmd := exec.Command(bin, args...)
@@ -30,7 +31,13 @@ func TestDisableValidatesRuleIDs(t *testing.T) {
 		}
 		return cmd.ProcessState.ExitCode(), stdout.String(), stderr.String()
 	}
+}
 
+// TestDisableValidatesRuleIDs: -disable of an ID that -rules does not list
+// (a typo, or a rule since retired) is a usage error naming the ID, not a
+// silent no-op.
+func TestDisableValidatesRuleIDs(t *testing.T) {
+	run := buildDibslint(t)
 	for _, id := range []string{"no-such-rule", "float-equal"} {
 		code, stdout, stderr := run("-disable=float-eq,"+id, "./internal/rng")
 		if code != 2 || stdout != "" {
@@ -43,5 +50,15 @@ func TestDisableValidatesRuleIDs(t *testing.T) {
 
 	if code, stdout, stderr := run("-disable=float-eq, lint-staleignore", "./internal/stats"); code != 0 || stdout != "" {
 		t.Errorf("-disable of known rules: exit %d\nstdout: %s\nstderr: %s", code, stdout, stderr)
+	}
+}
+
+// TestRemovedSARIFOutput pins the removal of -sarif: -json is the one
+// machine-readable format, and the old flag is a usage error.
+func TestRemovedSARIFOutput(t *testing.T) {
+	run := buildDibslint(t)
+	code, stdout, stderr := run("-sarif", "./internal/rng")
+	if code != 2 || stdout != "" || !strings.Contains(stderr, "flag provided but not defined: -sarif") {
+		t.Errorf("-sarif: exit %d\nstdout: %s\nstderr: %s", code, stdout, stderr)
 	}
 }

@@ -5,7 +5,7 @@
 //
 //	figures -list                 # enumerate experiments
 //	figures -fig fig08            # run one experiment
-//	figures -all                  # run everything (tens of minutes at -scale 1)
+//	figures -all                  # run everything (~4 min at -scale 1 on 2 cores)
 //	figures -all -scale 0.2       # faster, noisier
 //	figures -fig fig06 -seed 7 -v # change seed, log per-run summaries
 //
@@ -26,7 +26,11 @@ import (
 	"dibs/internal/prof"
 )
 
-func main() {
+func main() { os.Exit(run()) }
+
+// run is the command; it returns the exit status so that deferred calls —
+// the profile writers — run on every path.
+func run() int {
 	var (
 		list    = flag.Bool("list", false, "list experiments and exit")
 		fig     = flag.String("fig", "", "comma-separated experiment IDs to run (e.g. fig08,fig09)")
@@ -41,32 +45,45 @@ func main() {
 	)
 	flag.Parse()
 
-	stopProf, err := prof.Start(*cpuProf, *memProf)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	defer stopProf()
-
 	if *list {
 		for _, e := range experiments.All() {
 			fmt.Printf("%-10s %s\n", e.ID, e.Title)
 		}
-		return
+		return 0
 	}
 
-	var ids []string
+	// Reject bad input before anything runs.
+	var exps []experiments.Experiment
 	switch {
 	case *all:
-		for _, e := range experiments.All() {
-			ids = append(ids, e.ID)
-		}
+		exps = experiments.All()
 	case *fig != "":
-		ids = strings.Split(*fig, ",")
+		for _, id := range strings.Split(*fig, ",") {
+			id = strings.TrimSpace(id)
+			e, ok := experiments.ByID(id)
+			if !ok {
+				fmt.Fprintf(os.Stderr, "unknown experiment %q (use -list)\n", id)
+				return 1
+			}
+			exps = append(exps, e)
+		}
 	default:
 		flag.Usage()
-		os.Exit(2)
+		return 2
 	}
+	switch *format {
+	case "text", "json", "csv":
+	default:
+		fmt.Fprintf(os.Stderr, "unknown format %q\n", *format)
+		return 2
+	}
+
+	stopProf, err := prof.Start(*cpuProf, *memProf)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		return 1
+	}
+	defer stopProf()
 
 	opts := experiments.Opts{Seed: *seed, Scale: *scale, Workers: *workers}
 	if *verbose {
@@ -75,13 +92,7 @@ func main() {
 		}
 	}
 
-	for _, id := range ids {
-		id = strings.TrimSpace(id)
-		e, ok := experiments.ByID(id)
-		if !ok {
-			fmt.Fprintf(os.Stderr, "unknown experiment %q (use -list)\n", id)
-			os.Exit(1)
-		}
+	for _, e := range exps {
 		start := time.Now()
 		if *format == "text" {
 			fmt.Printf("# %s — %s (seed %d, scale %g)\n\n", e.ID, e.Title, *seed, *scale)
@@ -96,15 +107,13 @@ func main() {
 			case "csv":
 				fmt.Printf("# %s\n", table.ID)
 				err = table.WriteCSV(os.Stdout)
-			default:
-				fmt.Fprintf(os.Stderr, "unknown format %q\n", *format)
-				os.Exit(2)
 			}
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "writing %s: %v\n", table.ID, err)
-				os.Exit(1)
+				return 1
 			}
 		}
 		fmt.Fprintf(os.Stderr, "[%s done in %.1fs]\n", e.ID, time.Since(start).Seconds())
 	}
+	return 0
 }

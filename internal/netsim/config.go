@@ -257,7 +257,7 @@ type Config struct {
 	// drops, retransmissions) still have headroom to matter.
 	FluidPromoteFrac float64
 	// Shards partitions the network across that many conservative-PDES
-	// scheduler shards (DESIGN §10): pods stay together, cores spread
+	// scheduler shards (DESIGN §9): pods stay together, cores spread
 	// round-robin, hosts follow their edge switch, and shards run
 	// lookahead-wide windows in parallel, exchanging cross-shard packets
 	// at window barriers. Results are byte-identical for every shard

@@ -3,6 +3,7 @@ package netsim
 import (
 	"fmt"
 	"testing"
+	"time"
 
 	"dibs/internal/eventq"
 	"dibs/internal/metrics"
@@ -59,6 +60,39 @@ func TestFluidModeFarCheaperThanPacket(t *testing.T) {
 		t.Fatalf("fluid executed %d events vs packet %d, want >=10x fewer",
 			fl.Executed(), packet.Executed())
 	}
+
+	// Hybrid runs every flow as packets until its window settles, so its
+	// arm is a longer run with NICs marking like the fabric: the flows
+	// reach the DCTCP steady state the rate model is calibrated for, and
+	// the packet-mode warm-up is a small share of 300 ms. The payoff must
+	// be real wall time, not only fewer events; timing is best of three
+	// and skipped under -short, where the race detector distorts it.
+	long := func(mode SimMode) (events uint64, wall time.Duration) {
+		cfg := fluidConfig(mode)
+		cfg.HostMarkAtPkts = 20
+		cfg.Duration = 300 * eventq.Millisecond
+		n := Build(cfg)
+		start := time.Now()
+		n.Run()
+		return n.Executed(), time.Since(start)
+	}
+	pktEvents, pktWall := long(ModePacket)
+	hybEvents, hybWall := long(ModeHybrid)
+	if hybEvents*5 > pktEvents {
+		t.Fatalf("hybrid executed %d events vs packet %d, want >=5x fewer", hybEvents, pktEvents)
+	}
+	if testing.Short() {
+		return
+	}
+	for i := 1; i < 3; i++ {
+		_, p := long(ModePacket)
+		_, h := long(ModeHybrid)
+		pktWall, hybWall = min(pktWall, p), min(hybWall, h)
+	}
+	if hybWall*5 > pktWall {
+		t.Errorf("hybrid took %v vs packet %v (best of 3), want >=5x less", hybWall, pktWall)
+	}
+	t.Logf("events: packet %d, hybrid %d; wall: packet %v, hybrid %v", pktEvents, hybEvents, pktWall, hybWall)
 }
 
 func TestHybridDemotesStableLongFlows(t *testing.T) {

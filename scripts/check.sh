@@ -1,13 +1,17 @@
 #!/usr/bin/env bash
-# check.sh — the full local gate, in the order a CI pipeline would run it.
-# Every step must pass; the script stops at the first failure.
+# check.sh — the repository's one gate; CI runs exactly this script.
+# Every step prints its name and must pass; the script stops at the first
+# failure.
 #
-#   fmt   gofmt on every tracked .go file (fails listing unformatted files)
-#   vet   go vet across the module
-#   lint  dibslint: the simulator's own determinism / virtual-time rules
-#   build go build everything, including cmd/ and examples/
-#   test  full test suite (use SHORT=1 for the quick subset)
-#   race  race detector over the fast packages (RACE=0 to skip)
+#   fmt     gofmt on every tracked .go file (fails listing unformatted files)
+#   vet     go vet across the module
+#   lint    dibslint: the simulator's own determinism / virtual-time rules
+#   build   go build everything, including cmd/ and examples/
+#   test    full test suite (use SHORT=1 for the quick subset)
+#   mutants seeded-mutation corpus (full only)
+#   bench   go run ./benchmark -quick: every workload's correctness checks
+#           (full only; reports land in the gitignored .bench_out/)
+#   race    race detector over the fast packages (RACE=0 to skip)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -51,6 +55,13 @@ else
     # shard-isolation backstops, which no lint rule covers.
     step "seeded-mutation corpus"
     scripts/mutants.sh
+
+    # The repository benchmark, shortened: its numbers are not comparable
+    # with a full run, but its correctness checks are the same — repeats
+    # fingerprint-equal, the pool identity, the sharded run equal to one
+    # shard and the sweep at N workers equal to one worker.
+    step "benchmark -quick"
+    go run ./benchmark -quick
 fi
 
 # The determinism gates run by name even in SHORT mode, so a future -short
