@@ -8,9 +8,10 @@
 // Output is one finding per line, file:line:col: rule-id: message, sorted
 // by position; -json emits a JSON array (rule, position, message,
 // severity) instead. Exit status: 0 clean or warnings only, 1 error-level
-// findings, 2 usage or load failure. -disable=rule1,rule2 drops specific
-// rules for one invocation; an ID that -rules does not list is a usage
-// error, so a typo or a retired rule cannot silently disable nothing.
+// findings, 2 usage or load failure, including a package that does not
+// type-check (its findings are still printed). -disable=rule1,rule2 drops
+// specific rules for one invocation; an ID that -rules does not list is a
+// usage error, so a typo or a retired rule cannot silently disable nothing.
 // -workers=n analyzes packages in parallel (default one worker per CPU);
 // findings are identical and identically ordered at any worker count.
 //
@@ -137,6 +138,9 @@ func main() {
 	}
 	if len(findings) > 0 {
 		fmt.Fprintf(os.Stderr, "dibslint: %d finding(s), %d error(s)\n", len(findings), errors)
+	}
+	if len(loader.TypeErrors) > 0 {
+		os.Exit(2)
 	}
 	if errors > 0 {
 		os.Exit(1)

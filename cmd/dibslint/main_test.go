@@ -10,9 +10,9 @@ import (
 )
 
 // buildDibslint builds the command and returns a runner that drives it as
-// a script would, from the module root, reporting exit status, stdout and
-// stderr.
-func buildDibslint(t *testing.T) func(args ...string) (int, string, string) {
+// a script would, from dir (the module root, for this repository),
+// reporting exit status, stdout and stderr.
+func buildDibslint(t *testing.T, dir string) func(args ...string) (int, string, string) {
 	t.Helper()
 	bin := filepath.Join(t.TempDir(), "dibslint")
 	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
@@ -22,7 +22,7 @@ func buildDibslint(t *testing.T) func(args ...string) (int, string, string) {
 		t.Helper()
 		var stdout, stderr bytes.Buffer
 		cmd := exec.Command(bin, args...)
-		cmd.Dir = filepath.Join("..", "..") // patterns resolve from the module root
+		cmd.Dir = dir // patterns resolve from here
 		cmd.Stdout, cmd.Stderr = &stdout, &stderr
 		err := cmd.Run()
 		var exit *exec.ExitError
@@ -33,12 +33,16 @@ func buildDibslint(t *testing.T) func(args ...string) (int, string, string) {
 	}
 }
 
+// moduleRoot is this repository's root, relative to the test's directory.
+var moduleRoot = filepath.Join("..", "..")
+
 // TestDisableValidatesRuleIDs: -disable of an ID that -rules does not list
 // (a typo, or a rule since retired) is a usage error naming the ID, not a
 // silent no-op.
 func TestDisableValidatesRuleIDs(t *testing.T) {
-	run := buildDibslint(t)
-	for _, id := range []string{"no-such-rule", "float-equal"} {
+	run := buildDibslint(t, moduleRoot)
+	retired := []string{"vtime-flow", "path-droppederr", "mutable-globals"}
+	for _, id := range append([]string{"no-such-rule", "float-equal"}, retired...) {
 		code, stdout, stderr := run("-disable=float-eq,"+id, "./internal/rng")
 		if code != 2 || stdout != "" {
 			t.Errorf("-disable=%s: exit %d, stdout %q; want exit 2 and no findings", id, code, stdout)
@@ -56,9 +60,21 @@ func TestDisableValidatesRuleIDs(t *testing.T) {
 // TestRemovedSARIFOutput pins the removal of -sarif: -json is the one
 // machine-readable format, and the old flag is a usage error.
 func TestRemovedSARIFOutput(t *testing.T) {
-	run := buildDibslint(t)
+	run := buildDibslint(t, moduleRoot)
 	code, stdout, stderr := run("-sarif", "./internal/rng")
 	if code != 2 || stdout != "" || !strings.Contains(stderr, "flag provided but not defined: -sarif") {
 		t.Errorf("-sarif: exit %d\nstdout: %s\nstderr: %s", code, stdout, stderr)
+	}
+}
+
+// TestTypeErrorsExitTwo: a package that does not type-check is a load
+// failure. dibslint prints the diagnostic and exits 2 instead of passing
+// on whatever it could analyze. The fixture is its own module, so the
+// repository's build never sees the ill-typed package.
+func TestTypeErrorsExitTwo(t *testing.T) {
+	run := buildDibslint(t, filepath.Join("testdata", "illtyped"))
+	code, _, stderr := run("./...")
+	if code != 2 || !strings.Contains(stderr, "1 type-check diagnostics") || !strings.Contains(stderr, "undefinedAnswer") {
+		t.Errorf("ill-typed package: exit %d, want 2 with the diagnostic named\nstderr: %s", code, stderr)
 	}
 }

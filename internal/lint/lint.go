@@ -5,17 +5,22 @@
 // that keep runs deterministic are enforced by machine, not convention:
 //
 //   - no global math/rand state or ad-hoc PRNG construction (every stream
-//     must derive from Config.Seed via internal/rng),
-//   - no wall-clock reads inside simulation packages (virtual time only),
+//     must derive from Config.Seed via internal/rng), and no seed built
+//     from the wall clock or by ad-hoc arithmetic,
+//   - no wall-clock reads, goroutines or sync primitives inside simulation
+//     packages (virtual time only, one thread per run or shard),
 //   - no map-range iteration feeding event scheduling or result aggregation,
 //   - no raw-nanosecond literals or time.Duration leaking into eventq.Time,
-//   - no ==/!= on float64 metrics, and no dropped error returns or
-//     scheduling into the past.
+//   - no ==/!= on float64 metrics, no dropped error or queue.Result
+//     returns, no scheduling into the past, and no packet literals that
+//     bypass the pool.
 //
-// The engine is built exclusively on the standard library (go/parser,
-// go/ast, go/types with the source importer), honoring the repo's
-// stdlib-only rule. See rules.go for the analyzers and DESIGN.md
-// ("Determinism & lint rules") for the rule catalogue.
+// Every rule is a syntactic check over one type-checked package; there is
+// no control-flow or cross-function analysis. The engine is built
+// exclusively on the standard library (go/parser, go/ast, go/types with the
+// source importer), honoring the repo's stdlib-only rule. See rules.go for
+// the analyzers and DESIGN.md ("Determinism & lint rules") for the rule
+// catalogue.
 package lint
 
 import (
@@ -30,7 +35,6 @@ import (
 	"regexp"
 	"sort"
 	"strings"
-	"sync"
 
 	"dibs/internal/runner"
 )
@@ -125,15 +129,6 @@ type Loader struct {
 	// TypeErrors collects non-fatal type-check diagnostics; packages are
 	// still analyzed best-effort.
 	TypeErrors []error
-
-	// facts holds the cross-package function summaries (facts.go),
-	// computed when each package is type-checked; funcDU caches the
-	// CFG + reaching-definitions solution per function body. duMu guards
-	// funcDU: loading is serial, but RunParallel analyzes packages
-	// concurrently and analyzers build function-literal CFGs on demand.
-	facts  map[*types.Func]FuncFacts
-	funcDU map[*ast.BlockStmt]*defUse
-	duMu   sync.Mutex
 }
 
 // NewLoader locates the module root by walking up from dir to the nearest
@@ -166,8 +161,6 @@ func NewLoader(dir string) (*Loader, error) {
 		std:        importer.ForCompiler(fset, "source", nil),
 		pkgs:       make(map[string]*Package),
 		loading:    make(map[string]bool),
-		facts:      make(map[*types.Func]FuncFacts),
-		funcDU:     make(map[*ast.BlockStmt]*defUse),
 	}, nil
 }
 
@@ -316,9 +309,7 @@ func (l *Loader) checkWith(typePath, dir string, sources map[string]string, imp 
 	if err != nil && tpkg == nil {
 		return nil, fmt.Errorf("lint: type-checking %s: %w", typePath, err)
 	}
-	pkg := &Package{Path: typePath, Dir: dir, Files: files, Types: tpkg, Info: info, TestOf: testOf}
-	l.computeFacts(pkg)
-	return pkg, nil
+	return &Package{Path: typePath, Dir: dir, Files: files, Types: tpkg, Info: info, TestOf: testOf}, nil
 }
 
 // testImporter resolves the package under test to its augmented build (the
@@ -434,6 +425,20 @@ func (l *Loader) SimPackage(path string) bool {
 // package, the only simulation code allowed to construct rand sources.
 func (l *Loader) RNGPackage(path string) bool {
 	return path == l.ModulePath+"/internal/rng"
+}
+
+// inModule reports whether p is declared inside this module.
+func (l *Loader) inModule(p *types.Package) bool {
+	return p != nil && (p.Path() == l.ModulePath || strings.HasPrefix(p.Path(), l.ModulePath+"/"))
+}
+
+// effectivePath is the import path used for perimeter decisions: external
+// test packages ("foo_test") are judged by the package they test.
+func effectivePath(pkg *Package) string {
+	if pkg.TestOf != "" {
+		return pkg.TestOf
+	}
+	return pkg.Path
 }
 
 // ignoreRe matches suppression comments: //dibslint:ignore RULE reason...

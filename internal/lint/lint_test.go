@@ -1,6 +1,9 @@
 package lint
 
 import (
+	"bytes"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -251,6 +254,137 @@ func Bad()  { mayFail() }
 func Good() { _ = mayFail() }
 `)
 	assertRule(t, fs, "sched-droppederr", 1)
+}
+
+func TestDroppedQueueResult(t *testing.T) {
+	fs := lintFixture(t, "dibs/internal/fixdroppedq", "fixdroppedq.go", `
+package fixdroppedq
+
+import (
+	"dibs/internal/packet"
+	"dibs/internal/queue"
+)
+
+func Bad(q queue.Queue, p *packet.Packet) {
+	q.Enqueue(p) // result discarded outright
+}
+
+func Good(q queue.Queue, p *packet.Packet) bool {
+	_ = q.Enqueue(p)
+	r := q.Enqueue(p)
+	return r.Accepted
+}
+`)
+	assertRule(t, fs, "sched-droppederr", 1)
+}
+
+// --- rng-taint: one fire and one stay-quiet fixture per seed form ---
+
+// TestRNGTaintSeedArithmetic plants the two recorded catches — fig06's
+// `o.Seed + int64(run)*7919` and the jellyfish retry seed — plus the
+// math/rand and keyed-literal forms.
+func TestRNGTaintSeedArithmetic(t *testing.T) {
+	fs := lintFixture(t, "dibs/internal/fixtaintarith", "fixtaintarith.go", `
+package fixtaintarith
+
+import (
+	"math/rand"
+
+	"dibs/internal/rng"
+)
+
+type Opts struct{ Seed int64 }
+
+type Config struct{ Seed int64 }
+
+func once(n int, seed int64, attempt int) int { return n + attempt }
+
+func Sweep(o Opts, runs int) {
+	for run := 0; run < runs; run++ {
+		var cfg Config
+		cfg.Seed = o.Seed + int64(run)*7919 // collision-prone ad-hoc derivation
+		_ = cfg
+		_ = once(8, o.Seed+int64(run)*0x9E37, run)
+		_ = Config{Seed: int64(uint64(o.Seed) ^ 0x7177E5)}
+		_ = rand.NewSource(int64(run) * 31)
+	}
+	_ = rng.New(o.Seed*31, "workload")
+}
+`)
+	assertRule(t, fs, "rng-taint", 5)
+	for _, f := range fs {
+		if f.Rule == "rng-taint" && !strings.HasPrefix(f.Msg, "ad-hoc seed arithmetic") {
+			t.Errorf("unexpected rng-taint message: %s", f)
+		}
+	}
+}
+
+func TestRNGTaintWallClockSeed(t *testing.T) {
+	fs := lintFixture(t, "dibs/internal/fixtaintclock", "fixtaintclock.go", `
+package fixtaintclock
+
+import (
+	"math/rand"
+	"os"
+	"time"
+
+	"dibs/internal/rng"
+)
+
+type Config struct{ Seed int64 }
+
+func Fresh(cfg *Config) {
+	_ = rng.New(time.Now().UnixNano(), "workload")
+	_ = rand.NewSource(int64(os.Getpid()))
+	cfg.Seed = time.Now().Unix()
+	_ = Config{Seed: int64(time.Since(time.Time{}))}
+}
+`)
+	assertRule(t, fs, "rng-taint", 4)
+	for _, f := range fs {
+		if f.Rule == "rng-taint" && !strings.HasPrefix(f.Msg, "seed derived from wall clock") {
+			t.Errorf("unexpected rng-taint message: %s", f)
+		}
+	}
+}
+
+func TestRNGTaintCleanSeedsStayQuiet(t *testing.T) {
+	fs := lintFixture(t, "dibs/internal/fixtaintclean", "fixtaintclean.go", `
+package fixtaintclean
+
+import (
+	"fmt"
+	"math/rand"
+
+	"dibs/internal/rng"
+)
+
+type Opts struct{ Seed int64 }
+
+type Config struct{ Seed int64 }
+
+func once(n int, seed int64, attempt int) int { return n + attempt }
+
+func Run(o Opts, runs int, seedRaw uint32) {
+	var cfg Config
+	cfg.Seed = o.Seed // plain threading is the sanctioned pattern
+	_ = rng.New(o.Seed, "workload")
+	_ = rng.New(42, "fixed")      // literal seeds are legal (tests, defaults)
+	_ = rng.New(1<<40+7, "const") // constant arithmetic is a literal
+	_ = rand.New(rand.NewSource(o.Seed))
+	for run := 0; run < runs; run++ {
+		// rng.Derive is the sanctioned derivation; its result is a
+		// clean seed even after a conversion.
+		cfg.Seed = int64(rng.Derive(uint64(o.Seed), fmt.Sprintf("run%d", run)))
+		_ = once(8, o.Seed, run+1) // arithmetic outside the seed parameter
+		_ = rng.New(int64(run), "trial")
+		// Test-table seeds: arithmetic over no seed read or rng result.
+		cfg.Seed = int64(seedRaw) + 1
+		_ = Config{Seed: int64(run + 1)}
+	}
+}
+`)
+	assertRule(t, fs, "rng-taint", 0)
 }
 
 func TestIgnoreDirectiveSuppresses(t *testing.T) {
@@ -506,4 +640,138 @@ func helperPacket() *packet.Packet { return &packet.Packet{Kind: packet.Data, TT
 	}
 	fs := l.Run([]*Package{pkg}, Analyzers())
 	assertRule(t, fs, "hotpath-alloc", 0)
+}
+
+// --- JSON output ---
+
+func TestWriteJSONGolden(t *testing.T) {
+	fs := lintFixture(t, "dibs/internal/fixjson", "fixjson.go", `
+package fixjson
+
+import "math/rand"
+
+func Roll() int { return rand.Intn(6) }
+`)
+	var buf bytes.Buffer
+	if err := WriteJSON(&buf, fs); err != nil {
+		t.Fatalf("WriteJSON: %v", err)
+	}
+	golden := filepath.Join("testdata", "json_golden.json")
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("read golden: %v", err)
+	}
+	if !bytes.Equal(buf.Bytes(), want) {
+		t.Errorf("JSON output mismatch\n got: %s\nwant: %s", buf.Bytes(), want)
+	}
+}
+
+func TestWriteJSONEmptyIsArray(t *testing.T) {
+	var buf bytes.Buffer
+	if err := WriteJSON(&buf, nil); err != nil {
+		t.Fatalf("WriteJSON: %v", err)
+	}
+	if got := buf.String(); got != "[]\n" {
+		t.Errorf("empty findings = %q, want []\\n", got)
+	}
+}
+
+// --- loader test variants ---
+
+func TestLoadTestsAugmentsPackage(t *testing.T) {
+	l := loaderForTest(t)
+	pkgs, err := l.LoadTests("dibs/internal/queue")
+	if err != nil {
+		t.Fatalf("LoadTests: %v", err)
+	}
+	if len(pkgs) == 0 {
+		t.Fatal("no packages returned")
+	}
+	aug := pkgs[0]
+	if aug.TestOf != "dibs/internal/queue" {
+		t.Errorf("augmented package TestOf = %q, want the base path", aug.TestOf)
+	}
+	hasTestFile := false
+	for _, f := range aug.Files {
+		if strings.HasSuffix(l.Fset.Position(f.Pos()).Filename, "_test.go") {
+			hasTestFile = true
+		}
+	}
+	if !hasTestFile {
+		t.Error("augmented package must include _test.go files")
+	}
+	// The production package stays cached unaugmented for other importers.
+	base, err := l.Load("dibs/internal/queue")
+	if err != nil {
+		t.Fatalf("Load after LoadTests: %v", err)
+	}
+	for _, f := range base.Files {
+		if strings.HasSuffix(l.Fset.Position(f.Pos()).Filename, "_test.go") {
+			t.Error("production package cache was polluted with test files")
+		}
+	}
+	// The repo's own test files must lint clean under the test-rule set
+	// (literal-seeded rand.New in tests is legal; wall-clock seeding is not).
+	if fs := l.Run(pkgs, Analyzers()); len(fs) != 0 {
+		t.Errorf("internal/queue test build should lint clean, got %v", rulesOf(fs))
+	}
+}
+
+// --- severity and test-file filtering ---
+
+func TestSeverityStamped(t *testing.T) {
+	fs := lintFixture(t, "dibs/internal/fixsev", "fixsev.go", `
+package fixsev
+
+import "math/rand"
+
+func Roll() int { return rand.Intn(6) }
+`)
+	if len(fs) == 0 {
+		t.Fatal("expected findings")
+	}
+	for _, f := range fs {
+		if f.Severity != SevError {
+			t.Errorf("finding %s has severity %q, want %q", f.Rule, f.Severity, SevError)
+		}
+	}
+}
+
+func TestTestFileFindingsFiltered(t *testing.T) {
+	l := loaderForTest(t)
+	pkg, err := l.LoadSynthetic("dibs/internal/fixtestfilter", map[string]string{
+		"fixtestfilter.go": `
+package fixtestfilter
+
+func Placeholder() {}
+`,
+		"fixtestfilter_extra_test.go": `
+package fixtestfilter
+
+import (
+	"math/rand"
+	"time"
+
+	"dibs/internal/rng"
+)
+
+func helperGlobalRand() int { return rand.Intn(6) } // nondet-globalrand: InTests
+
+func helperClockSeed() {
+	_ = rng.New(time.Now().UnixNano(), "flaky") // rng-taint: InTests
+}
+
+func helperTiming() int64 {
+	start := time.Now() // nondet-wallclock: filtered out in tests
+	return start.Unix()
+}
+`,
+	})
+	if err != nil {
+		t.Fatalf("LoadSynthetic: %v", err)
+	}
+	fs := l.Run([]*Package{pkg}, Analyzers())
+	assertRule(t, fs, "nondet-globalrand", 1)
+	assertRule(t, fs, "rng-taint", 1)
+	assertRule(t, fs, "nondet-wallclock", 0)
 }

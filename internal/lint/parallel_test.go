@@ -19,6 +19,7 @@ package fixpar%d
 
 import (
 	"errors"
+	"math/rand"
 	"time"
 
 	"dibs/internal/rng"
@@ -26,20 +27,13 @@ import (
 
 func mayFail() error { return errors.New("boom") }
 
-func handle(error) {}
+func DroppedErr() { mayFail() }
 
-func DroppedOnOnePath(check bool) {
-	err := mayFail()
-	if check {
-		handle(err)
-	}
-}
+func ClockSeed() { _ = rng.New(time.Now().UnixNano(), "workload") }
 
-func ClockSeed() {
-	s := time.Now().UnixNano()
-	s2 := s
-	_ = rng.New(s2, "workload")
-}
+func GlobalRand() int { return rand.Intn(6) }
+
+func SameRate(a, b float64) bool { return a == b }
 `, i)
 		pkg, err := l.LoadSynthetic(path, map[string]string{fmt.Sprintf("fixpar%d.go", i): src})
 		if err != nil {
@@ -58,8 +52,8 @@ func TestRunParallelMatchesSerial(t *testing.T) {
 	pkgs := parallelCorpus(t)
 
 	serial := l.Run(pkgs, Analyzers())
-	if len(serial) == 0 {
-		t.Fatal("corpus produced no findings; the determinism check is vacuous")
+	for _, rule := range []string{"sched-droppederr", "rng-taint", "nondet-globalrand", "nondet-wallclock", "float-eq"} {
+		assertRule(t, serial, rule, len(pkgs))
 	}
 	var want bytes.Buffer
 	if err := WriteJSON(&want, serial); err != nil {
@@ -80,7 +74,7 @@ func TestRunParallelMatchesSerial(t *testing.T) {
 }
 
 // Repeated parallel runs over the same loader must also agree with each
-// other (the funcDU cache is shared and mutated under a lock).
+// other.
 func TestRunParallelStableAcrossRuns(t *testing.T) {
 	l := loaderForTest(t)
 	pkgs := parallelCorpus(t)

@@ -17,10 +17,7 @@ func Analyzers() []*Analyzer {
 		VirtualTime(),
 		FloatEq(),
 		SchedHygiene(),
-		MutableGlobals(),
 		RNGTaint(),
-		VtimeFlow(),
-		PathDroppedErr(),
 		HotPathAlloc(),
 	}
 }
@@ -106,6 +103,175 @@ func Nondeterminism() *Analyzer {
 			}
 		},
 	}
+}
+
+// clockValueFns are stdlib functions whose results derive from per-process
+// state; a seed expression that calls one is flagged by rng-taint.
+var clockValueFns = map[[2]string]bool{
+	{"time", "Now"}:             true,
+	{"time", "Since"}:           true,
+	{"time", "Until"}:           true,
+	{"os", "Getpid"}:            true,
+	{"os", "Getppid"}:           true,
+	{"runtime", "NumGoroutine"}: true,
+}
+
+// arithOps are the binary operators that make a seed expression ad-hoc
+// arithmetic rather than a threaded or derived seed.
+var arithOps = map[token.Token]bool{
+	token.ADD: true, token.SUB: true, token.MUL: true, token.QUO: true,
+	token.REM: true, token.AND: true, token.OR: true, token.XOR: true,
+	token.SHL: true, token.SHR: true, token.AND_NOT: true,
+}
+
+// RNGTaint checks every seed position syntactically. The positions are an
+// argument bound to a module function's parameter named seed (rng.New,
+// rng.Derive, rng.Derive2, topology.Jellyfish, ...), every argument of a
+// math/rand constructor or rand.Seed, and a write to a module Seed field.
+// With conversions stripped, a position fires when it calls a clock or
+// process-state function, or when it is non-constant arithmetic; for a Seed
+// field only arithmetic over a .Seed read or an rng result counts, so a
+// test-table `cfg.Seed = int64(i) + 1` stays legal. A seed laundered
+// through a local or a helper is not tracked.
+func RNGTaint() *Analyzer {
+	return &Analyzer{
+		Rules: []RuleDoc{
+			{ID: "rng-taint", Doc: "a seed is derived from the wall clock/process state or by ad-hoc arithmetic; derive per-run streams with rng.Derive(seed, name)", Severity: SevError, InTests: true},
+		},
+		Check: func(l *Loader, pkg *Package, report func(token.Pos, string, string)) {
+			path := effectivePath(pkg)
+			if !l.SimPackage(path) || l.RNGPackage(path) {
+				return
+			}
+			info := pkg.Info
+			check := func(arg ast.Expr, field bool) {
+				e := stripConversions(info, arg)
+				be, arith := e.(*ast.BinaryExpr)
+				arith = arith && arithOps[be.Op] && info.Types[e].Value == nil
+				switch {
+				case containsCall(info, e, func(fn *types.Func) bool {
+					return clockValueFns[[2]string{fn.Pkg().Path(), fn.Name()}]
+				}):
+					report(arg.Pos(), "rng-taint",
+						"seed derived from wall clock or process state; thread Config.Seed and derive streams with rng.New(seed, name)")
+				case arith && (!field || l.readsSeed(info, e)):
+					report(arg.Pos(), "rng-taint",
+						"ad-hoc seed arithmetic; derive independent per-run streams with rng.Derive(seed, name)")
+				}
+			}
+			for _, f := range pkg.Files {
+				ast.Inspect(f, func(n ast.Node) bool {
+					switch x := n.(type) {
+					case *ast.CallExpr:
+						for _, arg := range l.seedArgs(info, x) {
+							check(arg, false)
+						}
+					case *ast.KeyValueExpr:
+						if key, ok := x.Key.(*ast.Ident); ok && l.isSeedField(info, key) {
+							check(x.Value, true)
+						}
+					case *ast.AssignStmt:
+						if len(x.Lhs) != len(x.Rhs) {
+							break
+						}
+						for i, lhs := range x.Lhs {
+							if sel, ok := ast.Unparen(lhs).(*ast.SelectorExpr); ok && l.isSeedField(info, sel.Sel) {
+								check(x.Rhs[i], true)
+							}
+						}
+					}
+					return true
+				})
+			}
+		},
+	}
+}
+
+// seedArgs returns the arguments of call in seed positions: every argument
+// of a math/rand constructor or Seed, and each argument bound to a module
+// function's parameter named seed.
+func (l *Loader) seedArgs(info *types.Info, call *ast.CallExpr) []ast.Expr {
+	fn := staticCallee(info, call)
+	if fn == nil || fn.Pkg() == nil {
+		return nil
+	}
+	switch p := fn.Pkg().Path(); {
+	case p == "math/rand" || p == "math/rand/v2":
+		if randConstructors[fn.Name()] || fn.Name() == "Seed" {
+			return call.Args
+		}
+	case l.inModule(fn.Pkg()):
+		params := fn.Type().(*types.Signature).Params()
+		var args []ast.Expr
+		for i, arg := range call.Args {
+			if i < params.Len() && params.At(i).Name() == "seed" {
+				args = append(args, arg)
+			}
+		}
+		return args
+	}
+	return nil
+}
+
+// isSeedField reports whether id names a field called Seed on a
+// module-declared type — the canonical run-seed carrier.
+func (l *Loader) isSeedField(info *types.Info, id *ast.Ident) bool {
+	v, ok := info.Uses[id].(*types.Var)
+	return ok && id.Name == "Seed" && v.IsField() && l.inModule(v.Pkg())
+}
+
+// readsSeed reports whether e reads a module Seed field or calls into
+// internal/rng.
+func (l *Loader) readsSeed(info *types.Info, e ast.Expr) bool {
+	found := false
+	ast.Inspect(e, func(n ast.Node) bool {
+		if sel, ok := n.(*ast.SelectorExpr); ok && l.isSeedField(info, sel.Sel) {
+			found = true
+		}
+		return !found
+	})
+	return found || containsCall(info, e, func(fn *types.Func) bool { return l.RNGPackage(fn.Pkg().Path()) })
+}
+
+// stripConversions removes parentheses and type conversions around e.
+func stripConversions(info *types.Info, e ast.Expr) ast.Expr {
+	for {
+		e = ast.Unparen(e)
+		call, ok := e.(*ast.CallExpr)
+		if !ok || len(call.Args) != 1 || !info.Types[call.Fun].IsType() {
+			return e
+		}
+		e = call.Args[0]
+	}
+}
+
+// containsCall reports whether e calls a function (with a package) that
+// match accepts.
+func containsCall(info *types.Info, e ast.Expr, match func(*types.Func) bool) bool {
+	found := false
+	ast.Inspect(e, func(n ast.Node) bool {
+		if call, ok := n.(*ast.CallExpr); ok {
+			if fn := staticCallee(info, call); fn != nil && fn.Pkg() != nil && match(fn) {
+				found = true
+			}
+		}
+		return !found
+	})
+	return found
+}
+
+// staticCallee resolves the *types.Func a call invokes, for direct calls
+// and method calls. Function values and built-ins resolve to nil.
+func staticCallee(info *types.Info, call *ast.CallExpr) *types.Func {
+	switch fun := ast.Unparen(call.Fun).(type) {
+	case *ast.Ident:
+		fn, _ := info.Uses[fun].(*types.Func)
+		return fn
+	case *ast.SelectorExpr:
+		fn, _ := info.Uses[fun.Sel].(*types.Func)
+		return fn
+	}
+	return nil
 }
 
 // Concurrency keeps simulation packages single-threaded: a goroutine or a
@@ -366,13 +532,14 @@ func FloatEq() *Analyzer {
 	}
 }
 
-// SchedHygiene flags scheduling into the past and dropped error returns on
-// module APIs inside simulation packages.
+// SchedHygiene flags scheduling into the past, and error or queue.Result
+// returns of module calls discarded as bare statements, inside simulation
+// packages.
 func SchedHygiene() *Analyzer {
 	return &Analyzer{
 		Rules: []RuleDoc{
 			{ID: "sched-past", Doc: "event scheduled at Now() minus an offset; At panics on t < now — use After with the positive delta", Severity: SevError},
-			{ID: "sched-droppederr", Doc: "error result of a simulator API call silently dropped", Severity: SevError},
+			{ID: "sched-droppederr", Doc: "error or queue.Result of a simulator API call silently dropped", Severity: SevError},
 		},
 		Check: func(l *Loader, pkg *Package, report func(token.Pos, string, string)) {
 			if !l.SimPackage(effectivePath(pkg)) {
@@ -444,32 +611,40 @@ func checkDroppedErr(l *Loader, pkg *Package, stmt *ast.ExprStmt, report func(to
 	if !ok {
 		return
 	}
-	var fn *types.Func
-	switch f := call.Fun.(type) {
-	case *ast.Ident:
-		fn, _ = pkg.Info.Uses[f].(*types.Func)
-	case *ast.SelectorExpr:
-		fn, _ = pkg.Info.Uses[f.Sel].(*types.Func)
-	}
-	if fn == nil || fn.Pkg() == nil {
+	fn := staticCallee(pkg.Info, call)
+	if fn == nil || !l.inModule(fn.Pkg()) {
 		return
 	}
-	path := fn.Pkg().Path()
-	if path != l.ModulePath && !strings.HasPrefix(path, l.ModulePath+"/") {
-		return
-	}
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok {
-		return
-	}
-	res := sig.Results()
+	res := fn.Type().(*types.Signature).Results()
 	for i := 0; i < res.Len(); i++ {
-		if named, ok := res.At(i).Type().(*types.Named); ok && named.Obj().Name() == "error" && named.Obj().Pkg() == nil {
+		switch checkedResultKind(res.At(i).Type()) {
+		case "error":
 			report(stmt.Pos(), "sched-droppederr",
 				fmt.Sprintf("%s returns an error that is dropped; handle it or assign to _ explicitly", fn.Name()))
 			return
+		case "queue.Result":
+			report(stmt.Pos(), "sched-droppederr",
+				"queue.Result discarded; Accepted must be checked (or assign to _ explicitly)")
+			return
 		}
 	}
+}
+
+// checkedResultKind classifies result types that must be consumed: the
+// error interface and internal/queue's Result.
+func checkedResultKind(t types.Type) string {
+	named, ok := t.(*types.Named)
+	if !ok {
+		return ""
+	}
+	obj := named.Obj()
+	if obj.Name() == "error" && obj.Pkg() == nil {
+		return "error"
+	}
+	if obj.Name() == "Result" && obj.Pkg() != nil && strings.HasSuffix(obj.Pkg().Path(), "internal/queue") {
+		return "queue.Result"
+	}
+	return ""
 }
 
 // --- shared type helpers ---

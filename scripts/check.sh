@@ -8,7 +8,8 @@
 #   lint    dibslint: the simulator's own determinism / virtual-time rules
 #   build   go build everything, including cmd/ and examples/
 #   test    full test suite (use SHORT=1 for the quick subset)
-#   mutants seeded-mutation corpus (full only)
+#   mutants seeded-mutation corpus: runtime backstops and lint rules (full
+#           only)
 #   bench   go run ./benchmark -quick: every workload's correctness checks
 #           (full only; reports land in the gitignored .bench_out/)
 #   race    race detector over the fast packages (RACE=0 to skip)
@@ -51,8 +52,9 @@ else
     go test ./...
 
     # Plant each bug of the seeded-mutation corpus and require the named
-    # runtime check to fail: the score sheet for the packet-ownership and
-    # shard-isolation backstops, which no lint rule covers.
+    # check to fail: the score sheet for the packet-ownership and
+    # shard-isolation backstops, which no lint rule covers, and for the
+    # dibslint rules that are the only catch of a recorded bug.
     step "seeded-mutation corpus"
     scripts/mutants.sh
 

@@ -1,12 +1,16 @@
 #!/usr/bin/env bash
-# mutants.sh — seeded-mutation corpus for the runtime backstops on packet
-# ownership and shard isolation (no lint rule covers either). Each row plants
-# one bug in a temp copy of the tree and names the test that must catch it,
-# with the output that proves it failed for the right reason. A row whose
-# source text no longer matches exactly once is an error (fix the row, do
-# not skip it); so is a mutant that does not compile, a command that fails
-# on the clean copy, and a mutant that survives. DESIGN.md §8 "Runtime
-# backstops" maps rows to checks.
+# mutants.sh — seeded-mutation corpus. M1-M11 score the runtime backstops on
+# packet ownership and shard isolation (no lint rule covers either). M12-M14
+# score dibslint rules: M12 and M13 pass go test, so rng-taint is their only
+# catch; M14 (also failed by TestNICDropCounting) pins sched-droppederr's
+# queue.Result arm. M15 scores the race test that replaced the
+# mutable-globals rule.
+# Each row plants one bug in a temp copy of the tree and names the check
+# that must catch it, with the output that proves it failed for the right
+# reason. A row whose source text no longer matches exactly once is an error
+# (fix the row, do not skip it); so is a mutant that does not compile, a
+# command that fails on the clean copy, and a mutant that survives.
+# DESIGN.md §8 "Runtime backstops" maps rows to checks.
 set -uo pipefail
 root=$(cd "$(dirname "$0")/.." && pwd)
 tmp=$(mktemp -d)
@@ -76,5 +80,21 @@ mutant M10 internal/pdes/pdes.go $'\tfor w := 1; w < e.workers; w++ {\n\t\te.don
     'DATA RACE' "${race[@]}"
 mutant M11 internal/pdes/pdes.go $'\treturn cmp.Compare(x.Seq, y.Seq)\n' $'\treturn cmp.Compare(y.Seq, x.Seq)\n' \
     'diverged from Shards=1|cross-shard delivery|panic:' "${shards[@]}"
+
+# Lint rules. The two historical seed bugs, which pass go test: fig06's
+# per-run seed (the `_ = rng.Derive` keeps the import used) and jellyfish's
+# retry seed. Then a NIC enqueue whose refusal goes unhandled.
+mutant M12 internal/experiments/figures_click.go \
+    'cfg.Seed = int64(rng.Derive(uint64(o.Seed), fmt.Sprintf("experiments/fig06/run%d", run)))' \
+    $'cfg.Seed = o.Seed + int64(run)*7919\n\t\t\t_ = rng.Derive' \
+    'figures_click.go:[0-9]+:[0-9]+: rng-taint: ad-hoc seed arithmetic' go run ./cmd/dibslint ./internal/experiments
+mutant M13 internal/topology/topology.go 'spec, seed, attempt)' 'spec, seed+int64(attempt)*0x9E37, attempt)' \
+    'topology.go:[0-9]+:[0-9]+: rng-taint: ad-hoc seed arithmetic' go run ./cmd/dibslint ./internal/topology
+mutant M14 internal/host/host.go $'\tif r := h.NIC.Enqueue(p); !r.Accepted {\n\t\th.NICDrops++\n\t\tpacket.Free(p)\n\t}\n' \
+    $'\th.NIC.Enqueue(p)\n' 'sched-droppederr: queue.Result discarded' go run ./cmd/dibslint ./internal/host
+# Per-run state in a package variable: concurrent runs race on it.
+mutant M15 $sw $'func (s *Switch) drop(p *packet.Packet, reason DropReason) {\n' \
+    $'var dropCount uint64\n\nfunc (s *Switch) drop(p *packet.Packet, reason DropReason) {\n\tdropCount++\n' \
+    'DATA RACE' env GORACE=halt_on_error=1 go test -race -count=1 ./internal/runner
 
 exit $failed
