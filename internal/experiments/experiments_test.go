@@ -2,14 +2,12 @@ package experiments
 
 import (
 	"bytes"
+	"hash/fnv"
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 )
-
-func quickOpts() Opts {
-	return Opts{Seed: 3, Scale: 0.05}
-}
 
 func TestRegistryComplete(t *testing.T) {
 	want := []string{
@@ -85,24 +83,49 @@ func TestOptsScaling(t *testing.T) {
 	}
 }
 
-// Smoke-run every registered experiment at a tiny scale: tables render,
-// rows are present, and no NaN-only series appear where data must exist.
+// goldenOutput is the FNV-64a of each experiment's rendered tables followed
+// by its Opts.Log stream at Seed 3, Scale 0.05: everything cmd/figures -v
+// shows. A refactor of the experiments must leave every value unchanged.
+var goldenOutput = map[string]uint64{
+	"cioq":     0xa47673648a6f5f80,
+	"dba":      0x18df876b29826280,
+	"delack":   0x33a69247fe3cc86f,
+	"dupack":   0xdbcf84795e9fb589,
+	"fair":     0xbc2518bae9e37fac,
+	"fig01":    0x9164952a623b7aa8,
+	"fig02":    0x82502b6b9d1c9223,
+	"fig04":    0x4ef1b92aa8e1437f,
+	"fig05":    0x09a0e84de1448c5c,
+	"fig06":    0xf55654d1c37ea34b,
+	"fig07":    0x78da8d12c3b703c6,
+	"fig08":    0x2c3499348013b929,
+	"fig09":    0xc8c591d36f1dd6a2,
+	"fig10":    0xb7c1874124df72d1,
+	"fig11":    0xf54e057f9fb26546,
+	"fig12":    0xa91bc4f374ff0956,
+	"fig13":    0xee8add5131c0a468,
+	"fig14":    0xcf14325d7802dc64,
+	"fig15":    0x0b1fab654ae4f888,
+	"fig16":    0x723ad9edbc7328b5,
+	"minrto":   0x62608f2cc9341bf4,
+	"oversub":  0xcfe85ebdada3bd3e,
+	"pfc":      0x1780da08d7381a48,
+	"policies": 0xf2b89ba15d35f53f,
+	"spray":    0xd28780f0a684ead5,
+	"topos":    0x87905dbfa6ae1277,
+}
+
+// Smoke-run every registered experiment at a tiny scale: tables carry
+// metadata and render, and the output equals its golden fingerprint
+// (asserted on amd64 only, like the netsim goldens: other architectures
+// may fuse multiply-adds, which moves low-order float bits).
 func TestAllExperimentsSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment smoke tests are slow")
 	}
-	heavy := map[string]bool{
-		// These sweep extreme workloads; exercised separately below with
-		// reduced scope via the registry entry itself.
-		"fig14": true, "fig15": true, "fig05": true, "fig04": true,
-	}
 	for _, e := range All() {
-		if heavy[e.ID] {
-			continue
-		}
-		e := e
 		t.Run(e.ID, func(t *testing.T) {
-			tables := e.Run(quickOpts())
+			text, logs, tables := renderAll(t, e.ID, 0)
 			if len(tables) == 0 {
 				t.Fatalf("%s produced no tables", e.ID)
 			}
@@ -110,11 +133,14 @@ func TestAllExperimentsSmoke(t *testing.T) {
 				if tb.ID == "" || tb.Title == "" {
 					t.Fatalf("%s: table missing metadata", e.ID)
 				}
-				var buf bytes.Buffer
-				tb.Render(&buf)
-				if buf.Len() == 0 {
-					t.Fatalf("%s: empty render", tb.ID)
-				}
+			}
+			if runtime.GOARCH != "amd64" {
+				return
+			}
+			h := fnv.New64a()
+			h.Write([]byte(text + logs))
+			if got, want := h.Sum64(), goldenOutput[e.ID]; got != want {
+				t.Errorf("%s: output fingerprint %#x, want %#x; output:\n%s%s", e.ID, got, want, text, logs)
 			}
 		})
 	}

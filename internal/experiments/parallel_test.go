@@ -6,9 +6,10 @@ import (
 	"testing"
 )
 
-// renderAll runs one experiment and returns the rendered tables plus the
-// full log stream — everything a user of cmd/figures can observe.
-func renderAll(t *testing.T, id string, workers int) (tables, logs string) {
+// renderAll runs one experiment at Seed 3, Scale 0.05 and returns the
+// rendered tables plus the full log stream — everything a user of
+// cmd/figures can observe — and the tables themselves.
+func renderAll(t *testing.T, id string, workers int) (text, logs string, tables []*Table) {
 	t.Helper()
 	e, ok := ByID(id)
 	if !ok {
@@ -24,10 +25,11 @@ func renderAll(t *testing.T, id string, workers int) (tables, logs string) {
 		},
 	}
 	var tabBuf bytes.Buffer
-	for _, tab := range e.Run(o) {
+	tables = e.Run(o)
+	for _, tab := range tables {
 		tab.Render(&tabBuf)
 	}
-	return tabBuf.String(), logBuf.String()
+	return tabBuf.String(), logBuf.String(), tables
 }
 
 // TestParallelMatchesSerial is the runner's determinism contract, end to
@@ -41,9 +43,9 @@ func TestParallelMatchesSerial(t *testing.T) {
 	}
 	for _, id := range []string{"fig08", "fig12", "fig06", "fig07"} {
 		t.Run(id, func(t *testing.T) {
-			serialTab, serialLog := renderAll(t, id, 1)
+			serialTab, serialLog, _ := renderAll(t, id, 1)
 			for _, workers := range []int{2, 4} {
-				parTab, parLog := renderAll(t, id, workers)
+				parTab, parLog, _ := renderAll(t, id, workers)
 				if parTab != serialTab {
 					t.Errorf("workers=%d: tables differ from serial\n--- serial ---\n%s\n--- workers=%d ---\n%s",
 						workers, serialTab, workers, parTab)
