@@ -18,6 +18,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"strings"
 	"time"
@@ -52,7 +53,12 @@ func run() int {
 		return 0
 	}
 
-	// Reject bad input before anything runs.
+	// Reject bad input, naming the flag, before anything runs: the header
+	// printed below must describe the run that actually happens.
+	reject := func(format string, args ...any) int {
+		fmt.Fprintf(os.Stderr, format+"\n", args...)
+		return 2
+	}
 	var exps []experiments.Experiment
 	switch {
 	case *all:
@@ -62,8 +68,7 @@ func run() int {
 			id = strings.TrimSpace(id)
 			e, ok := experiments.ByID(id)
 			if !ok {
-				fmt.Fprintf(os.Stderr, "unknown experiment %q (use -list)\n", id)
-				return 1
+				return reject("-fig: unknown experiment %q (use -list)", id)
 			}
 			exps = append(exps, e)
 		}
@@ -71,11 +76,13 @@ func run() int {
 		flag.Usage()
 		return 2
 	}
-	switch *format {
-	case "text", "json", "csv":
-	default:
-		fmt.Fprintf(os.Stderr, "unknown format %q\n", *format)
-		return 2
+	switch {
+	case *format != "text" && *format != "json" && *format != "csv":
+		return reject("-format: unknown format %q", *format)
+	case *seed == 0:
+		return reject("-seed: must be non-zero")
+	case !(*scale > 0) || math.IsInf(*scale, 1):
+		return reject("-scale: must be a positive finite number, got %g", *scale)
 	}
 
 	stopProf, err := prof.Start(*cpuProf, *memProf)

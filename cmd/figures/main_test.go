@@ -18,22 +18,36 @@ func TestCLI(t *testing.T) {
 		t.Fatalf("building figures: %v\n%s", err, out)
 	}
 
-	// Bad input is rejected before any experiment runs: nothing on stdout,
-	// no "[fig09 done ...]" on stderr, and no profile left behind.
+	// Bad input is rejected with exit status 2 and the offending flag named,
+	// before any experiment runs: nothing on stdout, no "[... done ...]" on
+	// stderr, and no profile left behind. A scale or seed the run would not
+	// use is bad input too, since the header would print it.
 	prof := filepath.Join(dir, "cpu.prof")
-	for _, args := range [][]string{
-		{"-fig", "fig09", "-format", "xml"},
-		{"-fig", "fig09,bogus"},
+	for _, row := range []struct {
+		args []string
+		flag string
+	}{
+		{[]string{"-fig", "fig09", "-format", "xml"}, "-format"},
+		{[]string{"-fig", "fig09,bogus"}, "-fig"},
+		{[]string{"-fig", "delack", "-scale", "0"}, "-scale"},
+		{[]string{"-fig", "delack", "-scale", "NaN"}, "-scale"},
+		{[]string{"-fig", "delack", "-scale", "+Inf"}, "-scale"},
+		{[]string{"-fig", "delack", "-seed", "0"}, "-seed"},
+		{[]string{"-fig", "delack", "-scale", "-1", "-seed", "0"}, "-seed"},
 	} {
+		args := row.args
 		var stdout, stderr bytes.Buffer
 		cmd := exec.Command(bin, append(args, "-cpuprofile", prof)...)
 		cmd.Stdout, cmd.Stderr = &stdout, &stderr
 		err := cmd.Run()
 		var exit *exec.ExitError
-		if !errors.As(err, &exit) {
-			t.Errorf("%v: want a non-zero exit, got %v", args, err)
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+			t.Errorf("%v: want exit status 2, got %v", args, err)
 		}
-		if stdout.Len() != 0 || strings.Contains(stderr.String(), "[fig09 done") {
+		if !strings.Contains(stderr.String(), row.flag) {
+			t.Errorf("%v: rejection does not name %s: %q", args, row.flag, stderr.String())
+		}
+		if stdout.Len() != 0 || strings.Contains(stderr.String(), " done in ") {
 			t.Errorf("%v: ran an experiment before rejecting the input\nstdout: %s\nstderr: %s", args, stdout.String(), stderr.String())
 		}
 		if _, err := os.Stat(prof); err == nil {

@@ -3,6 +3,16 @@
 // more Tables — the numeric series behind the corresponding plot — plus
 // notes recording the qualitative claim the series should exhibit.
 //
+// Most experiments are one-axis sweeps over the paper's default setup and
+// are declared as data: a sweep value in sweeps.go names the axis settings,
+// the compared arms (usually DCTCP vs DCTCP+DIBS) and, per table, which
+// metric of which arm fills each column. To add one, append a sweep to
+// that list; the shared executor declares the points, runs them through
+// the worker pool and reduces the results. An experiment stays a plain
+// function when its tables need more than the per-point *Results: fig01
+// and fig02 read a traced *Network, fig04 and fig05 read per-window
+// monitors, and fig06 aggregates a grid of seeds.
+//
 // Absolute milliseconds differ from the paper (its testbed constants are
 // not fully specified); the shapes — who wins, by what factor, where the
 // crossover or breaking point falls — are the reproduction target and are
@@ -32,16 +42,6 @@ type Opts struct {
 	// GOMAXPROCS, 1 forces the serial reference path. Results and log
 	// lines are identical for every value — see internal/runner.
 	Workers int
-	// Shards sets the conservative-PDES shard count for every run
-	// (<=1 sequential); results are byte-identical for any value.
-	Shards int
-	// Mode, when non-empty, overrides the simulation mode ("packet",
-	// "fluid" or "hybrid") for every run. Unlike Shards this CAN
-	// change results: fluid and hybrid trade per-packet fidelity for
-	// speed (DESIGN §9). Experiments whose configs a non-packet mode
-	// cannot express (query fan-in, tracing, PFC, ...) fail fast in
-	// netsim.Config.Validate.
-	Mode netsim.SimMode
 	// Log, when non-nil, receives progress lines.
 	Log func(format string, args ...any)
 }
@@ -210,17 +210,6 @@ func (o *Opts) paperConfig(base eventq.Time) netsim.Config {
 	return cfg
 }
 
-// run executes one configuration, logging a one-line summary.
-func (o *Opts) run(label string, cfg netsim.Config) *netsim.Results {
-	cfg.Shards = o.Shards
-	if o.Mode != "" {
-		cfg.Mode = o.Mode
-	}
-	r := netsim.Build(cfg).Run()
-	o.logf("%-40s %s", label, r)
-	return r
-}
-
 // point is one independent run of a sweep: a label plus a frozen Config.
 // Sweeps declare their full point list up front and hand it to runPoints,
 // which is what lets the runner execute them on several cores.
@@ -229,28 +218,13 @@ type point struct {
 	cfg   netsim.Config
 }
 
-// bothArms appends the DIBS-off and DIBS-on arms of one sweep setting, the
-// common shape of the paper's figures.
-func bothArms(points []point, label string, cfg netsim.Config) []point {
-	cfg.DIBS = false
-	points = append(points, point{label + "/dctcp", cfg})
-	cfg.DIBS = true
-	points = append(points, point{label + "/dibs", cfg})
-	return points
-}
-
 // runPoints executes the declared points — in parallel when o.Workers
 // allows — and returns results in point order. Each run is a pure function
 // of its Config, and log lines are emitted after collection in point
 // order, so output is byte-identical for every worker count.
 func (o *Opts) runPoints(points []point) []*netsim.Results {
 	results := runner.Map(o.Workers, len(points), func(i int) *netsim.Results {
-		cfg := points[i].cfg
-		cfg.Shards = o.Shards
-		if o.Mode != "" {
-			cfg.Mode = o.Mode
-		}
-		return netsim.Build(cfg).Run()
+		return netsim.Build(points[i].cfg).Run()
 	})
 	for i, r := range results {
 		o.logf("%-40s %s", points[i].label, r)
