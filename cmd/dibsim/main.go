@@ -52,7 +52,7 @@ func main() {
 		repeat   = flag.Int("repeat", 1, "repeat the run over seeds seed..seed+N-1 and aggregate")
 		workers  = flag.Int("workers", 0, "parallel runs for -repeat (0 = GOMAXPROCS, 1 = serial); output is identical for any value")
 		events   = flag.String("events", "", "write a JSONL event trace to this file")
-		confIn   = flag.String("config", "", "load a JSON config file (flags apply on top where set)")
+		confIn   = flag.String("config", "", "load a JSON config file that fully describes the run (no tuning flag may be set with it; -events, -dumpconfig, -repeat, -workers and the profile flags still apply)")
 		confOut  = flag.String("dumpconfig", "", "write the effective JSON config to this file and exit")
 		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf  = flag.String("memprofile", "", "write a heap profile to this file at exit")
@@ -70,8 +70,18 @@ func main() {
 
 	cfg := dibs.DefaultConfig()
 	if *confIn != "" {
-		// Pure config mode: the JSON file fully describes the run and the
-		// tuning flags are ignored (only -events/-dumpconfig still apply).
+		// Pure config mode: the JSON file fully describes the run, so a
+		// tuning flag set next to it would be silently ignored.
+		var tuning []string
+		flag.Visit(func(f *flag.Flag) {
+			if !configModeFlags[f.Name] {
+				tuning = append(tuning, "-"+f.Name)
+			}
+		})
+		if len(tuning) > 0 {
+			fmt.Fprintf(os.Stderr, "%s cannot be combined with -config, whose file describes the whole run\n", strings.Join(tuning, ", "))
+			os.Exit(2)
+		}
 		data, err := os.ReadFile(*confIn)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "reading config: %v\n", err)
@@ -137,23 +147,20 @@ func runRepeat(cfg dibs.Config, repeat, workers int) {
 	fmt.Fprintf(os.Stderr, "[wall %.1fs]\n", time.Since(start).Seconds())
 }
 
-// exitIfInvalid turns the panic Build would raise on an inconsistent
-// configuration into the one-line reason and exit status 2. Validate panics
-// with a "netsim: ..." string; any other panic is a bug and keeps its trace.
+// configModeFlags are the flags that still apply with -config: they say
+// what to do with the run, not what the run is.
+var configModeFlags = map[string]bool{
+	"config": true, "events": true, "dumpconfig": true, "repeat": true,
+	"workers": true, "cpuprofile": true, "memprofile": true,
+}
+
+// exitIfInvalid prints every reason Validate gives for refusing cfg, one
+// "netsim: ..." line each, and exits with status 2.
 func exitIfInvalid(cfg dibs.Config) {
-	defer func() {
-		r := recover()
-		if r == nil {
-			return
-		}
-		msg, ok := r.(string)
-		if !ok || !strings.HasPrefix(msg, "netsim:") {
-			panic(r)
-		}
-		fmt.Fprintln(os.Stderr, msg)
+	if err := cfg.Validate(); err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
-	}()
-	cfg.Validate()
+	}
 }
 
 // flags bundles the command-line tuning knobs.
@@ -193,33 +200,9 @@ func applyFlags(cfg *dibs.Config, f flags) {
 	cfg.Oversub = f.oversub
 	cfg.BufferPkts = f.buffer
 	cfg.MarkAtPkts = f.markAt
-	switch f.bufMode {
-	case "droptail":
-		cfg.Buffer = dibs.BufferDropTail
-	case "infinite":
-		cfg.Buffer = dibs.BufferInfinite
-	case "shared":
-		cfg.Buffer = dibs.BufferShared
-	case "pfabric":
-		cfg.Buffer = dibs.BufferPFabric
-	default:
-		fmt.Fprintf(os.Stderr, "unknown buffer mode %q\n", f.bufMode)
-		os.Exit(2)
-	}
+	cfg.Buffer = dibs.BufferMode(f.bufMode) // Validate names an unknown mode or policy
 	cfg.DIBS = f.useDIBS
-	switch f.policy {
-	case "random":
-		cfg.Policy = dibs.PolicyRandom
-	case "load-aware":
-		cfg.Policy = dibs.PolicyLoadAware
-	case "flow-based":
-		cfg.Policy = dibs.PolicyFlowBased
-	case "probabilistic":
-		cfg.Policy = dibs.PolicyProbabilistic
-	default:
-		fmt.Fprintf(os.Stderr, "unknown policy %q\n", f.policy)
-		os.Exit(2)
-	}
+	cfg.Policy = dibs.DetourPolicy(f.policy)
 	switch f.tp {
 	case "dctcp":
 		cfg.Transport = dibs.DCTCP
@@ -257,17 +240,7 @@ func applyFlags(cfg *dibs.Config, f flags) {
 	cfg.PacketSpray = f.spray
 	cfg.DelayedAck = f.delack
 	cfg.Shards = f.shards
-	switch f.mode {
-	case "packet":
-		cfg.Mode = dibs.ModePacket
-	case "fluid":
-		cfg.Mode = dibs.ModeFluid
-	case "hybrid":
-		cfg.Mode = dibs.ModeHybrid
-	default:
-		fmt.Fprintf(os.Stderr, "unknown mode %q\n", f.mode)
-		os.Exit(2)
-	}
+	cfg.Mode = dibs.SimMode(f.mode)
 }
 
 func runIt(cfg dibs.Config, confOut, events string) {

@@ -31,35 +31,69 @@ func TestCLI(t *testing.T) {
 	}
 	t.Run("InvalidConfigExitsWithReason", func(t *testing.T) { testInvalidConfigExitsWithReason(t, run) })
 	t.Run("RemovedEngineOption", func(t *testing.T) { testRemovedEngineOption(t, run) })
+	t.Run("ConfigRefusesTuningFlags", func(t *testing.T) { testConfigRefusesTuningFlags(t, run) })
 }
 
 type runFunc func(t *testing.T, args ...string) (int, string, string)
 
 // testInvalidConfigExitsWithReason pins the CLI's rejection path: a config
-// Validate refuses ends the process with status 2 and the one-line reason,
-// not a goroutine dump, whether it came from flags or a file and whether
-// one run or several were asked for.
+// Validate refuses ends the process with status 2 and one "netsim: ..."
+// line per violation, not a goroutine dump, whether it came from flags or a
+// file and whether one run or several were asked for. That includes
+// geometry and workload bounds the topology and workload constructors
+// would otherwise panic on.
 func testInvalidConfigExitsWithReason(t *testing.T, run runFunc) {
-	bad := filepath.Join(t.TempDir(), "bad.json")
-	if err := os.WriteFile(bad, []byte(`{"TTL": 1}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	for _, args := range [][]string{
-		{"-config", bad},
-		{"-config", bad, "-repeat", "2"},
-		{"-mode", "hybrid", "-spray"},
-		{"-mode", "hybrid", "-spray", "-repeat", "2"},
-	} {
-		code, stdout, stderr := run(t, args...)
-		if code != 2 {
-			t.Errorf("%v: exit %d, want 2", args, code)
+	dir := t.TempDir()
+	file := func(name, json string) string {
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, []byte(json), 0o644); err != nil {
+			t.Fatal(err)
 		}
-		if !strings.HasPrefix(stderr, "netsim: ") || strings.Count(stderr, "\n") != 1 {
-			t.Errorf("%v: stderr is not one netsim: line:\n%s", args, stderr)
+		return path
+	}
+	bad := file("bad.json", `{"TTL": 1}`)
+	for _, tc := range []struct {
+		args  []string
+		lines int    // one per violation
+		want  string // in stderr
+	}{
+		{[]string{"-config", bad}, 1, "TTL"},
+		{[]string{"-config", bad, "-repeat", "2"}, 1, "TTL"},
+		{[]string{"-mode", "hybrid", "-spray"}, 1, "PacketSpray"},
+		{[]string{"-mode", "hybrid", "-spray", "-repeat", "2"}, 1, "PacketSpray"},
+		{[]string{"-config", file("buffer.json", `{"Buffer": "foo"}`)}, 1, `unknown buffer mode "foo"`},
+		{[]string{"-config", file("transport.json", `{"Transport": 7}`)}, 1, "unknown transport"},
+		{[]string{"-config", file("k3.json", `{"FatTreeK": 3}`)}, 1, "fat-tree K"},
+		{[]string{"-k", "4"}, 1, "exceeds responder capacity 15"},
+		{[]string{"-config", file("two.json", `{"TTL": 1, "Duration": 0}`)}, 2, "duration"},
+		{[]string{"-bufmode", "foo"}, 1, `"foo"`},
+	} {
+		code, stdout, stderr := run(t, tc.args...)
+		if code != 2 {
+			t.Errorf("%v: exit %d, want 2", tc.args, code)
+		}
+		if strings.Count(stderr, "netsim: ") != tc.lines || strings.Count(stderr, "\n") != tc.lines ||
+			!strings.HasPrefix(stderr, "netsim: ") || !strings.Contains(stderr, tc.want) {
+			t.Errorf("%v: stderr is not %d netsim: line(s) naming %q:\n%s", tc.args, tc.lines, tc.want, stderr)
 		}
 		if strings.Contains(stderr, "goroutine") || stdout != "" {
-			t.Errorf("%v: unexpected output\nstdout: %s\nstderr: %s", args, stdout, stderr)
+			t.Errorf("%v: unexpected output\nstdout: %s\nstderr: %s", tc.args, stdout, stderr)
 		}
+	}
+}
+
+// testConfigRefusesTuningFlags pins that a config file is the whole run: a
+// tuning flag next to -config exits 2 naming it instead of being ignored,
+// while the flags that only say what to do with the run still apply.
+func testConfigRefusesTuningFlags(t *testing.T, run runFunc) {
+	fixture := filepath.Join("testdata", "dumpconfig_with_engine.json")
+	code, stdout, stderr := run(t, "-config", fixture, "-ttl", "1")
+	if code != 2 || !strings.Contains(stderr, "-ttl") || stdout != "" {
+		t.Errorf("-config with -ttl: exit %d\nstdout: %s\nstderr: %s", code, stdout, stderr)
+	}
+	out := filepath.Join(t.TempDir(), "out.json")
+	if code, _, stderr := run(t, "-config", fixture, "-dumpconfig", out); code != 0 {
+		t.Errorf("-config with -dumpconfig: exit %d\nstderr: %s", code, stderr)
 	}
 }
 

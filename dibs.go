@@ -140,11 +140,15 @@ const (
 func DefaultConfig() Config { return netsim.DefaultConfig() }
 
 // Build assembles the network described by cfg without running it, for
-// callers that start flows manually.
+// callers that start flows manually. Like Run, it panics with the error
+// cfg.Validate returns, which joins one "netsim: ..." error per violation;
+// callers handling outside input (a config file, flags) should call
+// cfg.Validate first and report its error instead.
 func Build(cfg Config) *Network { return netsim.Build(cfg) }
 
 // Run builds the network, runs the configured workloads for
-// cfg.Duration+cfg.Drain of virtual time, and returns the measurements.
+// cfg.Duration+cfg.Drain of virtual time, and returns the measurements. It
+// panics on a cfg that Validate rejects; see Build.
 func Run(cfg Config) *Results { return netsim.Build(cfg).Run() }
 
 // WebSearchBackground returns the background flow-size distribution used by

@@ -7,6 +7,7 @@ import (
 	"dibs/internal/eventq"
 	"dibs/internal/netsim"
 	"dibs/internal/topology"
+	"dibs/internal/trace"
 	"dibs/internal/workload"
 )
 
@@ -85,13 +86,14 @@ func fig02(o Opts) []*Table {
 		FlowsPerSender: 1,
 		Bytes:          20_000,
 	}
-	cfg.RecordTimeline = true
+	cfg.TraceEvents = true
 	cfg.BufferSamplePeriod = 250 * eventq.Microsecond
 	cfg.Duration = 10 * eventq.Millisecond
 	cfg.Drain = 500 * eventq.Millisecond
 	n := netsim.Build(cfg)
 	r := n.Run()
 	o.logf("fig02: %s", r)
+	detours := trace.Filter(n.Trace.Events(), func(e trace.Event) bool { return e.Kind == trace.KindDetour })
 
 	timeline := &Table{
 		ID:      "fig02a",
@@ -102,13 +104,13 @@ func fig02(o Opts) []*Table {
 	const bucket = 500 * eventq.Microsecond
 	counts := map[int][3]int{}
 	maxB := 0
-	for _, ev := range r.Collector.DetourTimeline {
+	for _, ev := range detours {
 		b := int(ev.T / bucket)
 		if b > maxB {
 			maxB = b
 		}
 		c := counts[b]
-		switch n.Topo.Node(ev.Switch).Layer {
+		switch n.Topo.Node(ev.Node).Layer {
 		case topology.LayerEdge:
 			c[0]++
 		case topology.LayerAggr:
@@ -135,9 +137,9 @@ func fig02(o Opts) []*Table {
 	target := hosts[len(hosts)-1]
 	pod := n.Topo.Node(n.Topo.Ports(target)[0].Peer).Pod
 	snaps := n.Buf.Snapshots
-	if len(snaps) > 0 && len(r.Collector.DetourTimeline) > 0 {
-		first := r.Collector.DetourTimeline[0].T
-		last := r.Collector.DetourTimeline[len(r.Collector.DetourTimeline)-1].T
+	if len(snaps) > 0 && len(detours) > 0 {
+		first := detours[0].T
+		last := detours[len(detours)-1].T
 		peak := first
 		best := 0
 		for b, c := range counts {

@@ -56,12 +56,6 @@ func (f *FlowInfo) Done() bool { return f.End > 0 }
 // FCT returns the flow completion time.
 func (f *FlowInfo) FCT() eventq.Time { return f.End - f.Start }
 
-// DetourEvent is one detour decision, for the Figure 2a timeline.
-type DetourEvent struct {
-	T      eventq.Time
-	Switch packet.NodeID
-}
-
 type queryState struct {
 	remaining int
 	start     eventq.Time
@@ -96,10 +90,6 @@ type Collector struct {
 	// class (§5.4.1: >90% of detoured packets belong to query traffic).
 	Detours        uint64
 	DetoursByClass [numClasses]uint64
-
-	// RecordTimeline enables the DetourTimeline (Figure 2a).
-	RecordTimeline bool
-	DetourTimeline []DetourEvent
 
 	// MaxDetours tracks the worst detour count over delivered data
 	// packets, and BestTrace the path of that packet when tracing was on
@@ -146,9 +136,6 @@ func (c *Collector) onDetour(node packet.NodeID, p *packet.Packet, desired, chos
 	c.Detours++
 	if f, ok := c.flows[p.Flow]; ok {
 		c.DetoursByClass[f.Class]++
-	}
-	if c.RecordTimeline {
-		c.DetourTimeline = append(c.DetourTimeline, DetourEvent{T: c.sched.Now(), Switch: node})
 	}
 }
 
@@ -267,7 +254,6 @@ func (c *Collector) MergeFrom(o *Collector) {
 		c.MaxDetours = o.MaxDetours
 		c.BestTrace = append(c.BestTrace[:0], o.BestTrace...)
 	}
-	c.DetourTimeline = append(c.DetourTimeline, o.DetourTimeline...)
 
 	// Indexed fill + sort: the iteration order of the source map never
 	// reaches the merged state.

@@ -99,7 +99,6 @@ func TestFlowDoneIdempotent(t *testing.T) {
 func TestHookCounters(t *testing.T) {
 	sched := eventq.NewScheduler()
 	c := NewCollector(sched)
-	c.RecordTimeline = true
 	c.FlowStarted(1, ClassQuery, 1000, -1)
 	c.FlowStarted(2, ClassBackground, 1000, -1)
 	h := c.Hooks()
@@ -117,9 +116,6 @@ func TestHookCounters(t *testing.T) {
 	}
 	if c.Detours != 2 || c.DetoursByClass[ClassQuery] != 2 {
 		t.Fatal("detour counters")
-	}
-	if len(c.DetourTimeline) != 2 || c.DetourTimeline[1].Switch != 6 {
-		t.Fatalf("timeline = %v", c.DetourTimeline)
 	}
 }
 

@@ -4,8 +4,8 @@
 package netsim
 
 import (
+	"errors"
 	"fmt"
-	"strings"
 
 	"dibs/internal/eventq"
 	"dibs/internal/transport"
@@ -203,15 +203,13 @@ type Config struct {
 	Long *LongFlows
 
 	// --- instrumentation ---
-	RecordTimeline bool
 	// TraceEveryNth attaches a path trace to every Nth data packet
 	// (0 disables tracing).
 	TraceEveryNth int
 	// TraceEvents records a structured event log (drops, detours,
-	// deliveries, flow/query lifecycle) on Network.Trace, capped at
-	// TraceEventCap events (0 = 1M).
-	TraceEvents   bool
-	TraceEventCap int
+	// deliveries, flow/query lifecycle) on Network.Trace, capped at 1M
+	// events.
+	TraceEvents bool
 	// UtilWindow enables the link-utilization monitor (Figure 4);
 	// 0 disables.
 	UtilWindow eventq.Time
@@ -264,7 +262,7 @@ type Config struct {
 	// count. 0 or 1 selects the plain sequential engine; values above the
 	// switch count are clamped. Shards > 1 rejects the run-global
 	// instrumentation that would need cross-shard ordering (event/packet
-	// tracing, detour timeline, util/buffer monitors) and PFC (whose
+	// tracing, util/buffer monitors) and PFC (whose
 	// pause control loop is tighter than the link-delay lookahead).
 	Shards int
 }
@@ -326,151 +324,166 @@ func DefaultConfig() Config {
 	}
 }
 
-// runGlobalInstrumentation names the enabled options that append to a
-// run-global ordered buffer: the ones neither shard workers nor
-// fluid-modeled flows can feed.
-func (c *Config) runGlobalInstrumentation() []string {
-	var on []string
-	if c.TraceEvents {
-		on = append(on, "TraceEvents")
+// hostCount is the number of hosts the topology c describes: what
+// len(Build(c).Topo.Hosts()) returns for any geometry Validate accepts.
+func (c *Config) hostCount() int {
+	switch c.Topo {
+	case TopoFatTree:
+		return c.FatTreeK * c.FatTreeK * c.FatTreeK / 4
+	case TopoClick:
+		return 6
+	case TopoLinear:
+		return c.LinearSwitches * c.LinearHostsPer
+	case TopoJellyfish:
+		return c.JellyfishSwitches * c.JellyfishHostsPer
+	case TopoHyperX:
+		return c.HyperXX * c.HyperXY * c.HyperXHostsPer
 	}
-	if c.TraceEveryNth > 0 {
-		on = append(on, "TraceEveryNth")
-	}
-	if c.RecordTimeline {
-		on = append(on, "RecordTimeline")
-	}
-	if c.UtilWindow > 0 {
-		on = append(on, "UtilWindow")
-	}
-	if c.BufferSamplePeriod > 0 {
-		on = append(on, "BufferSamplePeriod")
-	}
-	return on
+	return 0
 }
 
-// Validate panics on inconsistent configurations; Build calls it.
-func (c *Config) Validate() {
-	if c.LinkRate <= 0 {
-		panic("netsim: link rate must be positive")
+// option is a Config setting named the way a rejection reports it.
+type option struct {
+	name string
+	on   bool
+}
+
+// Validate returns one "netsim: ..." error per inconsistency in c, joined
+// with errors.Join, or nil. It is the only judge of a Config: Build panics
+// with its error.
+func (c *Config) Validate() error {
+	var errs []error
+	reject := func(violated bool, format string, args ...any) {
+		if violated {
+			errs = append(errs, fmt.Errorf("netsim: "+format, args...))
+		}
 	}
-	if c.Buffer == BufferDropTail && c.BufferPkts < 1 {
-		panic("netsim: droptail needs BufferPkts >= 1")
+	reject(c.LinkRate <= 0, "link rate must be positive")
+	switch c.Buffer {
+	case BufferDropTail, BufferPFabric:
+		reject(c.BufferPkts < 1, "%s needs BufferPkts >= 1", c.Buffer)
+	case BufferShared:
+		reject(c.SharedPoolPkts < 1, "shared buffer needs SharedPoolPkts >= 1")
+		reject(c.SharedAlpha <= 0, "shared buffer needs SharedAlpha > 0")
+	case BufferInfinite:
+	default:
+		reject(true, "unknown buffer mode %q", c.Buffer)
 	}
-	if c.Buffer == BufferPFabric && c.BufferPkts < 1 {
-		panic("netsim: pfabric needs BufferPkts >= 1")
-	}
-	if c.Buffer == BufferShared && c.SharedPoolPkts < 1 {
-		panic("netsim: shared buffer needs SharedPoolPkts >= 1")
-	}
-	if c.DIBS && c.Buffer == BufferPFabric {
-		panic("netsim: DIBS does not combine with pFabric queues")
-	}
+	reject(c.DIBS && c.Buffer == BufferPFabric, "DIBS does not combine with pFabric queues")
 	if c.PFC {
-		if c.DIBS {
-			panic("netsim: PFC and DIBS are alternative mechanisms; enable one")
-		}
-		if c.Buffer != BufferShared {
-			panic("netsim: PFC requires shared-buffer switches")
-		}
-		if c.PFCXon <= 0 || c.PFCXon >= c.PFCXoff {
-			panic("netsim: PFC requires 0 < PFCXon < PFCXoff")
+		reject(c.DIBS, "PFC and DIBS are alternative mechanisms; enable one")
+		reject(c.Buffer != BufferShared, "PFC requires shared-buffer switches")
+		reject(c.PFCXon <= 0 || c.PFCXon >= c.PFCXoff, "PFC requires 0 < PFCXon < PFCXoff")
+	}
+	// A named policy must exist even with DIBS off; DIBS on needs one.
+	if c.DIBS || c.Policy != "" {
+		switch c.Policy {
+		case PolicyRandom, PolicyLoadAware, PolicyFlowBased:
+		case PolicyProbabilistic:
+			reject(c.ProbabilisticStart <= 0 || c.ProbabilisticStart > 1, "ProbabilisticStart must be in (0,1]")
+		default:
+			reject(true, "unknown detour policy %q", c.Policy)
 		}
 	}
+	switch c.Transport {
+	case transport.DCTCP, transport.NewReno:
+		reject(c.MinRTO <= 0, "MinRTO must be positive")
+	case transport.PFabric: // fixed RTO; MinRTO is not used
+	default:
+		reject(true, "unknown transport variant %d", c.Transport)
+	}
+	reject(c.InitCwnd < 1, "InitCwnd must be >= 1")
 	switch c.BGDist {
 	case "", BGWebSearch, BGDataMining:
 	default:
-		panic(fmt.Sprintf("netsim: unknown background distribution %q", c.BGDist))
+		reject(true, "unknown background distribution %q", c.BGDist)
 	}
 	switch c.Arch {
 	case "", ArchOutputQueued:
 	case ArchCIOQ:
-		if c.PFC {
-			panic("netsim: PFC is implemented for output-queued switches only")
-		}
-		if c.Buffer != BufferDropTail {
-			panic("netsim: CIOQ uses dedicated drop-tail egress queues")
-		}
-		if c.CIOQIngressCap < 1 || c.CIOQSpeedup < 1 {
-			panic("netsim: CIOQ needs positive ingress capacity and speedup")
-		}
+		reject(c.PFC, "PFC is implemented for output-queued switches only")
+		reject(c.Buffer != BufferDropTail, "CIOQ uses dedicated drop-tail egress queues")
+		reject(c.CIOQIngressCap < 1 || c.CIOQSpeedup < 1, "CIOQ needs positive ingress capacity and speedup")
 	default:
-		panic(fmt.Sprintf("netsim: unknown switch architecture %q", c.Arch))
+		reject(true, "unknown switch architecture %q", c.Arch)
 	}
-	if c.Duration <= 0 {
-		panic("netsim: duration must be positive")
-	}
-	if c.TTL < 2 {
-		panic("netsim: TTL must be >= 2")
-	}
-	if c.HostQueuePkts < 1 {
-		panic("netsim: host queue must hold >= 1 packet")
-	}
-	if c.HostMarkAtPkts < 0 {
-		panic("netsim: HostMarkAtPkts must be >= 0 (0 disables NIC marking)")
-	}
-	if c.Shards < 0 {
-		panic("netsim: Shards must be >= 0")
+	reject(c.Duration <= 0, "duration must be positive")
+	reject(c.TTL < 2, "TTL must be >= 2")
+	reject(c.HostQueuePkts < 1, "host queue must hold >= 1 packet")
+	reject(c.HostMarkAtPkts < 0, "HostMarkAtPkts must be >= 0 (0 disables NIC marking)")
+	reject(c.Shards < 0, "Shards must be >= 0")
+
+	// The instrumentation that appends to a run-global ordered buffer:
+	// neither shard workers nor fluid-modeled flows can feed it.
+	runGlobal := []option{
+		{"TraceEvents", c.TraceEvents},
+		{"TraceEveryNth", c.TraceEveryNth > 0},
+		{"UtilWindow", c.UtilWindow > 0},
+		{"BufferSamplePeriod", c.BufferSamplePeriod > 0},
 	}
 	if c.Shards > 1 {
-		// Name every offending option at once, so fixing a sharded config
-		// is one edit instead of a panic-by-panic treasure hunt. The
-		// instrumentation options all share one reason: each appends to a
-		// run-global ordered buffer, which shard workers cannot feed
-		// without breaking the byte-identical-results guarantee.
-		if global := c.runGlobalInstrumentation(); len(global) > 0 {
-			panic(fmt.Sprintf("netsim: %s require Shards <= 1: run-global instrumentation appends to an ordered buffer no shard worker may share", strings.Join(global, ", ")))
+		// Shard workers cannot share such a buffer without breaking the
+		// byte-identical-results guarantee.
+		for _, o := range runGlobal {
+			reject(o.on, "%s requires Shards <= 1: run-global instrumentation appends to an ordered buffer no shard worker may share", o.name)
 		}
-		if c.PFC {
-			panic("netsim: PFC requires Shards <= 1: pause feedback reacts faster than the link-delay lookahead window")
-		}
-		if c.LinkDelay <= 0 {
-			panic("netsim: Shards > 1 needs a positive LinkDelay lookahead")
-		}
+		reject(c.PFC, "PFC requires Shards <= 1: pause feedback reacts faster than the link-delay lookahead window")
+		reject(c.LinkDelay <= 0, "Shards > 1 needs a positive LinkDelay lookahead")
 	}
 	switch c.Mode {
 	case "", ModePacket:
 	case ModeFluid, ModeHybrid:
-		// Mirror the sharding check: name every offending option at once.
 		// Each of these either observes per-packet state that fluid flows
 		// never generate (the instrumentation would silently misreport) or
 		// configures a mechanism the rate model does not fold into.
-		var bad []string
-		if c.Shards > 1 {
-			bad = append(bad, "Shards") // the engine is a run-global controller on one clock
+		for _, o := range append([]option{
+			{"Shards", c.Shards > 1},                      // the engine is a run-global controller on one clock
+			{"PFC", c.PFC},                                // pause state is not in the rate solver
+			{"Arch=cioq", c.Arch == ArchCIOQ},             // occupancy folds into OQ egress queues only
+			{"Buffer=pfabric", c.Buffer == BufferPFabric}, // a priority queue has no FIFO depth to fold into
+			{"PacketSpray", c.PacketSpray},                // fluid paths replicate flow-ECMP; sprayed traffic has no single path
+		}, runGlobal...) {
+			reject(o.on, "%s cannot combine with Mode=%s: fluid-modeled flows emit no packets for it to observe or control", o.name, c.Mode)
 		}
-		if c.PFC {
-			bad = append(bad, "PFC") // pause state is not in the rate solver
-		}
-		if c.Arch == ArchCIOQ {
-			bad = append(bad, "Arch=cioq") // occupancy folds into OQ egress queues only
-		}
-		if c.Buffer == BufferPFabric {
-			bad = append(bad, "Buffer=pfabric") // a priority queue has no FIFO depth to fold into
-		}
-		if c.PacketSpray {
-			bad = append(bad, "PacketSpray") // fluid paths replicate flow-ECMP; sprayed traffic has no single path
-		}
-		bad = append(bad, c.runGlobalInstrumentation()...)
-		if len(bad) > 0 {
-			panic(fmt.Sprintf("netsim: %s cannot combine with Mode=%s: fluid-modeled flows emit no packets for these to observe or control", strings.Join(bad, ", "), c.Mode))
-		}
-		if c.FluidTick < 0 || c.FluidStableWindows < 0 || c.FluidMinBytes < 0 || c.FluidPromoteFrac < 0 {
-			panic("netsim: fluid tunables must be >= 0 (0 selects the default)")
-		}
+		reject(c.FluidTick < 0 || c.FluidStableWindows < 0 || c.FluidMinBytes < 0 || c.FluidPromoteFrac < 0,
+			"fluid tunables must be >= 0 (0 selects the default)")
 	default:
-		panic(fmt.Sprintf("netsim: unknown simulation mode %q", c.Mode))
+		reject(true, "unknown simulation mode %q", c.Mode)
 	}
+
+	if q := c.Query; q != nil {
+		reject(q.QPS <= 0, "Query.QPS must be positive")
+		reject(q.Degree < 1, "Query.Degree must be >= 1")
+		reject(q.ResponseBytes <= 0, "Query.ResponseBytes must be positive")
+	}
+	beforeGeometry := len(errs)
 	switch c.Topo {
-	case TopoFatTree, TopoClick, TopoLinear, TopoJellyfish, TopoHyperX:
+	case TopoFatTree:
+		reject(c.FatTreeK < 2 || c.FatTreeK%2 != 0, "fat-tree K must be even and >= 2, got %d", c.FatTreeK)
+		reject(c.Oversub < 1, "Oversub must be >= 1, got %d", c.Oversub)
+	case TopoClick:
+	case TopoLinear:
+		reject(c.LinearSwitches < 1, "linear topology needs LinearSwitches >= 1")
+	case TopoJellyfish:
+		reject(c.JellyfishDegree >= c.JellyfishSwitches,
+			"jellyfish degree %d must be below its %d switches", c.JellyfishDegree, c.JellyfishSwitches)
+		reject(c.JellyfishSwitches*c.JellyfishDegree%2 != 0, "jellyfish needs an even JellyfishSwitches*JellyfishDegree")
+	case TopoHyperX:
+		reject(c.HyperXX < 1 || c.HyperXY < 1, "hyperx dimensions must be >= 1, got %dx%d", c.HyperXX, c.HyperXY)
 	default:
-		panic(fmt.Sprintf("netsim: unknown topology %q", c.Topo))
+		reject(true, "unknown topology %q", c.Topo)
 	}
-	if c.DIBS {
-		switch c.Policy {
-		case PolicyRandom, PolicyLoadAware, PolicyFlowBased, PolicyProbabilistic:
-		default:
-			panic(fmt.Sprintf("netsim: unknown detour policy %q", c.Policy))
+	// Workload bounds on the host count, which only a buildable geometry has.
+	if len(errs) == beforeGeometry {
+		hosts := c.hostCount()
+		if q := c.Query; q != nil {
+			capacity := (hosts - 1) * max(1, q.MaxFanInPerHost)
+			reject(q.Degree > capacity, "Query.Degree %d exceeds responder capacity %d of %d hosts", q.Degree, capacity, hosts)
 		}
+		if os := c.OneShot; os != nil {
+			reject(os.Senders >= hosts, "one-shot senders must leave a target host: %d senders, %d hosts", os.Senders, hosts)
+		}
+		reject(c.BGInterarrival > 0 && hosts < 2, "background traffic needs >= 2 hosts, got %d", hosts)
 	}
+	return errors.Join(errs...)
 }

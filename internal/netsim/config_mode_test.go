@@ -14,7 +14,7 @@ func TestValidateModeNamesOffenders(t *testing.T) {
 	cases := []struct {
 		name    string
 		mutate  func(c *Config)
-		want    []string // substrings the panic must contain
+		want    []string // substrings the error must contain
 		wantNot []string // options that are off and must not be blamed
 	}{
 		{
@@ -40,9 +40,8 @@ func TestValidateModeNamesOffenders(t *testing.T) {
 		{
 			name: "pfabric buffers",
 			mutate: func(c *Config) {
-				// DIBS off (and the matching transport on): DIBS+pFabric is
-				// invalid in any mode and trips its own check before the
-				// mode gate ever runs.
+				// DIBS off (and the matching transport on), so that the
+				// mode's is the only rejection.
 				c.DIBS = false
 				c.Buffer = BufferPFabric
 				c.Transport = transport.PFabric
@@ -64,12 +63,7 @@ func TestValidateModeNamesOffenders(t *testing.T) {
 			name:    "packet sampling",
 			mutate:  func(c *Config) { c.TraceEveryNth = 10 },
 			want:    []string{"TraceEveryNth"},
-			wantNot: []string{"TraceEvents,"},
-		},
-		{
-			name:   "timeline",
-			mutate: func(c *Config) { c.RecordTimeline = true },
-			want:   []string{"RecordTimeline"},
+			wantNot: []string{"TraceEvents "},
 		},
 		{
 			name:   "util monitor",
@@ -82,16 +76,13 @@ func TestValidateModeNamesOffenders(t *testing.T) {
 			want:   []string{"BufferSamplePeriod"},
 		},
 		{
-			// No Shards here: sharded instrumentation trips the sharding
-			// gate before the mode gate ever runs.
 			name: "everything at once",
 			mutate: func(c *Config) {
 				c.PacketSpray = true
 				c.TraceEvents = true
-				c.RecordTimeline = true
 				c.UtilWindow = 100
 			},
-			want: []string{"PacketSpray", "TraceEvents", "RecordTimeline", "UtilWindow"},
+			want: []string{"PacketSpray", "TraceEvents", "UtilWindow"},
 		},
 	}
 	for _, mode := range []SimMode{ModeFluid, ModeHybrid} {
@@ -100,21 +91,21 @@ func TestValidateModeNamesOffenders(t *testing.T) {
 				cfg := smallConfig()
 				cfg.Mode = mode
 				tc.mutate(&cfg)
-				msg := validatePanic(t, cfg)
+				msg := validateMsg(cfg)
 				if msg == "" {
 					t.Fatalf("Validate accepted Mode=%s with %s", mode, tc.name)
 				}
 				if !strings.Contains(msg, "Mode="+string(mode)) {
-					t.Errorf("panic %q does not name the mode", msg)
+					t.Errorf("error %q does not name the mode", msg)
 				}
 				for _, w := range tc.want {
 					if !strings.Contains(msg, w) {
-						t.Errorf("panic %q does not name %q", msg, w)
+						t.Errorf("error %q does not name %q", msg, w)
 					}
 				}
 				for _, w := range tc.wantNot {
 					if strings.Contains(msg, w) {
-						t.Errorf("panic %q blames %q, which is not set", msg, w)
+						t.Errorf("error %q blames %q, which is not set", msg, w)
 					}
 				}
 			})
@@ -126,7 +117,7 @@ func TestValidateModeAcceptsCleanAndPacketConfigs(t *testing.T) {
 	for _, mode := range []SimMode{"", ModePacket, ModeFluid, ModeHybrid} {
 		cfg := smallConfig()
 		cfg.Mode = mode
-		if msg := validatePanic(t, cfg); msg != "" {
+		if msg := validateMsg(cfg); msg != "" {
 			t.Fatalf("clean Mode=%q config rejected: %s", mode, msg)
 		}
 	}
@@ -135,22 +126,21 @@ func TestValidateModeAcceptsCleanAndPacketConfigs(t *testing.T) {
 	cfg := smallConfig()
 	cfg.Mode = ModePacket
 	cfg.TraceEvents = true
-	cfg.RecordTimeline = true
 	cfg.PacketSpray = true
-	if msg := validatePanic(t, cfg); msg != "" {
+	if msg := validateMsg(cfg); msg != "" {
 		t.Fatalf("packet-mode instrumentation rejected: %s", msg)
 	}
 	// Negative fluid tunables are nonsense in any fluid mode.
 	cfg = smallConfig()
 	cfg.Mode = ModeHybrid
 	cfg.FluidPromoteFrac = -1
-	if msg := validatePanic(t, cfg); !strings.Contains(msg, "fluid tunables") {
-		t.Fatalf("negative fluid tunable accepted (panic %q)", msg)
+	if msg := validateMsg(cfg); !strings.Contains(msg, "fluid tunables") {
+		t.Fatalf("negative fluid tunable accepted (error %q)", msg)
 	}
 	// Unknown modes fail closed.
 	cfg = smallConfig()
 	cfg.Mode = "quantum"
-	if msg := validatePanic(t, cfg); !strings.Contains(msg, "unknown simulation mode") {
-		t.Fatalf("unknown mode accepted (panic %q)", msg)
+	if msg := validateMsg(cfg); !strings.Contains(msg, "unknown simulation mode") {
+		t.Fatalf("unknown mode accepted (error %q)", msg)
 	}
 }

@@ -5,27 +5,22 @@ import (
 	"testing"
 )
 
-// validatePanic runs cfg.Validate and returns the panic message, or "" if
-// it returned normally.
-func validatePanic(t *testing.T, cfg Config) (msg string) {
-	t.Helper()
-	defer func() {
-		if r := recover(); r != nil {
-			msg = r.(string)
-		}
-	}()
-	cfg.Validate()
+// validateMsg returns the text of Validate's joined error, one violation
+// per line, or "" if cfg is valid.
+func validateMsg(cfg Config) string {
+	if err := cfg.Validate(); err != nil {
+		return err.Error()
+	}
 	return ""
 }
 
 // The sharding gate must name the specific offending options — all of
-// them at once for the run-global instrumentation family — not just
-// reject the config with a generic message.
+// them at once — not just reject the config with a generic message.
 func TestValidateShardingNamesOffenders(t *testing.T) {
 	cases := []struct {
 		name    string
 		mutate  func(c *Config)
-		want    []string // substrings the panic must contain
+		want    []string // substrings the error must contain
 		wantNot []string // options that are off and must not be blamed
 	}{
 		{
@@ -37,12 +32,7 @@ func TestValidateShardingNamesOffenders(t *testing.T) {
 			name:    "packet tracing",
 			mutate:  func(c *Config) { c.TraceEveryNth = 10 },
 			want:    []string{"TraceEveryNth"},
-			wantNot: []string{"TraceEvents,", "RecordTimeline"},
-		},
-		{
-			name:   "timeline",
-			mutate: func(c *Config) { c.RecordTimeline = true },
-			want:   []string{"RecordTimeline"},
+			wantNot: []string{"TraceEvents "},
 		},
 		{
 			name:   "util monitor",
@@ -59,11 +49,10 @@ func TestValidateShardingNamesOffenders(t *testing.T) {
 			mutate: func(c *Config) {
 				c.TraceEvents = true
 				c.TraceEveryNth = 10
-				c.RecordTimeline = true
 				c.UtilWindow = 100
 				c.BufferSamplePeriod = 100
 			},
-			want: []string{"TraceEvents", "TraceEveryNth", "RecordTimeline", "UtilWindow", "BufferSamplePeriod"},
+			want: []string{"TraceEvents", "TraceEveryNth", "UtilWindow", "BufferSamplePeriod"},
 		},
 		{
 			name: "pfc",
@@ -86,18 +75,18 @@ func TestValidateShardingNamesOffenders(t *testing.T) {
 			cfg := smallConfig()
 			cfg.Shards = 2
 			tc.mutate(&cfg)
-			msg := validatePanic(t, cfg)
+			msg := validateMsg(cfg)
 			if msg == "" {
 				t.Fatal("Validate accepted an unshardable config")
 			}
 			for _, w := range tc.want {
 				if !strings.Contains(msg, w) {
-					t.Errorf("panic %q does not name %q", msg, w)
+					t.Errorf("error %q does not name %q", msg, w)
 				}
 			}
 			for _, w := range tc.wantNot {
 				if strings.Contains(msg, w) {
-					t.Errorf("panic %q blames %q, which is not set", msg, w)
+					t.Errorf("error %q blames %q, which is not set", msg, w)
 				}
 			}
 		})
@@ -107,17 +96,16 @@ func TestValidateShardingNamesOffenders(t *testing.T) {
 func TestValidateShardingAcceptsCleanConfig(t *testing.T) {
 	cfg := smallConfig()
 	cfg.Shards = 4
-	if msg := validatePanic(t, cfg); msg != "" {
+	if msg := validateMsg(cfg); msg != "" {
 		t.Fatalf("clean sharded config rejected: %s", msg)
 	}
 	// The same options are fine unsharded.
 	cfg = smallConfig()
 	cfg.TraceEvents = true
-	cfg.RecordTimeline = true
 	cfg.DIBS = false
 	cfg.Buffer = BufferShared
 	cfg.PFC = true
-	if msg := validatePanic(t, cfg); msg != "" {
+	if msg := validateMsg(cfg); msg != "" {
 		t.Fatalf("unsharded instrumentation rejected: %s", msg)
 	}
 }

@@ -26,7 +26,6 @@ func determinismConfig() Config {
 	cfg.Seed = 424242
 	cfg.BGInterarrival = 10 * eventq.Millisecond
 	cfg.Query = &workload.QueryConfig{QPS: 400, Degree: 8, ResponseBytes: 20_000}
-	cfg.RecordTimeline = true
 	cfg.TraceEvents = true
 	cfg.TraceEveryNth = 7
 	cfg.UtilWindow = 5 * eventq.Millisecond
@@ -36,7 +35,7 @@ func determinismConfig() Config {
 
 // fingerprint serializes everything observable about a finished run into
 // one byte stream: the Results struct, every retained sample, every flow
-// record, the detour timeline, and the full structured event trace.
+// record, every detour decision, and the full structured event trace.
 func fingerprint(t *testing.T, n *Network, r *Results) []byte {
 	t.Helper()
 	var buf bytes.Buffer
@@ -73,8 +72,10 @@ func fingerprint(t *testing.T, n *Network, r *Results) []byte {
 	for _, f := range flows {
 		fmt.Fprintf(&buf, "flow %d %v %d %d %v %v\n", f.ID, f.Class, f.Bytes, f.QueryID, f.Start, f.End)
 	}
-	for _, d := range c.DetourTimeline {
-		fmt.Fprintf(&buf, "detour %v %d\n", d.T, d.Switch)
+	for _, d := range n.Trace.Events() {
+		if d.Kind == trace.KindDetour {
+			fmt.Fprintf(&buf, "detour %v %d\n", d.T, d.Node)
+		}
 	}
 
 	fmt.Fprintf(&buf, "executed %d\n", n.Sched.Executed())

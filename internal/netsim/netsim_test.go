@@ -7,6 +7,7 @@ import (
 	"dibs/internal/eventq"
 	"dibs/internal/metrics"
 	"dibs/internal/switching"
+	"dibs/internal/trace"
 	"dibs/internal/transport"
 	"dibs/internal/workload"
 )
@@ -45,6 +46,9 @@ func TestBuildTopologies(t *testing.T) {
 		n := Build(cfg)
 		if len(n.Topo.Hosts()) < 2 {
 			t.Fatalf("%s: too few hosts", cfg.Topo)
+		}
+		if got, want := cfg.hostCount(), len(n.Topo.Hosts()); got != want {
+			t.Fatalf("%s: hostCount %d, built %d hosts", cfg.Topo, got, want)
 		}
 		// Every node has a handler; switches and hosts are disjoint.
 		for _, hid := range n.Topo.Hosts() {
@@ -297,7 +301,7 @@ func TestMonitorsCollect(t *testing.T) {
 	cfg := smallConfig()
 	cfg.UtilWindow = 5 * eventq.Millisecond
 	cfg.BufferSamplePeriod = 5 * eventq.Millisecond
-	cfg.RecordTimeline = true
+	cfg.TraceEvents = true
 	cfg.OneShot = &OneShot{At: eventq.Millisecond, Senders: 12, FlowsPerSender: 2, Bytes: 20_000}
 	cfg.Duration = 30 * eventq.Millisecond
 	cfg.Drain = 100 * eventq.Millisecond
@@ -309,8 +313,8 @@ func TestMonitorsCollect(t *testing.T) {
 	if n.Buf == nil || len(n.Buf.Snapshots) == 0 {
 		t.Fatal("no buffer snapshots")
 	}
-	if r.Detours > 0 && len(r.Collector.DetourTimeline) == 0 {
-		t.Fatal("timeline empty despite detours")
+	if got := n.Trace.Count(trace.KindDetour); got != r.Detours {
+		t.Fatalf("trace holds %d detour events, results count %d", got, r.Detours)
 	}
 	// Hot-link analysis runs.
 	hf := n.Util.HotFractions(0.9)

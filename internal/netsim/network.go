@@ -75,9 +75,12 @@ func (r portRef) Receive(p *packet.Packet, port int) {
 	r.n.handlers[r.node].Receive(p, port)
 }
 
-// Build constructs the network described by cfg.
+// Build constructs the network described by cfg. It panics with
+// Validate's error when cfg is inconsistent.
 func Build(cfg Config) *Network {
-	cfg.Validate()
+	if err := cfg.Validate(); err != nil {
+		panic(err)
+	}
 	n := &Network{Cfg: cfg}
 	n.Topo = buildTopo(cfg)
 
@@ -97,7 +100,6 @@ func Build(cfg Config) *Network {
 	for i := range n.shards {
 		sc := &shardCtx{id: i, sched: eventq.NewScheduler(), pool: packet.NewPool()}
 		sc.coll = metrics.NewCollector(sc.sched)
-		sc.coll.RecordTimeline = cfg.RecordTimeline
 		n.shards[i] = sc
 	}
 	n.Sched = n.shards[0].sched
@@ -116,7 +118,7 @@ func Build(cfg Config) *Network {
 		hooksBy[i] = sc.coll.Hooks()
 	}
 	if cfg.TraceEvents {
-		n.Trace = trace.NewRecorder(cfg.TraceEventCap)
+		n.Trace = trace.NewRecorder(0)
 		inner := hooksBy[0] // Validate pinned Shards <= 1 for tracing
 		hooksBy[0] = &switching.Hooks{
 			OnDrop: func(node packet.NodeID, p *packet.Packet, reason switching.DropReason) {

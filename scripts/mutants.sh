@@ -4,7 +4,8 @@
 # score dibslint rules: M12 and M13 pass go test, so rng-taint is their only
 # catch; M14 (also failed by TestNICDropCounting) pins sched-droppederr's
 # queue.Result arm. M15 scores the race test that replaced the
-# mutable-globals rule.
+# mutable-globals rule. M16-M17 score the Validate error contract: a bare
+# cfg.Validate() compiles and accepts every config.
 # Each row plants one bug in a temp copy of the tree and names the check
 # that must catch it, with the output that proves it failed for the right
 # reason. A row whose source text no longer matches exactly once is an error
@@ -96,5 +97,13 @@ mutant M14 internal/host/host.go $'\tif r := h.NIC.Enqueue(p); !r.Accepted {\n\t
 mutant M15 $sw $'func (s *Switch) drop(p *packet.Packet, reason DropReason) {\n' \
     $'var dropCount uint64\n\nfunc (s *Switch) drop(p *packet.Packet, reason DropReason) {\n\tdropCount++\n' \
     'DATA RACE' env GORACE=halt_on_error=1 go test -race -count=1 ./internal/runner
+
+# Validate returns an error; dropping it lets any config through: Build
+# would run it, and dibsim would hand it to Build's panic.
+check=$'if err := cfg.Validate(); err != nil {\n\t\t'
+mutant M16 internal/netsim/network.go "$check"$'panic(err)\n\t}\n' $'cfg.Validate()\n' \
+    'network.go:[0-9]+:[0-9]+: sched-droppederr: Validate returns an error that is dropped' go run ./cmd/dibslint ./internal/netsim
+mutant M17 cmd/dibsim/main.go "$check"$'fmt.Fprintln(os.Stderr, err)\n\t\tos.Exit(2)\n\t}\n' $'cfg.Validate()\n' \
+    'stderr is not 1 netsim: line' go test -count=1 -run TestCLI ./cmd/dibsim
 
 exit $failed
