@@ -5,12 +5,15 @@
 // generators) advance exclusively by scheduling callbacks on a single
 // Scheduler. Events fire in (at, pri, seq) order: by time, then by an
 // explicit same-instant key (AtPri), then in FIFO order of scheduling,
-// which keeps runs deterministic for a fixed seed.
+// which keeps runs deterministic for a fixed seed. Seq and Passed let a
+// component keep a happening out of the queue and still order it: it
+// records the key the event would have had and later asks whether the run
+// has reached it (switching.OutPort's serialization completions).
 //
 // The priority structure is a hierarchical timing wheel (wheel.go): 4
 // cascading levels of 256 slots at a ~1µs tick, with a small sorted spill
 // list for events beyond the wheel horizon. Near-horizon events
-// (link-serialization completions, RTO timers) insert and fire in O(1).
+// (wire deliveries, RTO timers) insert and fire in O(1).
 //
 // The hot path is allocation-lean: popped and canceled events are recycled
 // through a per-Scheduler freelist, so a steady-state run allocates no new
@@ -164,6 +167,10 @@ type Scheduler struct {
 	executed uint64
 	running  bool
 	stopped  bool
+	// curPri and curSeq complete the running event's (now, pri, seq) key
+	// while Run executes it; Passed compares against that key.
+	curPri int64
+	curSeq uint64
 }
 
 // NewScheduler returns a scheduler with the clock at zero.
@@ -178,6 +185,23 @@ func (s *Scheduler) Len() int { return s.queued }
 
 // Executed returns the number of callbacks run so far.
 func (s *Scheduler) Executed() uint64 { return s.executed }
+
+// Seq returns the sequence number the next scheduled event will carry.
+// Together with Passed it lets a component keep a completion it never
+// schedules: record (at, Seq()) where the event would have been scheduled,
+// and ask Passed later whether it would have run by now.
+func (s *Scheduler) Seq() uint64 { return s.seq }
+
+// Passed reports whether an ordinary (pri 0) event at virtual time at,
+// carrying sequence number seq, would already have run — that is, whether
+// its (at, 0, seq) key is at or before the running event's. Outside Run
+// every instant up to Now() counts as passed, as after RunUntil(Now()).
+func (s *Scheduler) Passed(at Time, seq uint64) bool {
+	if at != s.now || !s.running {
+		return at <= s.now
+	}
+	return s.curPri > 0 || s.curSeq >= seq
+}
 
 // At schedules fn to run at absolute virtual time at. Scheduling in the past
 // panics: that is always a simulator bug, not a recoverable condition.

@@ -342,12 +342,12 @@ func (s *Scheduler) runWheel(limit Time) {
 					s.release(ev)
 					continue
 				}
-				at, fn := ev.at, ev.fn
+				at, pri, seq, fn := ev.at, ev.pri, ev.seq, ev.fn
 				// Recycle before running: fn may schedule and the node can
 				// serve the new event immediately; the old handle's gen is
 				// already stale.
 				s.release(ev)
-				s.now = at
+				s.now, s.curPri, s.curSeq = at, pri, seq
 				s.executed++
 				w.di = di
 				fn()

@@ -49,7 +49,7 @@ func (m *LinkUtilMonitor) Start() {
 	}
 	m.running = true
 	for i, p := range m.ports {
-		m.lastBusy[i] = p.Out.BusyTime
+		m.lastBusy[i] = p.Out.BusyTime()
 	}
 	m.sched.After(m.window, m.sample)
 }
@@ -57,11 +57,12 @@ func (m *LinkUtilMonitor) Start() {
 func (m *LinkUtilMonitor) sample() {
 	utils := make([]float64, len(m.ports))
 	for i, p := range m.ports {
-		busy := p.Out.BusyTime
+		busy := p.Out.BusyTime()
 		utils[i] = float64(busy-m.lastBusy[i]) / float64(m.window)
 		if utils[i] > 1 {
-			// A serialization that started in the previous window can
-			// land its whole busy time in this one; clamp.
+			// Busy time is credited when a serialization starts, so one
+			// that starts near the end of this window lands its whole
+			// time here while part of it falls in the next; clamp.
 			utils[i] = 1
 		}
 		m.lastBusy[i] = busy
@@ -145,8 +146,8 @@ func (b *BufferSampler) sample() {
 		Full: make([]bool, len(b.ports)),
 	}
 	for i, p := range b.ports {
-		s.Len[i] = p.Out.Q.Len()
-		s.Full[i] = p.Out.Q.Full()
+		s.Len[i] = p.Out.QueueLen()
+		s.Full[i] = p.Out.QueueFull()
 	}
 	b.Snapshots = append(b.Snapshots, s)
 	b.sched.After(b.period, b.sample)

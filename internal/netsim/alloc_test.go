@@ -77,3 +77,29 @@ func TestAllocationCeilings(t *testing.T) {
 		})
 	}
 }
+
+// TestEventsPerPacketCeiling pins the scheduler work a packet costs on the
+// default workload: executed events per pooled packet, seed by seed. Each
+// hop is one event — the wire delivery, which also clocks the transmitter
+// (switching.OutPort) — so the default workload sits near 6-7; a
+// serialization completion scheduled as an event of its own again would
+// put it near 13.
+func TestEventsPerPacketCeiling(t *testing.T) {
+	if testing.Short() {
+		t.Skip("five whole runs")
+	}
+	const ceiling = 8.0
+	for seed := int64(1); seed <= 5; seed++ {
+		cfg := DefaultConfig()
+		cfg.Duration = 50 * eventq.Millisecond
+		cfg.Drain = 50 * eventq.Millisecond
+		cfg.Seed = seed
+		n := Build(cfg)
+		r := n.Run()
+		perPkt := float64(n.Executed()) / float64(r.PoolBorrowed)
+		t.Logf("seed %d: %d events, %d packets: %.2f per packet", seed, n.Executed(), r.PoolBorrowed, perPkt)
+		if perPkt > ceiling {
+			t.Errorf("seed %d: %.2f events per packet, ceiling %.0f", seed, perPkt, ceiling)
+		}
+	}
+}

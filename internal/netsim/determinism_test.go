@@ -11,6 +11,7 @@ import (
 
 	"dibs/internal/eventq"
 	"dibs/internal/metrics"
+	"dibs/internal/switching"
 	"dibs/internal/trace"
 	"dibs/internal/workload"
 )
@@ -78,11 +79,24 @@ func fingerprint(t *testing.T, n *Network, r *Results) []byte {
 		}
 	}
 
-	fmt.Fprintf(&buf, "executed %d\n", n.Sched.Executed())
+	fmt.Fprintf(&buf, "executed %d\n", n.Sched.Executed()+serializations(n))
 	if err := trace.WriteJSONL(&buf, n.Trace.Events()); err != nil {
 		t.Fatalf("encoding trace: %v", err)
 	}
 	return buf.Bytes()
+}
+
+// serializations counts the serializations every transmitter completed.
+// The golden fingerprints were recorded when each completion was a
+// scheduler event of its own; the transmitter now completes them without
+// one (switching.OutPort), so the fingerprint's executed line adds them
+// back and keeps counting the same simulated steps. determinismConfig has
+// no clocked port (PFC or a shared buffer), whose completions still run as
+// events.
+func serializations(n *Network) uint64 {
+	var total uint64
+	n.eachPort(func(op *switching.OutPort) { total += op.TxPackets })
+	return total
 }
 
 // Absolute outputs, recorded when a 4-ary heap scheduler still shipped next

@@ -152,7 +152,7 @@ func (n *Network) buildFluid() {
 func (fs *fluidState) makeLink(op *switching.OutPort, standing, promote int) *fluid.Link {
 	l := &fluid.Link{
 		CapBps:        op.RateBps(),
-		QLen:          op.Q.Len,
+		QLen:          op.QueueLen,
 		PktBytes:      func() uint64 { return op.RxBytes },
 		SetFold:       op.SetFluid,
 		StandingPkts:  standing,

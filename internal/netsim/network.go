@@ -148,7 +148,9 @@ func Build(cfg Config) *Network {
 		}
 		op.SetDeliveryPri(linkPri(peer, peerPort))
 		if n.part[nid] != n.part[peer] {
-			op.SetRemote(n.makeEmit(n.shards[n.part[nid]], n.shards[n.part[peer]], peer, peerPort))
+			src := n.shards[n.part[nid]]
+			op.SetRemote(n.makeEmit(src, n.shards[n.part[peer]], peer, peerPort))
+			src.remote = append(src.remote, op)
 		}
 		return op
 	}
@@ -460,5 +462,25 @@ func (n *Network) Run() *Results {
 	} else {
 		n.runSharded(end)
 	}
+	// Transmitters start packets lazily (switching.OutPort): catch every
+	// port up to end so its queue and counters read as of the run's end.
+	n.eachPort((*switching.OutPort).Sync)
 	return n.results(end)
+}
+
+// eachPort calls fn on every transmitter: the host NICs, then the switch
+// ports.
+func (n *Network) eachPort(fn func(*switching.OutPort)) {
+	for _, h := range n.HostsByID {
+		if h != nil {
+			fn(h.NIC)
+		}
+	}
+	for _, sw := range n.Switches {
+		if sw != nil {
+			for _, op := range sw.Ports() {
+				fn(op)
+			}
+		}
+	}
 }

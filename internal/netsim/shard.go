@@ -7,6 +7,7 @@ import (
 	"dibs/internal/metrics"
 	"dibs/internal/packet"
 	"dibs/internal/pdes"
+	"dibs/internal/switching"
 	"dibs/internal/trace"
 	"dibs/internal/transport"
 )
@@ -41,6 +42,12 @@ type shardCtx struct {
 	// end-of-run stats aggregation (sums and Flow-sorted merges).
 	senders []*transport.Sender
 	longRx  []*transport.Receiver
+
+	// remote lists the shard's transmitters on cross-shard links. No local
+	// delivery clocks them, so each window ends by syncing them: every
+	// packet that started serializing inside the window is handed off at
+	// its barrier.
+	remote []*switching.OutPort
 }
 
 // inLink is the receiving end of one directed link whose transmitter
@@ -158,7 +165,13 @@ func (n *Network) lookahead() eventq.Time {
 // order, so each delivery pops the snapshot it was scheduled for.
 func (n *Network) runSharded(end eventq.Time) {
 	n.shardStats = pdes.Run(len(n.shards), n.lookahead(), end,
-		func(i int, limit eventq.Time) { n.shards[i].sched.RunUntil(limit) },
+		func(i int, limit eventq.Time) {
+			sh := n.shards[i]
+			sh.sched.RunUntil(limit)
+			for _, op := range sh.remote {
+				op.Sync()
+			}
+		},
 		func(i int) []pdes.Message {
 			sh := n.shards[i]
 			out := sh.outbox

@@ -144,10 +144,10 @@ func (s *CIOQSwitch) IsHostPort(port int) bool { return s.topo.IsHostPort(s.ID, 
 
 // QueueFull implements core.SwitchView. The §4 detour predicate is the
 // state of the dedicated egress queue.
-func (s *CIOQSwitch) QueueFull(port int) bool { return s.ports[port].Q.Full() }
+func (s *CIOQSwitch) QueueFull(port int) bool { return s.ports[port].QueueFull() }
 
 // QueueLen implements core.SwitchView.
-func (s *CIOQSwitch) QueueLen(port int) int { return s.ports[port].Q.Len() }
+func (s *CIOQSwitch) QueueLen(port int) int { return s.ports[port].QueueLen() }
 
 // QueueCap implements core.SwitchView.
 func (s *CIOQSwitch) QueueCap(port int) int {
@@ -175,7 +175,7 @@ func (s *CIOQSwitch) Receive(p *packet.Packet, inPort int) {
 
 	// §4 DIBS hook: the forwarding engine checks the desired egress queue
 	// and detours before the packet ever enters a VOQ.
-	if s.policy != nil && s.ports[desired].Q.Full() {
+	if s.policy != nil && s.ports[desired].QueueFull() {
 		d := s.policy.SelectDetour(s, p, desired, s.rng)
 		if d >= 0 {
 			p.Detours++
@@ -222,7 +222,7 @@ func (s *CIOQSwitch) transfer(out int) {
 		s.active[out] = false
 		return
 	}
-	if s.ports[out].Q.Full() {
+	if s.ports[out].QueueFull() {
 		s.sched.After(s.cellTime(packet.DefaultMTU), s.transferFns[out])
 		return
 	}
@@ -287,7 +287,7 @@ func (s *CIOQSwitch) QueuedPackets() int {
 		total += used
 	}
 	for _, op := range s.ports {
-		total += op.Q.Len()
+		total += op.QueueLen()
 	}
 	return total
 }

@@ -58,8 +58,8 @@ func TestBusyTimeAccounting(t *testing.T) {
 		op.Enqueue(&packet.Packet{Kind: packet.Data, PayloadBytes: 1460})
 	}
 	sched.Run()
-	if op.BusyTime != 60*eventq.Microsecond {
-		t.Fatalf("BusyTime = %v, want 60us", op.BusyTime)
+	if op.BusyTime() != 60*eventq.Microsecond {
+		t.Fatalf("BusyTime = %v, want 60us", op.BusyTime())
 	}
 	if op.TxPackets != 5 || op.TxBytes != 5*1500 {
 		t.Fatalf("tx counters: %d pkts, %d bytes", op.TxPackets, op.TxBytes)

@@ -1,7 +1,11 @@
 // Package switching models output-queued switches and the links between
 // nodes. Each output port owns a queue (any discipline from internal/queue)
 // and a transmitter that serializes one packet at a time at the link rate,
-// then delivers it to the peer after the propagation delay.
+// then delivers it to the peer after the propagation delay. A hop costs
+// one scheduler event, the delivery: the transmitter starts its next
+// packet when the port is next read or delivers, at the instant the
+// previous one finished (see OutPort), so every reader of a port goes
+// through its synced methods rather than the queue itself.
 //
 // The Switch forwarding path implements the paper's data plane: FIB lookup
 // with flow-level ECMP (§3), DCTCP ECN marking in the queue discipline,
@@ -82,6 +86,21 @@ type Hooks struct {
 
 // OutPort is one output port: a queue plus a store-and-forward transmitter
 // attached to a link.
+//
+// The transmitter has no completion event. When a packet starts
+// serializing, start computes when it reaches the far end and schedules
+// that delivery at once; the next packet starts on the port's next
+// advance, at the instant its predecessor's last bit left. Every reader of
+// the port's state advances it first, and so does every delivery on the
+// link — the delivery of packet k comes no earlier than k's serialization
+// end, where k+1 starts — so a start is always realized before anything
+// can observe it. The completion keeps the (at, 0, seq) key its event
+// would have carried, and the scheduler's Passed query orders it against
+// same-instant readers. Clocked ports, whose completions act on state
+// beyond their own queue, also arm a timer at each serialization end: a
+// port with OnDequeue set, and a shared-buffer queue (its pool couples the
+// switch's ports). A cross-shard link has no local delivery either; the
+// shard driver syncs it at the end of every window (see SetRemote).
 type OutPort struct {
 	sched    *eventq.Scheduler
 	Q        queue.Queue
@@ -89,7 +108,14 @@ type OutPort struct {
 	delay    eventq.Time
 	peer     Handler
 	peerPort int
+
+	// busy is set while the last started packet serializes: until
+	// (end, 0, endSeq), the key of its completion, has passed. endBytes is
+	// its wire size, counted into TxBytes when it completes.
 	busy     bool
+	end      eventq.Time
+	endSeq   uint64
+	endBytes int
 
 	// fluidDelay adds the fluid-modeled standing queue's waiting time to
 	// every delivery (hybrid mode, zero otherwise): a packet crossing a
@@ -117,6 +143,12 @@ type OutPort struct {
 	jitterMax eventq.Time
 	// lastArrival keeps deliveries FIFO under jitter.
 	lastArrival eventq.Time
+	// jitterDraw, prevArrival and delivery describe the last started
+	// packet — its jitter, the FIFO clamp it was scheduled under, and its
+	// delivery event — so that SetFluid can re-time it to a new fold.
+	jitterDraw  eventq.Time
+	prevArrival eventq.Time
+	delivery    eventq.Timer
 
 	// pri is the delivery ordering key for this link: every delivery event
 	// is scheduled with it, so same-instant arrivals across the whole
@@ -127,25 +159,26 @@ type OutPort struct {
 	pri int64
 
 	// remote, when set, replaces local delivery scheduling: the link's far
-	// end lives in another shard, so at serialization end the packet is
-	// snapshotted, its node returned to this shard's arena, and the
+	// end lives in another shard, so when a packet starts serializing it
+	// is snapshotted, its node returned to this shard's arena, and the
 	// snapshot handed to the shard driver stamped with its arrival time
 	// and link key.
 	remote func(at eventq.Time, pri int64, w packet.Wire)
+	// clocked marks a shared-buffer queue: its dequeues change what the
+	// switch's other ports admit, so each completion runs at its instant.
+	clocked bool
 
 	// paused stops the transmitter from starting new packets (Ethernet
 	// flow control); the in-flight serialization always completes.
 	paused bool
 
-	// current is the packet occupying the transmitter; inflight holds the
-	// packets on the wire (serialized, not yet delivered). Keeping them as
-	// port state lets the transmitter reuse the two callbacks below instead
-	// of closing over each packet. serDone/deliver are bound once at
-	// construction; per-packet closures were the hot path's top allocator.
-	current  *packet.Packet
+	// inflight holds the packets started and not yet delivered, in
+	// transmission order. deliver is bound once at construction, clock at
+	// a clocked port's first start; per-packet closures were the hot
+	// path's top allocator.
 	inflight pktRing
-	serDone  func()
 	deliver  func()
+	clock    func()
 	// OnEnqueue, when set, observes every accepted packet after it is
 	// queued but before the transmitter may pick it up; OnDequeue
 	// observes every packet leaving the queue for the wire. Ethernet
@@ -158,17 +191,17 @@ type OutPort struct {
 	PausedTime  eventq.Time
 	pausedSince eventq.Time
 
-	// TxPackets and TxBytes count fully transmitted packets. RxBytes
-	// counts bytes accepted into the queue — the port's offered packet
-	// load. The fluid layer measures packet demand from arrivals rather
-	// than service: a fold throttles the transmitter, so a service-based
-	// measure would under-report demand in exact proportion to the
-	// throttling and packet traffic could never reclaim bandwidth.
+	// TxPackets and TxBytes count fully transmitted packets (current after
+	// Sync). RxBytes counts bytes accepted into the queue — the port's
+	// offered packet load. The fluid layer measures packet demand from
+	// arrivals rather than service: a fold throttles the transmitter, so a
+	// service-based measure would under-report demand in exact proportion
+	// to the throttling and packet traffic could never reclaim bandwidth.
 	TxPackets uint64
 	TxBytes   uint64
 	RxBytes   uint64
-	// BusyTime accumulates serialization time, for utilization metrics.
-	BusyTime eventq.Time
+	// busyTime accumulates serialization time, for utilization metrics.
+	busyTime eventq.Time
 }
 
 // NewOutPort creates a port transmitting at rateBps with one-way
@@ -186,7 +219,7 @@ func InitOutPort(o *OutPort, sched *eventq.Scheduler, q queue.Queue, rateBps int
 		panic("switching: rate must be positive")
 	}
 	*o = OutPort{sched: sched, Q: q, rateBps: rateBps, delay: delay, peer: peer, peerPort: peerPort}
-	o.serDone = o.onSerDone
+	_, o.clocked = q.(*queue.SharedQueue)
 	o.deliver = o.onDeliver
 	return o
 }
@@ -209,8 +242,11 @@ func (o *OutPort) SetJitter(seed uint64, max eventq.Time) {
 func (o *OutPort) SetDeliveryPri(pri int64) { o.pri = pri }
 
 // SetRemote marks the link's far end as living in another scheduler shard:
-// instead of scheduling a local delivery event, serialized packets are
+// instead of scheduling a local delivery event, started packets are
 // snapshotted and handed to emit with their arrival time and link key.
+// Nothing local delivers on such a link, so the shard driver must Sync the
+// port at the end of every window: a start realized there is still a full
+// propagation delay ahead of the window it happened in.
 func (o *OutPort) SetRemote(emit func(at eventq.Time, pri int64, w packet.Wire)) {
 	o.remote = emit
 }
@@ -227,26 +263,41 @@ func (o *OutPort) RateBps() int64 { return o.rateBps }
 // SetFluid folds the fluid model's standing-queue delay into the port:
 // every delivery waits it on top of propagation (see fluidDelay for why
 // this — not a residual serialization rate — is the FIFO-faithful fold).
-// Pass 0 to clear.
+// A packet reads the fold when its last bit leaves, so the one still
+// serializing is re-timed, keeping its jitter draw and FIFO clamp. Pass 0
+// to clear.
 func (o *OutPort) SetFluid(standing eventq.Time) {
+	o.advance()
+	if standing == o.fluidDelay {
+		return
+	}
 	o.fluidDelay = standing
+	if o.busy && o.delivery.Cancel() {
+		at := max(o.end+o.delay+standing+o.jitterDraw, o.prevArrival)
+		o.lastArrival = at
+		o.delivery = o.sched.AtPri(at, o.pri, o.deliver)
+	}
 }
 
 // Enqueue offers p to the port's queue and starts the transmitter if idle.
 func (o *OutPort) Enqueue(p *packet.Packet) queue.Result {
+	o.advance()
 	r := o.Q.Enqueue(p)
 	if r.Accepted {
 		o.RxBytes += uint64(p.Size())
 		if o.OnEnqueue != nil {
 			o.OnEnqueue(p)
 		}
-		o.kick()
+		if !o.busy {
+			o.start(o.sched.Now())
+		}
 	}
 	return r
 }
 
 // SetPaused pauses or resumes the transmitter (Ethernet flow control).
 func (o *OutPort) SetPaused(paused bool) {
+	o.advance()
 	if o.paused == paused {
 		return
 	}
@@ -256,15 +307,62 @@ func (o *OutPort) SetPaused(paused bool) {
 		return
 	}
 	o.PausedTime += o.sched.Now() - o.pausedSince
-	o.kick()
+	if !o.busy {
+		o.start(o.sched.Now())
+	}
 }
 
 // Paused reports whether the transmitter is flow-control paused.
 func (o *OutPort) Paused() bool { return o.paused }
 
-// kick starts transmitting the head-of-queue packet if the port is idle.
-func (o *OutPort) kick() {
-	if o.busy || o.paused {
+// QueueLen returns the number of packets waiting behind the transmitter.
+func (o *OutPort) QueueLen() int {
+	o.advance()
+	return o.Q.Len()
+}
+
+// QueueFull reports whether the queue would refuse a packet now.
+func (o *OutPort) QueueFull() bool {
+	o.advance()
+	return o.Q.Full()
+}
+
+// BusyTime returns the serialization time of every packet started so far,
+// for utilization metrics.
+func (o *OutPort) BusyTime() eventq.Time {
+	o.advance()
+	return o.busyTime
+}
+
+// InFlight counts packets started but not yet delivered (for conservation
+// checks). A cross-shard link hands each packet off when it starts, so its
+// count is always 0.
+func (o *OutPort) InFlight() int {
+	o.advance()
+	return o.inflight.n
+}
+
+// Sync catches the transmitter up to the current instant, so that the
+// exported counters read what an event-driven transmitter would show.
+func (o *OutPort) Sync() { o.advance() }
+
+// advance completes every serialization whose end has passed and starts
+// the next queued packet at that end, exactly where the completion event
+// would have run.
+func (o *OutPort) advance() {
+	for o.busy && o.sched.Passed(o.end, o.endSeq) {
+		o.busy = false
+		o.TxPackets++
+		o.TxBytes += uint64(o.endBytes)
+		o.start(o.end)
+	}
+}
+
+// start begins serializing the head-of-queue packet at virtual time t —
+// now, or the end of the predecessor an advance is catching up on — and
+// schedules its arrival at the far end.
+func (o *OutPort) start(t eventq.Time) {
+	if o.paused {
 		return
 	}
 	p := o.Q.Dequeue()
@@ -274,25 +372,24 @@ func (o *OutPort) kick() {
 	if o.OnDequeue != nil {
 		o.OnDequeue(p)
 	}
-	o.busy = true
-	o.current = p
 	ser := o.SerializationTime(p.Size())
-	o.BusyTime += ser
-	o.sched.After(ser, o.serDone)
-}
-
-// onSerDone fires when the current packet's last bit leaves the
-// transmitter: put it on the wire and start the next one.
-func (o *OutPort) onSerDone() {
-	p := o.current
-	o.current = nil
-	o.busy = false
-	o.TxPackets++
-	o.TxBytes += uint64(p.Size())
-	at := o.sched.Now() + o.delay + o.fluidDelay
-	if o.jitterMax > 0 {
-		at += eventq.Time(o.jitter.Int63n(int64(o.jitterMax)))
+	o.busyTime += ser
+	o.busy = true
+	o.end = t + ser
+	o.endSeq = o.sched.Seq()
+	o.endBytes = p.Size()
+	if o.clocked || o.OnDequeue != nil {
+		if o.clock == nil {
+			o.clock = o.advance
+		}
+		o.sched.At(o.end, o.clock)
 	}
+	o.jitterDraw = 0
+	if o.jitterMax > 0 {
+		o.jitterDraw = eventq.Time(o.jitter.Int63n(int64(o.jitterMax)))
+	}
+	at := o.end + o.delay + o.fluidDelay + o.jitterDraw
+	o.prevArrival = o.lastArrival
 	if at < o.lastArrival {
 		at = o.lastArrival // keep the link FIFO under jitter
 	}
@@ -306,7 +403,6 @@ func (o *OutPort) onSerDone() {
 		w := p.Snapshot()
 		packet.Free(p)
 		o.remote(at, o.pri, w)
-		o.kick()
 		return
 	}
 	// Deliveries are scheduled in nondecreasing time (the FIFO clamp above)
@@ -314,24 +410,14 @@ func (o *OutPort) onSerDone() {
 	// the wire ring pops in push order and onDeliver always dequeues the
 	// right packet.
 	o.inflight.push(p)
-	o.sched.AtPri(at, o.pri, o.deliver)
-	o.kick()
+	o.delivery = o.sched.AtPri(at, o.pri, o.deliver)
 }
 
-// onDeliver fires when the oldest in-flight packet reaches the peer.
+// onDeliver fires when the oldest in-flight packet reaches the peer; it is
+// also the transmitter's clock.
 func (o *OutPort) onDeliver() {
-	p := o.inflight.pop()
-	o.peer.Receive(p, o.peerPort)
-}
-
-// InFlight counts packets serialized but not yet delivered, plus the one
-// occupying the transmitter (for conservation checks).
-func (o *OutPort) InFlight() int {
-	n := o.inflight.n
-	if o.current != nil {
-		n++
-	}
-	return n
+	o.advance()
+	o.peer.Receive(o.inflight.pop(), o.peerPort)
 }
 
 // pktRing is a never-shrinking power-of-two FIFO ring holding the packets
@@ -360,7 +446,7 @@ func (r *pktRing) push(p *packet.Packet) {
 
 func (r *pktRing) pop() *packet.Packet {
 	if r.n == 0 {
-		return nil
+		panic("switching: delivery with no packet in flight")
 	}
 	p := r.buf[r.head]
 	r.buf[r.head] = nil
@@ -434,10 +520,10 @@ func (s *Switch) NumPorts() int { return len(s.ports) }
 func (s *Switch) IsHostPort(port int) bool { return s.topo.IsHostPort(s.ID, port) }
 
 // QueueFull implements core.SwitchView.
-func (s *Switch) QueueFull(port int) bool { return s.ports[port].Q.Full() }
+func (s *Switch) QueueFull(port int) bool { return s.ports[port].QueueFull() }
 
 // QueueLen implements core.SwitchView.
-func (s *Switch) QueueLen(port int) int { return s.ports[port].Q.Len() }
+func (s *Switch) QueueLen(port int) int { return s.ports[port].QueueLen() }
 
 // QueueCap implements core.SwitchView.
 func (s *Switch) QueueCap(port int) int {
@@ -471,7 +557,7 @@ func (s *Switch) Receive(p *packet.Packet, inPort int) {
 	}
 
 	// §7 probabilistic policies may detour before the queue is full.
-	if s.early != nil && !s.ports[desired].Q.Full() &&
+	if s.early != nil && !s.ports[desired].QueueFull() &&
 		s.early.ShouldDetourEarly(s, p, desired, s.rng) {
 		if d := s.policy.SelectDetour(s, p, desired, s.rng); d >= 0 {
 			s.detour(p, desired, d)
@@ -553,7 +639,7 @@ func (s *Switch) TotalDrops() uint64 {
 func (s *Switch) QueuedPackets() int {
 	total := 0
 	for _, op := range s.ports {
-		total += op.Q.Len()
+		total += op.QueueLen()
 	}
 	return total
 }

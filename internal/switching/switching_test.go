@@ -54,8 +54,8 @@ func TestOutPortTiming(t *testing.T) {
 	if op.TxPackets != 1 || op.TxBytes != 1500 {
 		t.Fatalf("tx counters: %d pkts %d bytes", op.TxPackets, op.TxBytes)
 	}
-	if op.BusyTime != 12000 {
-		t.Fatalf("busy time = %v", op.BusyTime)
+	if op.BusyTime() != 12000 {
+		t.Fatalf("busy time = %v", op.BusyTime())
 	}
 }
 

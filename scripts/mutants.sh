@@ -5,7 +5,9 @@
 # catch; M14 (also failed by TestNICDropCounting) pins sched-droppederr's
 # queue.Result arm. M15 scores the race test that replaced the
 # mutable-globals rule. M16-M17 score the Validate error contract: a bare
-# cfg.Validate() compiles and accepts every config.
+# cfg.Validate() compiles and accepts every config. M18-M19 score the
+# delivery-clocked transmitter: a queue view that reads the port without
+# catching it up, and a completion tie ordered after its own instant.
 # Each row plants one bug in a temp copy of the tree and names the check
 # that must catch it, with the output that proves it failed for the right
 # reason. A row whose source text no longer matches exactly once is an error
@@ -105,5 +107,15 @@ mutant M16 internal/netsim/network.go "$check"$'panic(err)\n\t}\n' $'cfg.Validat
     'network.go:[0-9]+:[0-9]+: sched-droppederr: Validate returns an error that is dropped' go run ./cmd/dibslint ./internal/netsim
 mutant M17 cmd/dibsim/main.go "$check"$'fmt.Fprintln(os.Stderr, err)\n\t\tos.Exit(2)\n\t}\n' $'cfg.Validate()\n' \
     'stderr is not 1 netsim: line' go test -count=1 -run TestCLI ./cmd/dibsim
+
+# Delivery-clocked transmitter (switching.OutPort): the switch's queue view
+# reads a port that has not caught up on its own completions, so a detour
+# sees a neighbor full that has already drained; the completion tie rule
+# orders a serialization end after the event sitting on its own key.
+mutant M18 $sw 'func (s *Switch) QueueFull(port int) bool { return s.ports[port].QueueFull() }' \
+    'func (s *Switch) QueueFull(port int) bool { return s.ports[port].Q.Full() }' \
+    'output fingerprint 0x[0-9a-f]+, want' go test -count=1 -run 'TestAllExperimentsSmoke/^fig01$' ./internal/experiments
+mutant M19 internal/eventq/eventq.go 's.curSeq >= seq' 's.curSeq > seq' \
+    'zero-delay delivery at the serialization end' go test -count=1 -run TestOutPortSameInstantOrder ./internal/switching
 
 exit $failed
