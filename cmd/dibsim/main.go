@@ -34,7 +34,7 @@ func main() {
 		bufMode  = flag.String("bufmode", "droptail", "buffer mode: droptail|infinite|shared|pfabric")
 		markAt   = flag.Int("markat", 20, "DCTCP ECN marking threshold (packets, 0=off)")
 		useDIBS  = flag.Bool("dibs", true, "enable DIBS detouring")
-		policy   = flag.String("policy", "random", "detour policy: random|load-aware|flow-based|probabilistic")
+		policy   = flag.String("policy", "random", "detour policy: random|load-aware|flow-based|probabilistic (probabilistic needs -transport pfabric, whose packets carry priorities)")
 		tp       = flag.String("transport", "dctcp", "transport: dctcp|newreno|pfabric")
 		ttl      = flag.Int("ttl", 255, "initial packet TTL")
 		dupack   = flag.Int("dupack", 0, "dup-ack threshold (0 disables fast retransmit)")

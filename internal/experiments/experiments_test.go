@@ -110,7 +110,7 @@ var goldenOutput = map[string]uint64{
 	"minrto":   0x62608f2cc9341bf4,
 	"oversub":  0xcfe85ebdada3bd3e,
 	"pfc":      0x1780da08d7381a48,
-	"policies": 0xf2b89ba15d35f53f,
+	"policies": 0x856df14f3b4e67b7,
 	"spray":    0xd28780f0a684ead5,
 	"topos":    0x87905dbfa6ae1277,
 }

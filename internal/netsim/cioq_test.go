@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"dibs/internal/eventq"
-	"dibs/internal/switching"
 )
 
 func cioqConfig() Config {
@@ -30,10 +29,6 @@ func TestCIOQNetworkCompletesIncast(t *testing.T) {
 	}
 	if r.Detours == 0 {
 		t.Fatal("expected §4 forwarding-engine detours")
-	}
-	// The switch table holds CIOQ nodes.
-	if _, ok := n.Switches[n.Topo.Switches()[0]].(*switching.CIOQSwitch); !ok {
-		t.Fatal("expected CIOQSwitch nodes")
 	}
 	if queuedPackets(n) != 0 {
 		t.Fatal("packets stuck in VOQs after drain")

@@ -93,7 +93,8 @@ const (
 	PolicyLoadAware DetourPolicy = "load-aware"
 	// PolicyFlowBased pins each flow's detours to one port (§7).
 	PolicyFlowBased DetourPolicy = "flow-based"
-	// PolicyProbabilistic detours low-priority packets early (§7).
+	// PolicyProbabilistic detours low-priority packets early (§7). It needs
+	// priority-tagged traffic, i.e. Transport=pfabric.
 	PolicyProbabilistic DetourPolicy = "probabilistic"
 )
 
@@ -381,6 +382,7 @@ func (c *Config) Validate() error {
 		case PolicyRandom, PolicyLoadAware, PolicyFlowBased:
 		case PolicyProbabilistic:
 			reject(c.ProbabilisticStart <= 0 || c.ProbabilisticStart > 1, "ProbabilisticStart must be in (0,1]")
+			reject(c.Transport != transport.PFabric, "Policy=probabilistic needs Transport=pfabric: it detours early only packets with a nonzero priority, which only pFabric tags, so on any other transport it runs as plain random")
 		default:
 			reject(true, "unknown detour policy %q", c.Policy)
 		}

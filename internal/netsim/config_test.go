@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"dibs/internal/eventq"
+	"dibs/internal/transport"
 	"dibs/internal/workload"
 )
 
@@ -49,8 +50,11 @@ func TestValidateRejectsWhatBuildCannotBuild(t *testing.T) {
 		{"zero min RTO", func(c *Config) { c.MinRTO = 0 }, "MinRTO must be positive"},
 		{"zero initial window", func(c *Config) { c.InitCwnd = 0 }, "InitCwnd must be >= 1"},
 		{"zero shared alpha", func(c *Config) { c.Buffer = BufferShared; c.SharedAlpha = 0 }, "SharedAlpha > 0"},
-		{"probabilistic past full", func(c *Config) { c.Policy = PolicyProbabilistic; c.ProbabilisticStart = 1.5 },
-			"ProbabilisticStart must be in (0,1]"},
+		{"probabilistic past full", func(c *Config) {
+			c.Policy, c.Transport, c.ProbabilisticStart = PolicyProbabilistic, transport.PFabric, 1.5
+		}, "ProbabilisticStart must be in (0,1]"},
+		{"probabilistic without priorities", func(c *Config) { c.Policy = PolicyProbabilistic },
+			"Policy=probabilistic needs Transport=pfabric"},
 		{"unknown policy without DIBS", func(c *Config) { c.DIBS = false; c.Policy = "psychic" }, `unknown detour policy "psychic"`},
 		{"odd fat-tree", func(c *Config) { c.FatTreeK = 3 }, "fat-tree K must be even and >= 2, got 3"},
 		{"zero oversub", func(c *Config) { c.Oversub = 0 }, "Oversub must be >= 1"},

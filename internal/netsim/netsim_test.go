@@ -365,6 +365,9 @@ func TestDetourPoliciesAllRun(t *testing.T) {
 	for _, pol := range []DetourPolicy{PolicyRandom, PolicyLoadAware, PolicyFlowBased, PolicyProbabilistic} {
 		cfg := smallConfig()
 		cfg.Policy = pol
+		if pol == PolicyProbabilistic {
+			cfg.Transport = transport.PFabric // the only priority-tagged traffic
+		}
 		cfg.OneShot = &OneShot{At: eventq.Millisecond, Senders: 12, FlowsPerSender: 2, Bytes: 20_000}
 		cfg.Duration = 30 * eventq.Millisecond
 		cfg.Drain = 300 * eventq.Millisecond

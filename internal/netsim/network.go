@@ -29,10 +29,8 @@ type Network struct {
 	// emit is borrowed from its shard's arena and returned on a terminal
 	// path (cross-shard hops re-home the packet, see packet.Wire).
 	Pool *packet.Pool
-	// Switches is indexed by node ID (nil entries for hosts); entries are
-	// *switching.Switch (output-queued) or *switching.CIOQSwitch per
-	// Config.Arch.
-	Switches []switching.Node
+	// Switches is indexed by node ID (nil entries for hosts).
+	Switches []*switching.Switch
 	// HostsByID is indexed by node ID (nil entries for switches).
 	HostsByID []*host.Host
 	Collector *metrics.Collector
@@ -107,7 +105,7 @@ func Build(cfg Config) *Network {
 	n.Collector = n.shards[0].coll
 
 	nn := n.Topo.NumNodes()
-	n.Switches = make([]switching.Node, nn)
+	n.Switches = make([]*switching.Switch, nn)
 	n.HostsByID = make([]*host.Host, nn)
 	n.handlers = make([]switching.Handler, nn)
 
@@ -218,22 +216,14 @@ func Build(cfg Config) *Network {
 		// strconv, not Sprintf: same stream name, so the derived seed (and
 		// every golden) is unchanged, without the printf machinery per switch.
 		swRng := rng.New(cfg.Seed, "switch/"+strconv.Itoa(int(sid)))
-		hooks := hooksBy[n.part[sid]]
-		var node switching.Node
+		sw := switching.NewSwitch(sid, n.Topo, ports, n.makePolicy(), swRng, hooksBy[n.part[sid]])
+		sw.MarkDetours = cfg.MarkAtPkts > 0
+		sw.PacketSpray = cfg.PacketSpray
 		if cfg.Arch == ArchCIOQ {
-			sw := switching.NewCIOQSwitch(sid, n.Topo, sh.sched, ports,
-				switching.CIOQConfig{IngressCap: cfg.CIOQIngressCap, Speedup: cfg.CIOQSpeedup},
-				n.makePolicy(), swRng, hooks)
-			sw.MarkDetours = cfg.MarkAtPkts > 0
-			node = sw
-		} else {
-			sw := switching.NewSwitch(sid, n.Topo, ports, n.makePolicy(), swRng, hooks)
-			sw.MarkDetours = cfg.MarkAtPkts > 0
-			sw.PacketSpray = cfg.PacketSpray
-			node = sw
+			sw.EnableCIOQ(sh.sched, switching.CIOQConfig{IngressCap: cfg.CIOQIngressCap, Speedup: cfg.CIOQSpeedup})
 		}
-		n.Switches[sid] = node
-		n.handlers[sid] = node
+		n.Switches[sid] = sw
+		n.handlers[sid] = sw
 	}
 
 	if cfg.PFC {
@@ -252,11 +242,7 @@ func Build(cfg Config) *Network {
 func (n *Network) enablePFC() {
 	for _, sid := range n.Topo.Switches() {
 		sid := sid
-		sw, ok := n.Switches[sid].(*switching.Switch)
-		if !ok {
-			panic("netsim: PFC requires output-queued switches")
-		}
-		sw.EnablePFC(switching.PFCConfig{
+		n.Switches[sid].EnablePFC(switching.PFCConfig{
 			Xoff: n.Cfg.PFCXoff,
 			Xon:  n.Cfg.PFCXon,
 			Pause: func(inPort int, paused bool) {
@@ -277,9 +263,7 @@ func (n *Network) enablePFC() {
 func (n *Network) PFCPauses() uint64 {
 	var total uint64
 	for _, sid := range n.Topo.Switches() {
-		if sw, ok := n.Switches[sid].(*switching.Switch); ok {
-			total += sw.PFCPausesSent()
-		}
+		total += n.Switches[sid].PFCPausesSent()
 	}
 	return total
 }

@@ -1,22 +1,18 @@
 package switching
 
-// Combined input/output queued (CIOQ) switch, the §4 alternative
-// architecture: arriving packets wait in per-(input,output) virtual output
+// Combined input/output queued (CIOQ) ingress stage, the §4 alternative
+// architecture: forwarded packets wait in per-(input,output) virtual output
 // queues (VOQs) drawn from a per-input ingress buffer; a crossbar with
-// configurable speedup transfers them to small dedicated egress queues.
-// DIBS slots into the forwarding engine exactly as §4 describes: "when a
-// packet arrives at an input port, the forwarding engine determines its
-// output port; if the desired output queue is full, [it] can detour the
-// packet to another output port."
+// configurable speedup transfers them to the switch's egress ports, which
+// become small dedicated output queues. The forwarding decision stays the
+// Switch's own, as §4 describes: "when a packet arrives at an input port,
+// the forwarding engine determines its output port; if the desired output
+// queue is full, [it] can detour the packet to another output port."
 
 import (
-	"fmt"
-	"math/rand"
-
 	"dibs/internal/core"
 	"dibs/internal/eventq"
 	"dibs/internal/packet"
-	"dibs/internal/topology"
 )
 
 // CIOQConfig sizes the CIOQ data path.
@@ -62,15 +58,12 @@ func (q *voq) pop() *packet.Packet {
 	return p
 }
 
-// CIOQSwitch is an input/output-queued switch.
-type CIOQSwitch struct {
-	ID    packet.NodeID
-	topo  *topology.Topology
+// cioqStage is the VOQ buffer and crossbar between a CIOQ switch's
+// forwarding engine and its egress ports.
+type cioqStage struct {
 	sched *eventq.Scheduler
 	cfg   CIOQConfig
-
-	// egress ports: small dedicated output queues plus transmitters.
-	ports []*OutPort
+	ports []*OutPort // the egress queues the crossbar feeds
 
 	voqs        [][]voq // voqs[input][output]
 	ingressUsed []int
@@ -79,135 +72,49 @@ type CIOQSwitch struct {
 	// transferFns caches one self-rescheduling closure per output so the
 	// crossbar loop does not allocate a fresh closure per packet.
 	transferFns []func()
-
-	policy      core.Policy
-	MarkDetours bool
-	rng         *rand.Rand
-	seed        uint64
-	hooks       *Hooks
-
-	// Counters.
-	Drops     [NumDropReasons]uint64
-	Detours   uint64
-	RxPackets uint64
-	// IngressDrops counts packets lost to ingress-buffer overflow (a
-	// failure mode output-queued switches do not have).
-	IngressDrops uint64
 }
 
-// NewCIOQSwitch builds a CIOQ switch for node id. ports are the egress
-// transmitters (small queues). policy may be nil.
-func NewCIOQSwitch(id packet.NodeID, topo *topology.Topology, sched *eventq.Scheduler,
-	ports []*OutPort, cfg CIOQConfig, policy core.Policy, rng *rand.Rand, hooks *Hooks) *CIOQSwitch {
+// EnableCIOQ turns the switch into a CIOQ switch: forwarded packets wait in
+// VOQs and cross a crossbar to the egress ports. Must be called before any
+// traffic. The forwarding decision is unchanged except that the switch
+// hashes flows with its own ECMP seed and detours at a full egress queue
+// before the packet enters a VOQ (see Receive).
+func (s *Switch) EnableCIOQ(sched *eventq.Scheduler, cfg CIOQConfig) {
 	cfg.validate()
-	if len(ports) != len(topo.Ports(id)) {
-		panic(fmt.Sprintf("switching: CIOQ switch %d has %d ports, topology says %d",
-			id, len(ports), len(topo.Ports(id))))
+	if s.pfc != nil {
+		panic("switching: PFC is implemented for output-queued switches only")
 	}
-	n := len(ports)
-	s := &CIOQSwitch{
-		ID:          id,
-		topo:        topo,
+	n := len(s.ports)
+	c := &cioqStage{
 		sched:       sched,
 		cfg:         cfg,
-		ports:       ports,
+		ports:       s.ports,
 		voqs:        make([][]voq, n),
 		ingressUsed: make([]int, n),
 		rr:          make([]int, n),
 		active:      make([]bool, n),
-		policy:      policy,
-		rng:         rng,
-		seed:        core.FlowHash(packet.FlowID(id), 0xC109) | 1,
-		hooks:       hooks,
+		transferFns: make([]func(), n),
 	}
-	for i := range s.voqs {
-		s.voqs[i] = make([]voq, n)
+	for i := range c.voqs {
+		c.voqs[i] = make([]voq, n)
 	}
-	s.transferFns = make([]func(), n)
-	for out := range s.transferFns {
+	for out := range c.transferFns {
 		out := out
-		s.transferFns[out] = func() { s.transfer(out) }
+		c.transferFns[out] = func() { c.transfer(out) }
 	}
-	return s
+	s.cioq = c
+	s.seed = core.FlowHash(packet.FlowID(s.ID), 0xC109) | 1
 }
 
-// Ports exposes the egress ports (for monitors).
-func (s *CIOQSwitch) Ports() []*OutPort { return s.ports }
-
-// --- core.SwitchView over the egress queues ---
-
-// NumPorts implements core.SwitchView.
-func (s *CIOQSwitch) NumPorts() int { return len(s.ports) }
-
-// IsHostPort implements core.SwitchView.
-func (s *CIOQSwitch) IsHostPort(port int) bool { return s.topo.IsHostPort(s.ID, port) }
-
-// QueueFull implements core.SwitchView. The §4 detour predicate is the
-// state of the dedicated egress queue.
-func (s *CIOQSwitch) QueueFull(port int) bool { return s.ports[port].QueueFull() }
-
-// QueueLen implements core.SwitchView.
-func (s *CIOQSwitch) QueueLen(port int) int { return s.ports[port].QueueLen() }
-
-// QueueCap implements core.SwitchView.
-func (s *CIOQSwitch) QueueCap(port int) int {
-	if c, ok := s.ports[port].Q.(interface{ Capacity() int }); ok {
-		return c.Capacity()
+// push buffers p in the VOQ from input in to output out, charging in's
+// ingress buffer, and kicks out's crossbar loop.
+func (c *cioqStage) push(p *packet.Packet, in, out int) {
+	c.ingressUsed[in]++
+	c.voqs[in][out].push(p)
+	if !c.active[out] {
+		c.active[out] = true
+		c.transfer(out)
 	}
-	return 0
-}
-
-// Receive implements Handler: the CIOQ forwarding engine.
-func (s *CIOQSwitch) Receive(p *packet.Packet, inPort int) {
-	s.RxPackets++
-	p.Hops++
-	p.TTL--
-	if p.TTL <= 0 {
-		s.drop(p, DropTTL)
-		return
-	}
-	nhs := s.topo.NextHops(s.ID, p.Dst)
-	if len(nhs) == 0 {
-		s.drop(p, DropNoRoute)
-		return
-	}
-	desired := int(nhs[core.FlowHash(p.Flow, s.seed)%uint64(len(nhs))])
-
-	// §4 DIBS hook: the forwarding engine checks the desired egress queue
-	// and detours before the packet ever enters a VOQ.
-	if s.policy != nil && s.ports[desired].QueueFull() {
-		d := s.policy.SelectDetour(s, p, desired, s.rng)
-		if d >= 0 {
-			p.Detours++
-			if s.MarkDetours {
-				p.CE = true
-			}
-			s.Detours++
-			if s.hooks != nil && s.hooks.OnDetour != nil {
-				s.hooks.OnDetour(s.ID, p, desired, d)
-			}
-			desired = d
-		}
-		// If no eligible port, fall through: the VOQ may still hold it.
-	}
-
-	if s.ingressUsed[inPort] >= s.cfg.IngressCap {
-		s.IngressDrops++
-		s.drop(p, DropOverflow)
-		return
-	}
-	s.ingressUsed[inPort]++
-	s.voqs[inPort][desired].push(p)
-	s.startTransfer(desired)
-}
-
-// startTransfer kicks the per-output crossbar loop.
-func (s *CIOQSwitch) startTransfer(out int) {
-	if s.active[out] {
-		return
-	}
-	s.active[out] = true
-	s.transfer(out)
 }
 
 // transfer moves one packet from a VOQ to the egress queue, then schedules
@@ -216,37 +123,34 @@ func (s *CIOQSwitch) startTransfer(out int) {
 // queue is momentarily full it waits one MTU transfer time and retries —
 // with DIBS, arrivals were already detoured before entering the VOQs, so
 // this wait is the input-side backpressure a real CIOQ exhibits.
-func (s *CIOQSwitch) transfer(out int) {
-	in := s.pickInput(out)
+func (c *cioqStage) transfer(out int) {
+	in := c.pickInput(out)
 	if in < 0 {
-		s.active[out] = false
+		c.active[out] = false
 		return
 	}
-	if s.ports[out].QueueFull() {
-		s.sched.After(s.cellTime(packet.DefaultMTU), s.transferFns[out])
+	if c.ports[out].QueueFull() {
+		c.sched.After(c.cellTime(packet.DefaultMTU), c.transferFns[out])
 		return
 	}
-	p := s.voqs[in][out].pop()
-	s.ingressUsed[in]--
-	s.rr[out] = (in + 1) % len(s.ports)
-	r := s.ports[out].Enqueue(p)
-	if !r.Accepted {
+	p := c.voqs[in][out].pop()
+	c.ingressUsed[in]--
+	c.rr[out] = (in + 1) % len(c.ports)
+	size := p.Size() // read before Enqueue: a cross-shard port frees p
+	if r := c.ports[out].Enqueue(p); !r.Accepted {
 		// Cannot happen: fullness was checked above and the simulator is
 		// single-threaded.
 		panic("switching: CIOQ egress refused after fullness check")
 	}
-	if p.Trace != nil {
-		p.Trace = append(p.Trace, packet.TraceHop{Node: s.ID, Port: out, Detoured: false})
-	}
-	s.sched.After(s.cellTime(p.Size()), s.transferFns[out])
+	c.sched.After(c.cellTime(size), c.transferFns[out])
 }
 
 // pickInput round-robins over inputs with a waiting packet for out.
-func (s *CIOQSwitch) pickInput(out int) int {
-	n := len(s.ports)
+func (c *cioqStage) pickInput(out int) int {
+	n := len(c.ports)
 	for k := 0; k < n; k++ {
-		in := (s.rr[out] + k) % n
-		if !s.voqs[in][out].empty() {
+		in := (c.rr[out] + k) % n
+		if !c.voqs[in][out].empty() {
 			return in
 		}
 	}
@@ -254,40 +158,19 @@ func (s *CIOQSwitch) pickInput(out int) int {
 }
 
 // cellTime is the crossbar occupancy for a packet of the given wire size.
-func (s *CIOQSwitch) cellTime(bytes int) eventq.Time {
-	t := s.ports[0].SerializationTime(bytes) / eventq.Time(s.cfg.Speedup)
+func (c *cioqStage) cellTime(bytes int) eventq.Time {
+	t := c.ports[0].SerializationTime(bytes) / eventq.Time(c.cfg.Speedup)
 	if t < 1 {
 		t = 1
 	}
 	return t
 }
 
-func (s *CIOQSwitch) drop(p *packet.Packet, reason DropReason) {
-	s.Drops[reason]++
-	if s.hooks != nil && s.hooks.OnDrop != nil {
-		s.hooks.OnDrop(s.ID, p, reason)
-	}
-	packet.Free(p)
-}
-
-// TotalDrops sums drops across reasons.
-func (s *CIOQSwitch) TotalDrops() uint64 {
-	var t uint64
-	for _, d := range s.Drops {
-		t += d
-	}
-	return t
-}
-
-// QueuedPackets counts packets buffered in VOQs plus egress queues (for
-// conservation checks).
-func (s *CIOQSwitch) QueuedPackets() int {
+// queued counts the packets waiting in VOQs.
+func (c *cioqStage) queued() int {
 	total := 0
-	for _, used := range s.ingressUsed {
+	for _, used := range c.ingressUsed {
 		total += used
-	}
-	for _, op := range s.ports {
-		total += op.QueueLen()
 	}
 	return total
 }

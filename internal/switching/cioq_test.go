@@ -1,32 +1,20 @@
 package switching
 
 import (
-	"math/rand"
 	"testing"
 
 	"dibs/internal/core"
 	"dibs/internal/eventq"
 	"dibs/internal/packet"
-	"dibs/internal/queue"
 	"dibs/internal/topology"
 )
 
-// buildCIOQ wires a CIOQ switch over the Click topology's first edge
-// switch with capture handlers, a small egress queue, and the given config.
-func buildCIOQ(t *testing.T, cfg CIOQConfig, policy core.Policy, egressCap int) (*CIOQSwitch, *topology.Topology, map[int]*capture, *eventq.Scheduler, *Hooks) {
+// buildCIOQ is buildSwitch with a CIOQ ingress stage of the given config
+// in front of its small egress queues.
+func buildCIOQ(t *testing.T, cfg CIOQConfig, policy core.Policy, egressCap int) (*Switch, *topology.Topology, map[int]*capture, *eventq.Scheduler, *Hooks) {
 	t.Helper()
-	topo := topology.ClickTestbed(topology.DefaultLink)
-	sched := eventq.NewScheduler()
-	hooks := &Hooks{}
-	sw := topo.Switches()[2]
-	caps := make(map[int]*capture)
-	var ports []*OutPort
-	for pi, p := range topo.Ports(sw) {
-		c := &capture{sched: sched}
-		caps[pi] = c
-		ports = append(ports, NewOutPort(sched, queue.NewDropTail(egressCap, 0), p.RateBps, p.Delay, c, p.PeerPort))
-	}
-	s := NewCIOQSwitch(sw, topo, sched, ports, cfg, policy, rand.New(rand.NewSource(7)), hooks)
+	s, topo, caps, sched, hooks := buildSwitch(t, policy, egressCap)
+	s.EnableCIOQ(sched, cfg)
 	return s, topo, caps, sched, hooks
 }
 
@@ -114,7 +102,7 @@ func TestCIOQIngressOverflow(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		s.Receive(pooledPkt(pl, packet.FlowID(i), host, 64), 0)
 	}
-	if drops == 0 || s.IngressDrops == 0 {
+	if drops == 0 || s.Drops[DropOverflow] == 0 {
 		t.Fatal("ingress overflow not recorded")
 	}
 	if int(pl.Returned()) != drops {
@@ -165,18 +153,6 @@ func TestCIOQDIBSDetoursAtEgressFull(t *testing.T) {
 	}
 }
 
-func TestCIOQTTLAndNoRouteDrops(t *testing.T) {
-	s, topo, _, sched, _ := buildCIOQ(t, DefaultCIOQ, nil, 10)
-	s.Receive(pooledPkt(packet.NewPool(), 1, topo.Hosts()[0], 1), 0)
-	if s.Drops[DropTTL] != 1 {
-		t.Fatal("TTL drop not recorded")
-	}
-	if s.TotalDrops() != 1 {
-		t.Fatal("TotalDrops mismatch")
-	}
-	sched.Run()
-}
-
 func TestCIOQConfigValidation(t *testing.T) {
 	for i, cfg := range []CIOQConfig{
 		{IngressCap: 0, Speedup: 2},
@@ -215,5 +191,116 @@ func TestCIOQSpeedupMatters(t *testing.T) {
 	t2 := run(2)
 	if t2 > t1 {
 		t.Fatalf("speedup 2 finished later (%v) than speedup 1 (%v)", t2, t1)
+	}
+}
+
+// TestForwardingParity runs each forwarding case through an output-queued
+// switch and a CIOQ switch. Both are the same forwarding engine with a
+// different queueing stage behind it, so TTL, routing, spraying and both
+// kinds of detour must behave alike on either.
+func TestForwardingParity(t *testing.T) {
+	edge := func(topo *topology.Topology) packet.NodeID { return topo.Switches()[2] }
+	type rig struct {
+		s     *Switch
+		topo  *topology.Topology
+		caps  map[int]*capture
+		sched *eventq.Scheduler
+		hooks *Hooks
+		pl    *packet.Pool
+	}
+	// offer sends n packets to host 0, one every 6us alternating between
+	// inputs 0 and 1 (twice the host port's drain rate, so its egress
+	// queue fills on either architecture), and runs the network dry.
+	offer := func(r rig, n int, mk func(p *packet.Packet)) []*packet.Packet {
+		var sent []*packet.Packet
+		for i := 0; i < n; i++ {
+			i := i
+			r.sched.At(eventq.Time(i)*6*eventq.Microsecond, func() {
+				p := pooledPkt(r.pl, packet.FlowID(i), r.topo.Hosts()[0], 64)
+				mk(p)
+				sent = append(sent, p)
+				r.s.Receive(p, i%2)
+			})
+		}
+		r.sched.Run()
+		return sent
+	}
+	cases := []struct {
+		name   string
+		at     func(*topology.Topology) packet.NodeID
+		policy func() core.Policy
+		qcap   int
+		check  func(t *testing.T, r rig)
+	}{
+		{"ttl", edge, nil, 10, func(t *testing.T, r rig) {
+			r.s.Receive(pooledPkt(r.pl, 1, r.topo.Hosts()[0], 1), 0)
+			r.sched.Run()
+			if r.s.Drops[DropTTL] != 1 || r.s.TotalDrops() != 1 || r.pl.Returned() != 1 {
+				t.Fatalf("ttl drops %d of %d total, %d freed; want 1 each", r.s.Drops[DropTTL], r.s.TotalDrops(), r.pl.Returned())
+			}
+		}},
+		// The FIB routes toward a host, not at it: the host's own node has
+		// no next hop for packets addressed to itself.
+		{"no route", func(topo *topology.Topology) packet.NodeID { return topo.Hosts()[0] }, nil, 10, func(t *testing.T, r rig) {
+			r.s.Receive(pooledPkt(r.pl, 1, r.s.ID, 64), 0)
+			r.sched.Run()
+			if r.s.Drops[DropNoRoute] != 1 || r.s.TotalDrops() != 1 || r.pl.Returned() != 1 {
+				t.Fatalf("no-route drops %d of %d total, %d freed; want 1 each", r.s.Drops[DropNoRoute], r.s.TotalDrops(), r.pl.Returned())
+			}
+		}},
+		{"spray", edge, nil, 1000, func(t *testing.T, r rig) {
+			r.s.PacketSpray = true
+			for i := 0; i < 64; i++ {
+				r.s.Receive(dataPkt(1, r.topo.Hosts()[2], 64), 2) // another rack: two uplinks
+			}
+			r.sched.Run()
+			if up0, up1 := len(r.caps[0].pkts), len(r.caps[1].pkts); up0 == 0 || up1 == 0 || up0+up1 != 64 {
+				t.Fatalf("spray sent one flow %d + %d over the uplinks, want both used, 64 in all", up0, up1)
+			}
+		}},
+		{"early detour", edge, func() core.Policy { return core.NewProbabilistic(0.25) }, 8, func(t *testing.T, r rig) {
+			early := 0
+			r.hooks.OnDetour = func(_ packet.NodeID, p *packet.Packet, desired, _ int) {
+				if !r.s.QueueFull(desired) {
+					early++
+				}
+			}
+			offer(r, 40, func(p *packet.Packet) { p.Priority = 1 << 20 })
+			if early == 0 {
+				t.Fatalf("no early detour of low-priority packets in %d detours", r.s.Detours)
+			}
+		}},
+		{"full-egress detour", edge, func() core.Policy { return core.NewRandom() }, 1, func(t *testing.T, r rig) {
+			r.s.MarkDetours = true
+			hooked := 0
+			r.hooks.OnDetour = func(packet.NodeID, *packet.Packet, int, int) { hooked++ }
+			sent := offer(r, 40, func(p *packet.Packet) { p.Trace = make([]packet.TraceHop, 0, 1) })
+			if r.s.Detours == 0 || uint64(hooked) != r.s.Detours || r.s.TotalDrops() != 0 {
+				t.Fatalf("%d detours, %d OnDetour calls, %d drops", r.s.Detours, hooked, r.s.TotalDrops())
+			}
+			for _, p := range sent {
+				if len(p.Trace) != 1 || p.Trace[0].Node != r.s.ID {
+					t.Fatalf("flow %d: trace %v, want one hop at %d", p.Flow, p.Trace, r.s.ID)
+				}
+				if hop := p.Trace[0]; hop.Detoured != (p.Detours > 0) || p.CE != (p.Detours > 0) || hop.Detoured && r.s.IsHostPort(hop.Port) {
+					t.Fatalf("flow %d: %d detours, CE %v, trace hop %+v", p.Flow, p.Detours, p.CE, hop)
+				}
+			}
+		}},
+	}
+	for _, tc := range cases {
+		for _, arch := range []string{"oq", "cioq"} {
+			t.Run(tc.name+"/"+arch, func(t *testing.T) {
+				var policy core.Policy
+				if tc.policy != nil {
+					policy = tc.policy()
+				}
+				s, topo, caps, sched, hooks := buildSwitchAt(t, tc.at, policy, tc.qcap)
+				if arch == "cioq" {
+					s.EnableCIOQ(sched, DefaultCIOQ)
+				}
+				tc.check(t, rig{s, topo, caps, sched, hooks, packet.NewPool()})
+			})
+		}
 	}
 }

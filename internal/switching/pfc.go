@@ -46,6 +46,9 @@ func (s *Switch) EnablePFC(cfg PFCConfig) {
 	if s.policy != nil {
 		panic("switching: PFC and DIBS are mutually exclusive")
 	}
+	if s.cioq != nil {
+		panic("switching: PFC is implemented for output-queued switches only")
+	}
 	s.pfc = &pfcState{
 		cfg:      cfg,
 		ingress:  make([]int, len(s.ports)),

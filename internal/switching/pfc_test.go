@@ -183,6 +183,21 @@ func TestPFCConfigValidation(t *testing.T) {
 		s := NewSwitch(sw, topo, ports, &fakePolicy{}, rand.New(rand.NewSource(1)), nil)
 		s.EnablePFC(PFCConfig{Xoff: 5, Xon: 3, Pause: func(int, bool) {}})
 	}()
+	// PFC and a CIOQ ingress stage are rejected in either order.
+	good := PFCConfig{Xoff: 5, Xon: 3, Pause: func(int, bool) {}}
+	for name, enable := range map[string]func(*Switch){
+		"PFC on a CIOQ switch": func(s *Switch) { s.EnableCIOQ(sched, DefaultCIOQ); s.EnablePFC(good) },
+		"CIOQ on a PFC switch": func(s *Switch) { s.EnablePFC(good); s.EnableCIOQ(sched, DefaultCIOQ) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s should panic", name)
+				}
+			}()
+			enable(mk())
+		}()
+	}
 }
 
 type fakePolicy struct{}

@@ -1,16 +1,21 @@
-// Package switching models output-queued switches and the links between
-// nodes. Each output port owns a queue (any discipline from internal/queue)
-// and a transmitter that serializes one packet at a time at the link rate,
-// then delivers it to the peer after the propagation delay. A hop costs
+// Package switching models switches and the links between nodes. Each
+// output port owns a queue (any discipline from internal/queue) and a
+// transmitter that serializes one packet at a time at the link rate, then
+// delivers it to the peer after the propagation delay. A hop costs
 // one scheduler event, the delivery: the transmitter starts its next
 // packet when the port is next read or delivers, at the instant the
 // previous one finished (see OutPort), so every reader of a port goes
 // through its synced methods rather than the queue itself.
 //
-// The Switch forwarding path implements the paper's data plane: FIB lookup
-// with flow-level ECMP (§3), DCTCP ECN marking in the queue discipline,
-// TTL handling (§5.5.3), and — when a DIBS policy is installed — detouring
-// instead of dropping when the desired output queue is full (§2).
+// Switch is the one forwarding engine. It implements the paper's data
+// plane: FIB lookup with flow-level ECMP (§3) or packet spraying (§6),
+// DCTCP ECN marking in the queue discipline, TTL handling (§5.5.3), and —
+// when a DIBS policy is installed — detouring instead of dropping when the
+// desired output queue is full (§2), or earlier under a §7 probabilistic
+// policy. Behind the decision a switch is output-queued by default; two
+// optional stages change how it queues, not how it forwards: Ethernet flow
+// control (EnablePFC, pfc.go) and a combined input/output queued ingress
+// with VOQs and a crossbar (EnableCIOQ, cioq.go, §4).
 package switching
 
 import (
@@ -80,8 +85,6 @@ type Hooks struct {
 	// OnDetour fires when node detours p: the FIB wanted desired, DIBS
 	// chose chosen.
 	OnDetour func(node packet.NodeID, p *packet.Packet, desired, chosen int)
-	// OnDeliver fires when a host receives p (wired by the host layer).
-	OnDeliver func(node packet.NodeID, p *packet.Packet)
 }
 
 // OutPort is one output port: a queue plus a store-and-forward transmitter
@@ -455,7 +458,8 @@ func (r *pktRing) pop() *packet.Packet {
 	return p
 }
 
-// Switch is an output-queued switch.
+// Switch is a switch node: one forwarding engine over output-queued egress
+// ports, with an optional CIOQ ingress stage between them (EnableCIOQ).
 type Switch struct {
 	ID    packet.NodeID
 	topo  *topology.Topology
@@ -478,6 +482,9 @@ type Switch struct {
 	// pfc is non-nil when Ethernet flow control is enabled (§6
 	// comparison); see pfc.go.
 	pfc *pfcState
+	// cioq is non-nil on a combined input/output queued switch (§4); see
+	// cioq.go.
+	cioq *cioqStage
 
 	// Counters, indexable by DropReason.
 	Drops     [NumDropReasons]uint64
@@ -485,9 +492,9 @@ type Switch struct {
 	RxPackets uint64
 }
 
-// NewSwitch creates a switch for node id of topo. ports must be indexed
-// identically to topo.Ports(id). policy may be nil for plain drop-tail
-// behavior. hooks may be nil.
+// NewSwitch creates an output-queued switch for node id of topo. ports must
+// be indexed identically to topo.Ports(id). policy may be nil for plain
+// drop-tail behavior. hooks may be nil.
 func NewSwitch(id packet.NodeID, topo *topology.Topology, ports []*OutPort, policy core.Policy, rng *rand.Rand, hooks *Hooks) *Switch {
 	if len(ports) != len(topo.Ports(id)) {
 		panic(fmt.Sprintf("switching: switch %d has %d ports, topology says %d",
@@ -533,7 +540,10 @@ func (s *Switch) QueueCap(port int) int {
 	return 0
 }
 
-// Receive implements Handler: the switch forwarding path.
+// Receive implements Handler: the forwarding engine. It decides the output
+// port — TTL, FIB lookup, ECMP or spray, and any detour taken before
+// queueing — then queues the packet: on the egress port of an
+// output-queued switch, in a VOQ of a CIOQ switch.
 func (s *Switch) Receive(p *packet.Packet, inPort int) {
 	s.RxPackets++
 	p.Hops++
@@ -556,40 +566,60 @@ func (s *Switch) Receive(p *packet.Packet, inPort int) {
 		desired = int(nhs[core.FlowHash(p.Flow, s.seed)%uint64(len(nhs))])
 	}
 
-	// §7 probabilistic policies may detour before the queue is full.
-	if s.early != nil && !s.ports[desired].QueueFull() &&
-		s.early.ShouldDetourEarly(s, p, desired, s.rng) {
+	// Detours decided before queueing: a §7 probabilistic policy's early
+	// detour while the desired queue still has room, and on CIOQ §4's
+	// detour at a full egress queue, before the packet enters a VOQ. With
+	// no eligible port the packet keeps its desired port.
+	detoured := false
+	if s.early != nil && !s.ports[desired].QueueFull() && s.early.ShouldDetourEarly(s, p, desired, s.rng) ||
+		s.cioq != nil && s.policy != nil && s.ports[desired].QueueFull() {
 		if d := s.policy.SelectDetour(s, p, desired, s.rng); d >= 0 {
 			s.detour(p, desired, d)
+			desired, detoured = d, true
+		}
+	}
+
+	if c := s.cioq; c != nil {
+		if c.ingressUsed[inPort] >= c.cfg.IngressCap {
+			s.drop(p, DropOverflow) // the input's ingress buffer is full
 			return
 		}
+		s.trace(p, desired, detoured)
+		c.push(p, inPort, desired)
+		return
 	}
 
 	if s.pfc != nil {
 		p.Ingress = inPort
 	}
 	r := s.ports[desired].Enqueue(p)
-	if r.Accepted {
-		s.trace(p, desired, false)
-		if r.Evicted != nil {
-			s.drop(r.Evicted, DropEvicted)
+	if !r.Accepted && !detoured {
+		if s.policy == nil {
+			s.drop(p, DropOverflow)
+			return
 		}
-		return
+		d := s.policy.SelectDetour(s, p, desired, s.rng)
+		if d < 0 {
+			// Every neighbor's buffer is full too: the §5.7 breaking regime.
+			s.drop(p, DropNoDetour)
+			return
+		}
+		s.detour(p, desired, d)
+		desired, detoured = d, true
+		r = s.ports[d].Enqueue(p)
 	}
-	if s.policy == nil {
-		s.drop(p, DropOverflow)
-		return
+	if !r.Accepted {
+		// The policy verified the queue had room; in a single-threaded
+		// simulator this cannot race, so refusal is a policy bug.
+		panic(fmt.Sprintf("switching: detour port %d on switch %d refused packet", desired, s.ID))
 	}
-	d := s.policy.SelectDetour(s, p, desired, s.rng)
-	if d < 0 {
-		// Every neighbor's buffer is full too: the §5.7 breaking regime.
-		s.drop(p, DropNoDetour)
-		return
+	s.trace(p, desired, detoured)
+	if r.Evicted != nil {
+		s.drop(r.Evicted, DropEvicted)
 	}
-	s.detour(p, desired, d)
 }
 
-// detour forwards p out port d instead of the full desired port.
+// detour records that p leaves by port d instead of the desired port.
 func (s *Switch) detour(p *packet.Packet, desired, d int) {
 	p.Detours++
 	if s.MarkDetours {
@@ -598,16 +628,6 @@ func (s *Switch) detour(p *packet.Packet, desired, d int) {
 	s.Detours++
 	if s.hooks != nil && s.hooks.OnDetour != nil {
 		s.hooks.OnDetour(s.ID, p, desired, d)
-	}
-	r := s.ports[d].Enqueue(p)
-	if !r.Accepted {
-		// The policy verified the queue had room; in a single-threaded
-		// simulator this cannot race, so refusal is a policy bug.
-		panic(fmt.Sprintf("switching: detour port %d on switch %d refused packet", d, s.ID))
-	}
-	s.trace(p, d, true)
-	if r.Evicted != nil {
-		s.drop(r.Evicted, DropEvicted)
 	}
 }
 
@@ -634,29 +654,15 @@ func (s *Switch) TotalDrops() uint64 {
 	return t
 }
 
-// QueuedPackets counts packets buffered across all output queues (for
-// conservation checks).
+// QueuedPackets counts packets buffered in the switch: VOQs and egress
+// queues (for conservation checks).
 func (s *Switch) QueuedPackets() int {
 	total := 0
+	if s.cioq != nil {
+		total = s.cioq.queued()
+	}
 	for _, op := range s.ports {
 		total += op.QueueLen()
 	}
 	return total
 }
-
-// Node is the common surface of the switch architectures (output-queued
-// Switch and CIOQSwitch) that the network assembly and monitors rely on.
-type Node interface {
-	Handler
-	// Ports returns the egress ports.
-	Ports() []*OutPort
-	// QueuedPackets counts packets buffered anywhere in the switch.
-	QueuedPackets() int
-	// TotalDrops sums packet drops.
-	TotalDrops() uint64
-}
-
-var (
-	_ Node = (*Switch)(nil)
-	_ Node = (*CIOQSwitch)(nil)
-)

@@ -106,10 +106,17 @@ func TestBadRatePanics(t *testing.T) {
 // scheduler.
 func buildSwitch(t *testing.T, policy core.Policy, qcap int) (*Switch, *topology.Topology, map[int]*capture, *eventq.Scheduler, *Hooks) {
 	t.Helper()
+	// edge-0: ports to aggr-0, aggr-1, host-0-0, host-0-1
+	return buildSwitchAt(t, func(topo *topology.Topology) packet.NodeID { return topo.Switches()[2] }, policy, qcap)
+}
+
+// buildSwitchAt is buildSwitch for the Click testbed node that at picks.
+func buildSwitchAt(t *testing.T, at func(*topology.Topology) packet.NodeID, policy core.Policy, qcap int) (*Switch, *topology.Topology, map[int]*capture, *eventq.Scheduler, *Hooks) {
+	t.Helper()
 	topo := topology.ClickTestbed(topology.DefaultLink)
 	sched := eventq.NewScheduler()
 	hooks := &Hooks{}
-	sw := topo.Switches()[2] // edge-0: ports to aggr-0, aggr-1, host-0-0, host-0-1
+	sw := at(topo)
 	caps := make(map[int]*capture)
 	var ports []*OutPort
 	for pi, p := range topo.Ports(sw) {

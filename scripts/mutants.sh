@@ -7,7 +7,9 @@
 # mutable-globals rule. M16-M17 score the Validate error contract: a bare
 # cfg.Validate() compiles and accepts every config. M18-M19 score the
 # delivery-clocked transmitter: a queue view that reads the port without
-# catching it up, and a completion tie ordered after its own instant.
+# catching it up, and a completion tie ordered after its own instant. M20
+# scores the one forwarding engine: a CIOQ switch that skips the shared
+# spray decision, caught by the architecture parity test.
 # Each row plants one bug in a temp copy of the tree and names the check
 # that must catch it, with the output that proves it failed for the right
 # reason. A row whose source text no longer matches exactly once is an error
@@ -56,8 +58,8 @@ shards=(go test -count=1 -run TestShardCountInvariance ./internal/netsim)
 
 # Leaks: one terminal path at a time forgets to return its packet.
 mutant M1 $sw $'\t\tw := p.Snapshot()\n\t\tpacket.Free(p)\n' $'\t\tw := p.Snapshot()\n' '"PoolLive":[1-9]' "${shards[@]}"
-mutant M2 internal/switching/cioq.go $'\t}\n\tpacket.Free(p)\n' $'\t}\n' 'overflow drops freed 0' \
-    go test -count=1 -run TestCIOQIngressOverflow ./internal/switching
+mutant M2 $sw 's.drop(p, DropOverflow) // the input' 's.Drops[DropOverflow]++; s.hooks.OnDrop(s.ID, p, DropOverflow) // the input' \
+    'overflow drops freed 0' go test -count=1 -run TestCIOQIngressOverflow ./internal/switching
 mutant M3 internal/host/host.go $'\t\th.NICDrops++\n\t\tpacket.Free(p)\n' $'\t\th.NICDrops++\n' '^--- FAIL' \
     go test -count=1 -run TestNICDropCounting ./internal/host
 mutant M4 internal/host/host.go $'\t}\n\tpacket.Free(p)\n}\n' $'\t}\n}\n' 'pool: borrowed' \
@@ -117,5 +119,10 @@ mutant M18 $sw 'func (s *Switch) QueueFull(port int) bool { return s.ports[port]
     'output fingerprint 0x[0-9a-f]+, want' go test -count=1 -run 'TestAllExperimentsSmoke/^fig01$' ./internal/experiments
 mutant M19 internal/eventq/eventq.go 's.curSeq >= seq' 's.curSeq > seq' \
     'zero-delay delivery at the serialization end' go test -count=1 -run TestOutPortSameInstantOrder ./internal/switching
+
+# One forwarding engine (switching.Switch.Receive): the CIOQ ingress stage
+# must see the same spray decision as an output-queued switch.
+mutant M20 $sw 'if s.PacketSpray && len(nhs) > 1' 'if s.PacketSpray && s.cioq == nil && len(nhs) > 1' \
+    'FAIL: TestForwardingParity/spray/cioq' go test -count=1 -run TestForwardingParity ./internal/switching
 
 exit $failed
