@@ -12,19 +12,26 @@
 //  3. lets the hybrid layer demote newly stable flows via OnTick, and
 //  4. re-solves the max-min fair-share rate allocation over the residual
 //     link capacities, folding each link's fluid occupancy back into the
-//     packet world (queue.FluidShare + the port's residual service rate)
+//     packet world (queue.FluidShare + the port's standing-queue delay)
 //     so packet traffic keeps seeing correct depth, drop, and detour
 //     decisions.
 //
+// The solver (solve.go) works on dense indices over the active links and
+// flows, rebuilt only when a flow is admitted or removed, and finds each
+// round's minimum share and the flows that freeze at it without rescanning
+// every link and path, so a tick costs in proportion to the flows that
+// freeze rather than to rounds × links; fluid_test.go holds it to the
+// rescanning solver bit for bit.
+//
 // Rates and byte accumulators are float64; all comparisons use relative
-// tolerances (never ==), and all durations are eventq.Time. The flow set
-// is kept in flow-ID order and the solver visits links in registration
-// order, so a run is a pure function of the schedule — byte-identical
-// across repeats, engines, and host machines.
+// tolerances (never ==), products that feed a sum are rounded explicitly
+// (float64(...)) so no platform fuses them, and all durations are
+// eventq.Time. The flow set is kept in flow-ID order and every solver
+// round freezes flows in that order, so a run is a pure function of the
+// schedule — byte-identical across repeats, engines, and host machines.
 package fluid
 
 import (
-	"math"
 	"sort"
 
 	"dibs/internal/eventq"
@@ -92,21 +99,27 @@ type Link struct {
 	// promoted back to packet fidelity.
 	PromotePkts int
 
-	nflows     int     // fluid flows currently crossing this link
-	pktBps     float64 // EWMA packet offered load
-	lastPkt    uint64  // PktBytes at the previous measurement
-	measured   bool    // lastPkt is valid
-	avail      float64 // solver scratch: residual capacity not yet allocated
-	availCap   float64 // solver scratch: residual capacity at round start
-	unfrozen   int     // solver scratch: flows not yet frozen on this link
-	fluidBps   float64 // sum of allocated fluid rates
-	bottleneck bool    // some flow's rate was frozen first at this link
-	folded     bool    // a nonzero fold is currently pushed into the port
+	nflows    int         // fluid flows currently crossing this link
+	pktBps    float64     // EWMA packet offered load
+	lastPkt   uint64      // PktBytes at the previous measurement
+	measured  bool        // lastPkt is valid
+	idx       int32       // position in Engine.active, -1 when inactive
+	foldPkts  int         // occupancy last pushed into Share
+	foldDelay eventq.Time // standing delay last pushed through SetFold
 }
 
-// share returns the fair share a new flow would get on l right now (solver
-// scratch state).
-func (l *Link) share() float64 { return l.avail / float64(l.unfrozen) }
+// setFold pushes an occupancy and standing delay into the packet world.
+// Callers skip the push when the pair is the one already there (foldPkts,
+// foldDelay): a repeated FluidShare.SetPkts changes nothing, and a repeated
+// SetFold only catches the port up, which its next reader does anyway. The
+// zero pair is what a fresh port and share hold.
+func (l *Link) setFold(pkts int, standing eventq.Time) {
+	l.foldPkts, l.foldDelay = pkts, standing
+	l.Share.SetPkts(pkts)
+	if l.SetFold != nil {
+		l.SetFold(standing)
+	}
+}
 
 // Hot reports whether the link is in the incast regime: its effective
 // queue — real packets plus folded fluid share — crossed the promotion
@@ -144,7 +157,6 @@ type Flow struct {
 
 	rateBps float64
 	acc     float64 // fractional-byte accumulator
-	frozen  bool    // solver scratch
 	bneck   *Link   // sticky standing-charge site (see solve)
 }
 
@@ -160,6 +172,7 @@ type Engine struct {
 	flows  []*Flow // ID order
 	active []*Link // links with nflows > 0, registration order
 	dirty  bool    // active set needs rebuilding
+	s      solver  // dense solver state over active and flows
 
 	lastTick eventq.Time
 	running  bool
@@ -277,7 +290,7 @@ func (e *Engine) deliver(dt eventq.Time) {
 	// the index keeps the walk in ID order.
 	for i := 0; i < len(e.flows); i++ {
 		f := e.flows[i]
-		f.acc += f.rateBps * dt.Seconds() / 8
+		f.acc += float64(f.rateBps * dt.Seconds() / 8)
 		n := int64(f.acc)
 		if n <= 0 {
 			continue
@@ -318,7 +331,7 @@ func (e *Engine) measure(dt eventq.Time) {
 		}
 		inst := float64(pkt-l.lastPkt) * 8 / secs
 		l.lastPkt = pkt
-		l.pktBps += pktLoadGain * (inst - l.pktBps)
+		l.pktBps += float64(pktLoadGain * (inst - l.pktBps))
 	}
 }
 
@@ -362,8 +375,9 @@ func (e *Engine) promote() {
 	e.promoteScratch = victims[:0]
 }
 
-// rebuildActive refreshes the set of links carrying fluid flows, clearing
-// the folds of links that dropped out.
+// rebuildActive refreshes the set of links carrying fluid flows and the
+// solver's dense indices over it, clearing the folds of links that dropped
+// out.
 func (e *Engine) rebuildActive() {
 	if !e.dirty {
 		return
@@ -372,111 +386,18 @@ func (e *Engine) rebuildActive() {
 	e.active = e.active[:0]
 	for _, l := range e.links {
 		if l.nflows > 0 {
+			l.idx = int32(len(e.active))
 			e.active = append(e.active, l)
 			continue
 		}
+		l.idx = -1
 		l.pktBps = 0
 		l.measured = false
-		if l.folded {
-			l.folded = false
-			l.fluidBps = 0
-			l.Share.SetPkts(0)
-			if l.SetFold != nil {
-				l.SetFold(0)
-			}
+		if l.foldPkts != 0 || l.foldDelay != 0 {
+			l.setFold(0, 0)
 		}
 	}
-}
-
-// solve computes the max-min fair-share allocation (progressive filling)
-// of every flow over the residual capacity of its path. Fluid flows are
-// greedy — a demoted flow is by construction in its bandwidth-limited
-// steady state, so its rate is whatever fair share the topology yields,
-// exactly as a long DCTCP flow's would be.
-func (e *Engine) solve() {
-	for _, l := range e.active {
-		avail := float64(l.CapBps) - l.pktBps
-		if floor := minResidualFrac * float64(l.CapBps); avail < floor {
-			avail = floor
-		}
-		l.avail = avail
-		l.availCap = avail
-		l.unfrozen = l.nflows
-		l.fluidBps = 0
-		l.bottleneck = false
-	}
-	remaining := 0
-	for _, f := range e.flows {
-		f.frozen = false
-		f.rateBps = 0
-		remaining++
-	}
-	for remaining > 0 {
-		// The tightest per-flow share over all contended links.
-		min := math.MaxFloat64
-		for _, l := range e.active {
-			if l.unfrozen > 0 && l.share() < min {
-				min = l.share()
-			}
-		}
-		// Freeze every unfrozen flow crossing a bottleneck (a link whose
-		// share is within tolerance of the minimum) at that share. At
-		// least the minimum link's flows freeze, so each round makes
-		// progress.
-		progressed := false
-		for _, f := range e.flows {
-			if f.frozen {
-				continue
-			}
-			// The flow freezes at the first path link whose share is
-			// within tolerance of the minimum. That link is where the
-			// flow's standing queue physically sits: downstream links see
-			// only the already-limited rate and keep (near-)empty queues,
-			// so the fold must not charge standing occupancy there. The
-			// choice is sticky: once a flow has a bottleneck, it keeps it
-			// while that link's share stays within stickFrac of the
-			// minimum. Without hysteresis, packet-load measurement noise
-			// flaps the argmin between a path's near-equal links tick to
-			// tick, smearing the standing charge over links whose real
-			// queues would be empty (a real flow's queue stays planted at
-			// one contention point).
-			var at *Link
-			for _, l := range f.Path {
-				if l.unfrozen > 0 && l.share() <= min*(1+rateEps) {
-					at = l
-					break
-				}
-			}
-			if at == nil {
-				continue
-			}
-			if b := f.bneck; b != nil && b != at && b.unfrozen > 0 && b.share() <= min*(1+stickFrac) {
-				for _, l := range f.Path {
-					if l == b {
-						at = b
-						break
-					}
-				}
-			}
-			f.bneck = at
-			at.bottleneck = true
-			f.frozen = true
-			f.rateBps = min
-			remaining--
-			progressed = true
-			for _, l := range f.Path {
-				l.avail -= min
-				if l.avail < 0 {
-					l.avail = 0
-				}
-				l.unfrozen--
-				l.fluidBps += min
-			}
-		}
-		if !progressed {
-			break // float pathology guard; unreachable for sane inputs
-		}
-	}
+	e.s.index(e.active, e.flows)
 }
 
 // fold pushes each active link's allocation back into the packet world:
@@ -485,18 +406,17 @@ func (e *Engine) solve() {
 // saturating the link and bottlenecked by it — a saturated link downstream
 // of the bottleneck serves traffic at its arrival rate and keeps no queue.
 func (e *Engine) fold() {
-	for _, l := range e.active {
-		saturated := l.bottleneck && l.fluidBps >= satFrac*l.availCap
+	for i, l := range e.active {
+		ls := &e.s.links[i]
+		saturated := ls.bottleneck && ls.fluidBps >= satFrac*ls.availCap
 		pkts := 0
 		var standing eventq.Time
 		if saturated {
 			pkts = l.StandingPkts
 			standing = l.StandingDelay
 		}
-		l.Share.SetPkts(pkts)
-		if l.SetFold != nil {
-			l.SetFold(standing)
+		if pkts != l.foldPkts || standing != l.foldDelay {
+			l.setFold(pkts, standing)
 		}
-		l.folded = true
 	}
 }

@@ -9,7 +9,10 @@
 # delivery-clocked transmitter: a queue view that reads the port without
 # catching it up, and a completion tie ordered after its own instant. M20
 # scores the one forwarding engine: a CIOQ switch that skips the shared
-# spray decision, caught by the architecture parity test.
+# spray decision, caught by the architecture parity test. M21-M22 score the
+# indexed fluid solver against its rescanning reference: a candidate filter
+# that drops a flow whose qualifying link is not its first path link, and a
+# changed share left at its old place in the heap.
 # Each row plants one bug in a temp copy of the tree and names the check
 # that must catch it, with the output that proves it failed for the right
 # reason. A row whose source text no longer matches exactly once is an error
@@ -124,5 +127,15 @@ mutant M19 internal/eventq/eventq.go 's.curSeq >= seq' 's.curSeq > seq' \
 # must see the same spray decision as an output-queued switch.
 mutant M20 $sw 'if s.PacketSpray && len(nhs) > 1' 'if s.PacketSpray && s.cioq == nil && len(nhs) > 1' \
     'FAIL: TestForwardingParity/spray/cioq' go test -count=1 -run TestForwardingParity ./internal/switching
+
+# Indexed progressive filling (fluid.solve) against refSolve, the rescan it
+# replaced: the round's candidate flows must include every flow on a
+# qualifying link, and a heap link's new share must be re-keyed.
+solve=internal/fluid/solve.go
+solvetest=(go test -count=1 -run TestSolveMatchesReference ./internal/fluid)
+mutant M21 $solve $'\t\tif !s.frozen[j] {\n\t\t\ts.cand[j>>6]' $'\t\tif !s.frozen[j] && s.path[s.pstart[j]] == l {\n\t\t\ts.cand[j>>6]' \
+    'rate .*, reference' "${solvetest[@]}"
+mutant M22 $solve $'if ls.hpos >= 0 {\n\t\t\t\t\t\ts.heapFix(ls.hpos)\n' $'if ls.hpos >= 0 {\n' \
+    'rate .*, reference' "${solvetest[@]}"
 
 exit $failed
