@@ -56,7 +56,7 @@ func main() {
 		confOut  = flag.String("dumpconfig", "", "write the effective JSON config to this file and exit")
 		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf  = flag.String("memprofile", "", "write a heap profile to this file at exit")
-		shards   = flag.Int("shards", 1, "conservative-PDES scheduler shards within one run (results are byte-identical for any count; >1 forbids -events)")
+		shards   = flag.Int("shards", 1, "conservative-PDES scheduler shards within one run (results, -events included, are byte-identical for any count)")
 		mode     = flag.String("mode", "packet", "simulation fidelity: packet|fluid|hybrid (fluid/hybrid rate-model long flows; see DESIGN §9 for the options they exclude)")
 	)
 	flag.Parse()
@@ -264,7 +264,7 @@ func runIt(cfg dibs.Config, confOut, events string) {
 	if events != "" {
 		f, err := os.Create(events)
 		if err == nil {
-			err = dibs.WriteEventTrace(f, net)
+			err = dibs.WriteEventTrace(f, res)
 			if cerr := f.Close(); err == nil {
 				err = cerr
 			}
@@ -273,7 +273,7 @@ func runIt(cfg dibs.Config, confOut, events string) {
 			fmt.Fprintf(os.Stderr, "writing events: %v\n", err)
 			os.Exit(1)
 		}
-		fmt.Fprintf(os.Stderr, "[event trace: %s — %s]\n", events, net.Trace.Summary())
+		fmt.Fprintf(os.Stderr, "[event trace: %s — %s]\n", events, res.Collector.Events.Summary())
 	}
 	fmt.Println(res)
 	fmt.Printf("\nQCT   p50 %8.2f ms   p99 %8.2f ms   max %8.2f ms  (%d/%d queries)\n",

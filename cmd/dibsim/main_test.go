@@ -32,6 +32,7 @@ func TestCLI(t *testing.T) {
 	t.Run("InvalidConfigExitsWithReason", func(t *testing.T) { testInvalidConfigExitsWithReason(t, run) })
 	t.Run("RemovedEngineOption", func(t *testing.T) { testRemovedEngineOption(t, run) })
 	t.Run("ConfigRefusesTuningFlags", func(t *testing.T) { testConfigRefusesTuningFlags(t, run) })
+	t.Run("EventsIndependentOfShards", func(t *testing.T) { testEventsIndependentOfShards(t, run) })
 }
 
 type runFunc func(t *testing.T, args ...string) (int, string, string)
@@ -111,5 +112,33 @@ func testRemovedEngineOption(t *testing.T, run runFunc) {
 	code, stdout, stderr := run(t, "-config", fixture)
 	if code != 0 || !strings.Contains(stdout, "queries 11/11 done") {
 		t.Errorf("old dumpconfig file: exit %d\nstdout: %s\nstderr: %s", code, stdout, stderr)
+	}
+}
+
+// testEventsIndependentOfShards pins -events on the sharded engine: a run
+// split over two shards writes the byte-identical event trace, and prints
+// the identical results, of the same run on one shard.
+func testEventsIndependentOfShards(t *testing.T, run runFunc) {
+	dir := t.TempDir()
+	var traces [2][]byte
+	var stdouts [2]string
+	for i, shards := range []string{"1", "2"} {
+		path := filepath.Join(dir, "events-"+shards+".jsonl")
+		code, stdout, stderr := run(t, "-k", "4", "-degree", "8", "-qps", "400", "-duration", "30ms",
+			"-shards", shards, "-events", path)
+		if code != 0 {
+			t.Fatalf("-shards %s -events: exit %d\nstderr: %s", shards, code, stderr)
+		}
+		data, err := os.ReadFile(path)
+		if err != nil || !bytes.Contains(data, []byte(`"kind":"deliver"`)) {
+			t.Fatalf("-shards %s: event trace %s unreadable or without deliveries (err %v)", shards, path, err)
+		}
+		traces[i], stdouts[i] = data, stdout
+	}
+	if !bytes.Equal(traces[0], traces[1]) {
+		t.Errorf("-shards 2 wrote a different event trace than -shards 1 (%d vs %d bytes)", len(traces[1]), len(traces[0]))
+	}
+	if stdouts[0] != stdouts[1] {
+		t.Errorf("-shards 2 printed different results:\n%s\nvs -shards 1:\n%s", stdouts[1], stdouts[0])
 	}
 }

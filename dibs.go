@@ -155,13 +155,13 @@ func Run(cfg Config) *Results { return netsim.Build(cfg).Run() }
 // the paper's simulations (approximating the DCTCP paper's traces).
 func WebSearchBackground() *SizeDist { return workload.WebSearchBackground() }
 
-// WriteEventTrace writes a network's recorded event log (Config.TraceEvents
+// WriteEventTrace writes a run's recorded event log (Config.TraceEvents
 // must have been set) as JSON Lines.
-func WriteEventTrace(w io.Writer, n *Network) error {
-	if n.Trace == nil {
+func WriteEventTrace(w io.Writer, r *Results) error {
+	if r.Collector.Events == nil {
 		return errors.New("dibs: event tracing was not enabled (set Config.TraceEvents)")
 	}
-	return trace.WriteJSONL(w, n.Trace.Events())
+	return trace.WriteJSONL(w, r.Collector.Events.Events())
 }
 
 // ReadEventTrace parses a JSONL event trace written by WriteEventTrace.

@@ -30,14 +30,13 @@ func main() {
 	cfg.TraceEvents = true
 	cfg.Seed = 7
 
-	net := dibs.Build(cfg)
-	res := net.Run()
+	res := dibs.Run(cfg)
 	fmt.Printf("run: %s\n\n", res)
 
 	// Round-trip the log through its wire format, as an external analysis
 	// tool would consume it.
 	var buf bytes.Buffer
-	if err := dibs.WriteEventTrace(&buf, net); err != nil {
+	if err := dibs.WriteEventTrace(&buf, res); err != nil {
 		log.Fatal(err)
 	}
 	wireBytes := buf.Len()

@@ -192,6 +192,10 @@ func (s *Scheduler) Executed() uint64 { return s.executed }
 // and ask Passed later whether it would have run by now.
 func (s *Scheduler) Seq() uint64 { return s.seq }
 
+// Pri returns the running (or last run) event's same-instant ordering key
+// (see AtPri): with Now, the stamp that orders what an event records.
+func (s *Scheduler) Pri() int64 { return s.curPri }
+
 // Passed reports whether an ordinary (pri 0) event at virtual time at,
 // carrying sequence number seq, would already have run — that is, whether
 // its (at, 0, seq) key is at or before the running event's. Outside Run

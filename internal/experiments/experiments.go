@@ -9,9 +9,10 @@
 // metric of which arm fills each column. To add one, append a sweep to
 // that list; the shared executor declares the points, runs them through
 // the worker pool and reduces the results. An experiment stays a plain
-// function when its tables need more than the per-point *Results: fig01
-// and fig02 read a traced *Network, fig04 and fig05 read per-window
-// monitors, and fig06 aggregates a grid of seeds.
+// function when its tables need more than one metric per point: fig01,
+// fig02, fig04 and fig05 lay out the instruments' products
+// (Results.Collector's best path, event log and monitors) against the
+// topology, and fig06 aggregates a grid of seeds.
 //
 // Absolute milliseconds differ from the paper (its testbed constants are
 // not fully specified); the shapes — who wins, by what factor, where the

@@ -92,7 +92,7 @@ var goldenOutput = map[string]uint64{
 	"delack":   0x33a69247fe3cc86f,
 	"dupack":   0xdbcf84795e9fb589,
 	"fair":     0xbc2518bae9e37fac,
-	"fig01":    0x9164952a623b7aa8,
+	"fig01":    0xb8d7172c52bba9f4,
 	"fig02":    0x82502b6b9d1c9223,
 	"fig04":    0x4ef1b92aa8e1437f,
 	"fig05":    0x09a0e84de1448c5c,

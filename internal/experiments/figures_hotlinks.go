@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"dibs/internal/eventq"
+	"dibs/internal/metrics"
 	"dibs/internal/netsim"
 	"dibs/internal/packet"
 	"dibs/internal/runner"
@@ -28,8 +29,8 @@ var hotWorkloads = []struct {
 	{"extreme-10000qps", 10000, 80 * eventq.Millisecond},
 }
 
-// hotRun is one monitored workload run: the network (for monitor access)
-// plus its results (for the log line).
+// hotRun is one monitored workload run: the network (for the topology)
+// plus its results (monitors and the log line).
 type hotRun struct {
 	net *netsim.Network
 	res *netsim.Results
@@ -70,7 +71,7 @@ func fig04(o Opts) []*Table {
 	var samples []*stats.Sample
 	for _, run := range runHotWorkloads(&o, false) {
 		var s stats.Sample
-		s.AddAll(run.net.Util.HotFractions(hotThreshold))
+		s.AddAll(run.res.Collector.Util.HotFractions(hotThreshold))
 		samples = append(samples, &s)
 	}
 	for _, x := range []float64{0, 0.01, 0.02, 0.05, 0.10, 0.20, 0.50} {
@@ -98,7 +99,7 @@ func fig05(o Opts) []*Table {
 	}
 	var samples []*stats.Sample
 	for _, run := range runHotWorkloads(&o, true) {
-		one, two := neighborhoodAvailability(run.net)
+		one, two := neighborhoodAvailability(run.net, run.res.Collector)
 		samples = append(samples, one, two)
 	}
 	for _, x := range []float64{0.2, 0.4, 0.6, 0.8, 0.9, 0.95, 1.0} {
@@ -116,10 +117,10 @@ func fig05(o Opts) []*Table {
 // snapshot taken at the same instant and, for every hot link, computes the
 // fraction of free buffer slots across the switches within one and two hops
 // of the link's endpoints.
-func neighborhoodAvailability(n *netsim.Network) (oneHop, twoHop *stats.Sample) {
+func neighborhoodAvailability(n *netsim.Network, c *metrics.Collector) (oneHop, twoHop *stats.Sample) {
 	oneHop, twoHop = &stats.Sample{}, &stats.Sample{}
-	util := n.Util
-	buf := n.Buf
+	util := c.Util
+	buf := c.Buf
 	if util == nil || buf == nil {
 		panic("experiments: monitors not enabled")
 	}

@@ -17,8 +17,9 @@ func init() {
 }
 
 // fig01 samples packet traces under a bursty workload and reports the
-// per-arc traversal counts of the worst-detoured delivered packet, the
-// analogue of the paper's Figure 1 path diagram.
+// per-arc traversal counts of the most-detoured traced packet delivered,
+// the analogue of the paper's Figure 1 path diagram. The note's detour
+// count is that packet's own, so it equals the via-detour column's sum.
 func fig01(o Opts) []*Table {
 	o.normalize()
 	cfg := o.paperConfig(200 * eventq.Millisecond)
@@ -30,11 +31,12 @@ func fig01(o Opts) []*Table {
 
 	t := &Table{
 		ID:      "fig01",
-		Title:   "Arc traversal counts for the most-detoured delivered packet",
+		Title:   "Arc traversal counts for the most-detoured traced packet",
 		XLabel:  "arc",
 		Columns: []string{"traversals", "via-detour"},
 	}
-	trace := r.Collector.BestTrace
+	c := r.Collector
+	trace := c.BestTrace
 	if len(trace) == 0 {
 		t.Note("no detoured packet was traced at this scale; rerun with a larger -scale")
 		return []*Table{t}
@@ -67,7 +69,7 @@ func fig01(o Opts) []*Table {
 		t.AddRow(k, float64(arcs[k].total), float64(arcs[k].detoured))
 	}
 	t.Note("packet detoured %d times over %d switch hops before delivery (paper's example: 15 detours)",
-		r.MaxDetours, len(trace))
+		c.BestDetours, len(trace))
 	return []*Table{t}
 }
 
@@ -93,7 +95,7 @@ func fig02(o Opts) []*Table {
 	n := netsim.Build(cfg)
 	r := n.Run()
 	o.logf("fig02: %s", r)
-	detours := trace.Filter(n.Trace.Events(), func(e trace.Event) bool { return e.Kind == trace.KindDetour })
+	detours := trace.Filter(r.Collector.Events.Events(), func(e trace.Event) bool { return e.Kind == trace.KindDetour })
 
 	timeline := &Table{
 		ID:      "fig02a",
@@ -136,7 +138,7 @@ func fig02(o Opts) []*Table {
 	hosts := n.Topo.Hosts()
 	target := hosts[len(hosts)-1]
 	pod := n.Topo.Node(n.Topo.Ports(target)[0].Peer).Pod
-	snaps := n.Buf.Snapshots
+	snaps := r.Collector.Buf.Snapshots
 	if len(snaps) > 0 && len(detours) > 0 {
 		first := detours[0].T
 		last := detours[len(detours)-1].T
@@ -158,7 +160,7 @@ func fig02(o Opts) []*Table {
 			}
 			snap := snaps[si]
 			edge, aggr, full := 0, 0, 0
-			for i, ref := range n.Buf.Ports() {
+			for i, ref := range r.Collector.Buf.Ports() {
 				nd := n.Topo.Node(ref.Node)
 				if nd.Pod != pod {
 					continue

@@ -26,9 +26,10 @@ type Host struct {
 	// OnDeliver, when set, observes every packet arriving at this host
 	// (metrics). Called before demultiplexing.
 	OnDeliver func(p *packet.Packet)
-	// TracePacket, when set, is consulted per emitted data packet; true
-	// attaches an empty path trace that switches will fill (Figure 1).
-	TracePacket func(p *packet.Packet) bool
+	// TraceEveryNth, when > 0, attaches an empty path trace that switches
+	// will fill (Figure 1) to every Nth data packet this host emits.
+	TraceEveryNth int
+	dataSent      int
 
 	// NICDrops counts packets refused by the NIC queue (should stay 0
 	// with a reasonably sized host queue).
@@ -56,8 +57,10 @@ func (h *Host) SendFn() func(p *packet.Packet) { return h.sendFn }
 // Send enqueues a locally generated packet on the NIC. A refused packet is
 // a terminal path: the host counts it and returns it to the pool.
 func (h *Host) Send(p *packet.Packet) {
-	if p.Kind == packet.Data && h.TracePacket != nil && h.TracePacket(p) {
-		p.AttachTrace()
+	if p.Kind == packet.Data && h.TraceEveryNth > 0 {
+		if h.dataSent++; h.dataSent%h.TraceEveryNth == 0 {
+			p.AttachTrace()
+		}
 	}
 	if r := h.NIC.Enqueue(p); !r.Accepted {
 		h.NICDrops++

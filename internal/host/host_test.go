@@ -60,11 +60,7 @@ func TestNICDropCounting(t *testing.T) {
 func TestTraceSampling(t *testing.T) {
 	sched := eventq.NewScheduler()
 	h, _ := newHost(sched, 100)
-	n := 0
-	h.TracePacket = func(p *packet.Packet) bool {
-		n++
-		return n%2 == 0
-	}
+	h.TraceEveryNth = 2
 	p1 := &packet.Packet{Kind: packet.Data, PayloadBytes: 10}
 	p2 := &packet.Packet{Kind: packet.Data, PayloadBytes: 10}
 	ack := &packet.Packet{Kind: packet.Ack}

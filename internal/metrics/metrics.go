@@ -1,17 +1,20 @@
 // Package metrics collects the measurements the paper's evaluation reports:
 // query completion times (QCT), flow completion times (FCT) by traffic
-// class, drop/detour/mark counters, detour timelines (Figure 2a), buffer
-// occupancy snapshots (Figures 2b and 5), per-link utilization windows
-// (Figure 4), and the most-detoured packet's path (Figure 1).
+// class, drop/detour/mark counters, and — from the optional instruments —
+// the event log behind the detour timeline (Figure 2a), buffer occupancy
+// snapshots (Figures 2b and 5), per-link utilization windows (Figure 4),
+// and the most-detoured traced packet's path (Figure 1).
 package metrics
 
 import (
+	"fmt"
 	"sort"
 
 	"dibs/internal/eventq"
 	"dibs/internal/packet"
 	"dibs/internal/stats"
 	"dibs/internal/switching"
+	"dibs/internal/trace"
 )
 
 // FlowClass labels the paper's traffic classes.
@@ -92,10 +95,16 @@ type Collector struct {
 	DetoursByClass [numClasses]uint64
 
 	// MaxDetours tracks the worst detour count over delivered data
-	// packets, and BestTrace the path of that packet when tracing was on
-	// (Figure 1).
+	// packets.
 	MaxDetours int
-	BestTrace  []packet.TraceHop
+	// BestTrace is the path of the most-detoured traced data packet
+	// delivered (Figure 1), BestDetours its own detour count (first
+	// delivered on ties; only a detoured packet counts). bestAt and
+	// bestPri are its delivery event's (time, same-instant key).
+	BestTrace   []packet.TraceHop
+	BestDetours int
+	bestAt      eventq.Time
+	bestPri     int64
 	// DetourCounts samples the per-delivered-packet detour count.
 	DetourCounts stats.Sample
 
@@ -104,6 +113,12 @@ type Collector struct {
 	// for every packet the pool hands out (conservation checks).
 	DeliveredData uint64
 	DeliveredAcks uint64
+
+	// The optional instruments, nil unless enabled: the event log and the
+	// switch-port monitors (see PortRef).
+	Events *trace.Recorder
+	Util   *LinkUtilMonitor
+	Buf    *BufferSampler
 }
 
 // NewCollector creates a collector bound to the scheduler's clock.
@@ -130,12 +145,17 @@ func (c *Collector) onDrop(node packet.NodeID, p *packet.Packet, reason switchin
 			c.DropsByClass[f.Class]++
 		}
 	}
+	c.Events.Record(trace.Event{Kind: trace.KindDrop, Node: node, Flow: p.Flow, Seq: p.Seq, Detail: reason.String()})
 }
 
 func (c *Collector) onDetour(node packet.NodeID, p *packet.Packet, desired, chosen int) {
 	c.Detours++
 	if f, ok := c.flows[p.Flow]; ok {
 		c.DetoursByClass[f.Class]++
+	}
+	if c.Events != nil { // the Sprintf is not free
+		c.Events.Record(trace.Event{Kind: trace.KindDetour, Node: node, Flow: p.Flow, Seq: p.Seq,
+			Detail: fmt.Sprintf("%d->%d", desired, chosen)})
 	}
 }
 
@@ -154,9 +174,14 @@ func (c *Collector) OnDeliver(p *packet.Packet) {
 	}
 	if p.Detours > c.MaxDetours {
 		c.MaxDetours = p.Detours
-		if p.Trace != nil {
-			c.BestTrace = append(c.BestTrace[:0], p.Trace...)
-		}
+	}
+	if p.Trace != nil && p.Detours > c.BestDetours {
+		c.BestDetours = p.Detours
+		c.BestTrace = append(c.BestTrace[:0], p.Trace...)
+		c.bestAt, c.bestPri = c.sched.Now(), c.sched.Pri()
+	}
+	if c.Events != nil { // keep the untraced delivery path call-free
+		c.Events.Record(trace.Event{Kind: trace.KindDeliver, Node: p.Dst, Flow: p.Flow, Seq: p.Seq})
 	}
 }
 
@@ -234,7 +259,10 @@ func (c *Collector) QueryStartedAt(queryID, nFlows int, at eventq.Time) {
 // keyed so exactly one shard ever contributes the completion (a flow
 // finishes at its destination host's shard; all of a query's flows share
 // one destination). Iteration is over sorted keys so the merged in-memory
-// layout is itself deterministic.
+// layout is itself deterministic. The instruments merge into what one
+// shard would have recorded — the best trace by (detours, delivery key),
+// the event log by each record's (time, same-instant key), the monitors
+// by port — and c must have every instrument o has.
 func (c *Collector) MergeFrom(o *Collector) {
 	c.QCTs.AddAll(o.QCTs.Values())
 	c.ShortBGFCTs.AddAll(o.ShortBGFCTs.Values())
@@ -250,9 +278,20 @@ func (c *Collector) MergeFrom(o *Collector) {
 	c.Detours += o.Detours
 	c.DeliveredData += o.DeliveredData
 	c.DeliveredAcks += o.DeliveredAcks
-	if o.MaxDetours > c.MaxDetours {
-		c.MaxDetours = o.MaxDetours
+	c.MaxDetours = max(c.MaxDetours, o.MaxDetours)
+	if o.BestDetours > c.BestDetours || o.BestDetours > 0 && o.BestDetours == c.BestDetours &&
+		(o.bestAt < c.bestAt || o.bestAt == c.bestAt && o.bestPri < c.bestPri) {
+		c.BestDetours, c.bestAt, c.bestPri = o.BestDetours, o.bestAt, o.bestPri
 		c.BestTrace = append(c.BestTrace[:0], o.BestTrace...)
+	}
+	if o.Events != nil {
+		c.Events.MergeFrom(o.Events)
+	}
+	if o.Util != nil {
+		c.Util.MergeFrom(o.Util)
+	}
+	if o.Buf != nil {
+		c.Buf.MergeFrom(o.Buf)
 	}
 
 	// Indexed fill + sort: the iteration order of the source map never

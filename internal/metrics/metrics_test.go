@@ -150,6 +150,63 @@ func TestOnDeliverTracksWorstDetouredPacket(t *testing.T) {
 	}
 }
 
+// Figure 1 pairs the best path with its detour count, so both must come
+// from the same packet: the most-detoured *traced* packet, even when an
+// untraced packet detoured more, and the first delivered on ties. Merged
+// shards agree with one collector that saw every delivery.
+func TestBestTraceIsTheMostDetouredTracedPacket(t *testing.T) {
+	path := func(node packet.NodeID, hops int) []packet.TraceHop {
+		out := make([]packet.TraceHop, hops)
+		for i := range out {
+			out[i] = packet.TraceHop{Node: node, Port: i, Detoured: true}
+		}
+		return out
+	}
+	type delivery struct {
+		at    eventq.Time
+		pri   int64
+		shard int
+		p     *packet.Packet
+	}
+	deliveries := []delivery{
+		{10, 5, 0, &packet.Packet{Kind: packet.Data, Detours: 15}},                     // untraced, most detours
+		{20, 9, 1, &packet.Packet{Kind: packet.Data, Detours: 10, Trace: path(7, 10)}}, // the answer
+		{20, 3, 0, &packet.Packet{Kind: packet.Data, Detours: 4, Trace: path(8, 4)}},
+		{30, 2, 0, &packet.Packet{Kind: packet.Data, Detours: 10, Trace: path(9, 10)}}, // tie, delivered later
+	}
+	deliver := func(c *Collector, sched *eventq.Scheduler, shard int) {
+		for _, d := range deliveries {
+			if shard < 0 || d.shard == shard {
+				d := d
+				sched.AtPri(d.at, d.pri, func() { c.OnDeliver(d.p) })
+			}
+		}
+		sched.Run()
+	}
+	check := func(name string, c *Collector) {
+		t.Helper()
+		if c.MaxDetours != 15 || c.BestDetours != 10 || len(c.BestTrace) != 10 || c.BestTrace[0].Node != 7 {
+			t.Errorf("%s: MaxDetours %d, BestDetours %d, BestTrace %v; want 15, 10 and node 7's path",
+				name, c.MaxDetours, c.BestDetours, c.BestTrace)
+		}
+	}
+	s := eventq.NewScheduler()
+	one := NewCollector(s)
+	deliver(one, s, -1)
+	check("one collector", one)
+
+	for _, order := range [][2]int{{0, 1}, {1, 0}} {
+		merged := NewCollector(eventq.NewScheduler())
+		for _, shard := range order {
+			s := eventq.NewScheduler()
+			c := NewCollector(s)
+			deliver(c, s, shard)
+			merged.MergeFrom(c)
+		}
+		check("merged", merged)
+	}
+}
+
 // sink discards packets.
 type sink struct{}
 

@@ -6,7 +6,10 @@ import (
 	"dibs/internal/switching"
 )
 
-// PortRef identifies one monitored output port.
+// PortRef identifies one monitored output port. In a sharded run every
+// shard's monitor lists every switch port, in the same order, and Out is
+// nil for the ports another shard owns: the owner samples them, and
+// MergeFrom takes each port's samples from its owner.
 type PortRef struct {
 	Node packet.NodeID
 	Port int
@@ -42,14 +45,16 @@ func NewLinkUtilMonitor(sched *eventq.Scheduler, window eventq.Time, ports []Por
 	}
 }
 
-// Start begins periodic sampling.
+// Start begins periodic sampling (a nil monitor is off).
 func (m *LinkUtilMonitor) Start() {
-	if m.running {
+	if m == nil || m.running {
 		return
 	}
 	m.running = true
 	for i, p := range m.ports {
-		m.lastBusy[i] = p.Out.BusyTime()
+		if p.Out != nil {
+			m.lastBusy[i] = p.Out.BusyTime()
+		}
 	}
 	m.sched.After(m.window, m.sample)
 }
@@ -57,6 +62,9 @@ func (m *LinkUtilMonitor) Start() {
 func (m *LinkUtilMonitor) sample() {
 	utils := make([]float64, len(m.ports))
 	for i, p := range m.ports {
+		if p.Out == nil {
+			continue
+		}
 		busy := p.Out.BusyTime()
 		utils[i] = float64(busy-m.lastBusy[i]) / float64(m.window)
 		if utils[i] > 1 {
@@ -102,6 +110,19 @@ func (m *LinkUtilMonitor) HotPorts(w int, threshold float64) []int {
 // Ports exposes the monitored port list.
 func (m *LinkUtilMonitor) Ports() []PortRef { return m.ports }
 
+// MergeFrom folds o — the same monitor in another shard, sampling the
+// ports that shard owns at the same instants — into m (see PortRef).
+func (m *LinkUtilMonitor) MergeFrom(o *LinkUtilMonitor) {
+	for i, p := range o.ports {
+		if p.Out != nil {
+			m.ports[i] = p
+			for w, utils := range o.Windows {
+				m.Windows[w][i] = utils[i]
+			}
+		}
+	}
+}
+
 // BufferSnapshot is one periodic sample of queue occupancy.
 type BufferSnapshot struct {
 	T eventq.Time
@@ -130,9 +151,10 @@ func NewBufferSampler(sched *eventq.Scheduler, period eventq.Time, ports []PortR
 	return &BufferSampler{sched: sched, period: period, ports: ports}
 }
 
-// Start begins periodic snapshots (the first fires after one period).
+// Start begins periodic snapshots, the first after one period (a nil
+// sampler is off).
 func (b *BufferSampler) Start() {
-	if b.running {
+	if b == nil || b.running {
 		return
 	}
 	b.running = true
@@ -146,8 +168,10 @@ func (b *BufferSampler) sample() {
 		Full: make([]bool, len(b.ports)),
 	}
 	for i, p := range b.ports {
-		s.Len[i] = p.Out.QueueLen()
-		s.Full[i] = p.Out.QueueFull()
+		if p.Out != nil {
+			s.Len[i] = p.Out.QueueLen()
+			s.Full[i] = p.Out.QueueFull()
+		}
 	}
 	b.Snapshots = append(b.Snapshots, s)
 	b.sched.After(b.period, b.sample)
@@ -155,3 +179,16 @@ func (b *BufferSampler) sample() {
 
 // Ports exposes the sampled port list.
 func (b *BufferSampler) Ports() []PortRef { return b.ports }
+
+// MergeFrom folds o — the same sampler in another shard, sampling the
+// ports that shard owns at the same instants — into b (see PortRef).
+func (b *BufferSampler) MergeFrom(o *BufferSampler) {
+	for i, p := range o.ports {
+		if p.Out != nil {
+			b.ports[i] = p
+			for k, snap := range o.Snapshots {
+				b.Snapshots[k].Len[i], b.Snapshots[k].Full[i] = snap.Len[i], snap.Full[i]
+			}
+		}
+	}
+}

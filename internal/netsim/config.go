@@ -204,18 +204,23 @@ type Config struct {
 	Long *LongFlows
 
 	// --- instrumentation ---
-	// TraceEveryNth attaches a path trace to every Nth data packet
-	// (0 disables tracing).
+	// Every instrument records into its shard's metrics.Collector, and
+	// Results.Collector carries the merged products, identical for every
+	// shard count.
+	//
+	// TraceEveryNth attaches a path trace to every Nth data packet each
+	// host emits (0 disables tracing); Collector.BestTrace keeps the
+	// most-detoured one delivered.
 	TraceEveryNth int
 	// TraceEvents records a structured event log (drops, detours,
-	// deliveries, flow/query lifecycle) on Network.Trace, capped at 1M
-	// events.
+	// deliveries, flow starts and completions) in Collector.Events,
+	// capped at 1M events.
 	TraceEvents bool
-	// UtilWindow enables the link-utilization monitor (Figure 4);
-	// 0 disables.
+	// UtilWindow enables the link-utilization monitor Collector.Util
+	// (Figure 4); 0 disables.
 	UtilWindow eventq.Time
-	// BufferSamplePeriod enables buffer-occupancy snapshots (Figures 2b
-	// and 5); 0 disables.
+	// BufferSamplePeriod enables the buffer-occupancy snapshots
+	// Collector.Buf (Figures 2b and 5); 0 disables.
 	BufferSamplePeriod eventq.Time
 	// HostQueuePkts is the host NIC queue depth.
 	HostQueuePkts int
@@ -234,8 +239,8 @@ type Config struct {
 	ForwardJitter eventq.Time
 	// Mode selects the simulation fidelity: "packet" (default, also the
 	// empty string), "fluid", or "hybrid" (DESIGN §9). Fluid and hybrid
-	// reject run-global options the rate model cannot honor yet; see
-	// Validate.
+	// reject the options the rate model cannot honor yet, the
+	// instruments among them; see Validate.
 	Mode SimMode
 	// FluidTick is the fluid engine's time resolution (0 = 100 us): rate
 	// re-solves, byte credits, and demote/promote decisions all happen on
@@ -260,11 +265,10 @@ type Config struct {
 	// round-robin, hosts follow their edge switch, and shards run
 	// lookahead-wide windows in parallel, exchanging cross-shard packets
 	// at window barriers. Results are byte-identical for every shard
-	// count. 0 or 1 selects the plain sequential engine; values above the
-	// switch count are clamped. Shards > 1 rejects the run-global
-	// instrumentation that would need cross-shard ordering (event/packet
-	// tracing, util/buffer monitors) and PFC (whose
-	// pause control loop is tighter than the link-delay lookahead).
+	// count, instruments included. 0 or 1 selects the plain sequential
+	// engine; values above the switch count are clamped. Shards > 1
+	// rejects PFC (whose pause control loop is tighter than the
+	// link-delay lookahead) and a zero LinkDelay.
 	Shards int
 }
 
@@ -415,20 +419,7 @@ func (c *Config) Validate() error {
 	reject(c.HostMarkAtPkts < 0, "HostMarkAtPkts must be >= 0 (0 disables NIC marking)")
 	reject(c.Shards < 0, "Shards must be >= 0")
 
-	// The instrumentation that appends to a run-global ordered buffer:
-	// neither shard workers nor fluid-modeled flows can feed it.
-	runGlobal := []option{
-		{"TraceEvents", c.TraceEvents},
-		{"TraceEveryNth", c.TraceEveryNth > 0},
-		{"UtilWindow", c.UtilWindow > 0},
-		{"BufferSamplePeriod", c.BufferSamplePeriod > 0},
-	}
 	if c.Shards > 1 {
-		// Shard workers cannot share such a buffer without breaking the
-		// byte-identical-results guarantee.
-		for _, o := range runGlobal {
-			reject(o.on, "%s requires Shards <= 1: run-global instrumentation appends to an ordered buffer no shard worker may share", o.name)
-		}
 		reject(c.PFC, "PFC requires Shards <= 1: pause feedback reacts faster than the link-delay lookahead window")
 		reject(c.LinkDelay <= 0, "Shards > 1 needs a positive LinkDelay lookahead")
 	}
@@ -438,13 +429,17 @@ func (c *Config) Validate() error {
 		// Each of these either observes per-packet state that fluid flows
 		// never generate (the instrumentation would silently misreport) or
 		// configures a mechanism the rate model does not fold into.
-		for _, o := range append([]option{
+		for _, o := range []option{
 			{"Shards", c.Shards > 1},                      // the engine is a run-global controller on one clock
 			{"PFC", c.PFC},                                // pause state is not in the rate solver
 			{"Arch=cioq", c.Arch == ArchCIOQ},             // occupancy folds into OQ egress queues only
 			{"Buffer=pfabric", c.Buffer == BufferPFabric}, // a priority queue has no FIFO depth to fold into
 			{"PacketSpray", c.PacketSpray},                // fluid paths replicate flow-ECMP; sprayed traffic has no single path
-		}, runGlobal...) {
+			{"TraceEvents", c.TraceEvents},
+			{"TraceEveryNth", c.TraceEveryNth > 0},
+			{"UtilWindow", c.UtilWindow > 0},
+			{"BufferSamplePeriod", c.BufferSamplePeriod > 0},
+		} {
 			reject(o.on, "%s cannot combine with Mode=%s: fluid-modeled flows emit no packets for it to observe or control", o.name, c.Mode)
 		}
 		reject(c.FluidTick < 0 || c.FluidStableWindows < 0 || c.FluidMinBytes < 0 || c.FluidPromoteFrac < 0,

@@ -15,44 +15,52 @@ func validateMsg(cfg Config) string {
 }
 
 // The sharding gate must name the specific offending options — all of
-// them at once — not just reject the config with a generic message.
+// them at once — not just reject the config with a generic message. The
+// instruments record per shard and are never an offender: set beside a
+// real one, they must not be blamed.
 func TestValidateShardingNamesOffenders(t *testing.T) {
+	noLookahead := func(c *Config) { c.LinkDelay = 0 }
 	cases := []struct {
 		name    string
 		mutate  func(c *Config)
 		want    []string // substrings the error must contain
-		wantNot []string // options that are off and must not be blamed
+		wantNot []string // options that must not be blamed
 	}{
 		{
-			name:   "trace events",
-			mutate: func(c *Config) { c.TraceEvents = true },
-			want:   []string{"TraceEvents", "Shards <= 1"},
+			name:    "trace events",
+			mutate:  func(c *Config) { noLookahead(c); c.TraceEvents = true },
+			want:    []string{"LinkDelay"},
+			wantNot: []string{"TraceEvents"},
 		},
 		{
 			name:    "packet tracing",
-			mutate:  func(c *Config) { c.TraceEveryNth = 10 },
-			want:    []string{"TraceEveryNth"},
-			wantNot: []string{"TraceEvents "},
+			mutate:  func(c *Config) { noLookahead(c); c.TraceEveryNth = 10 },
+			want:    []string{"LinkDelay"},
+			wantNot: []string{"TraceEveryNth"},
 		},
 		{
-			name:   "util monitor",
-			mutate: func(c *Config) { c.UtilWindow = 100 },
-			want:   []string{"UtilWindow"},
+			name:    "util monitor",
+			mutate:  func(c *Config) { noLookahead(c); c.UtilWindow = 100 },
+			want:    []string{"LinkDelay"},
+			wantNot: []string{"UtilWindow"},
 		},
 		{
-			name:   "buffer monitor",
-			mutate: func(c *Config) { c.BufferSamplePeriod = 100 },
-			want:   []string{"BufferSamplePeriod"},
+			name:    "buffer monitor",
+			mutate:  func(c *Config) { noLookahead(c); c.BufferSamplePeriod = 100 },
+			want:    []string{"LinkDelay"},
+			wantNot: []string{"BufferSamplePeriod"},
 		},
 		{
 			name: "all instrumentation at once",
 			mutate: func(c *Config) {
+				noLookahead(c)
 				c.TraceEvents = true
 				c.TraceEveryNth = 10
 				c.UtilWindow = 100
 				c.BufferSamplePeriod = 100
 			},
-			want: []string{"TraceEvents", "TraceEveryNth", "UtilWindow", "BufferSamplePeriod"},
+			want:    []string{"LinkDelay"},
+			wantNot: []string{"TraceEvents", "TraceEveryNth", "UtilWindow", "BufferSamplePeriod"},
 		},
 		{
 			name: "pfc",
@@ -62,7 +70,7 @@ func TestValidateShardingNamesOffenders(t *testing.T) {
 				c.PFC = true
 			},
 			want:    []string{"PFC", "lookahead"},
-			wantNot: []string{"TraceEvents"},
+			wantNot: []string{"LinkDelay"},
 		},
 		{
 			name:   "zero link delay",
@@ -99,7 +107,15 @@ func TestValidateShardingAcceptsCleanConfig(t *testing.T) {
 	if msg := validateMsg(cfg); msg != "" {
 		t.Fatalf("clean sharded config rejected: %s", msg)
 	}
-	// The same options are fine unsharded.
+	// Every instrument records per shard.
+	cfg.TraceEvents = true
+	cfg.TraceEveryNth = 10
+	cfg.UtilWindow = 100
+	cfg.BufferSamplePeriod = 100
+	if msg := validateMsg(cfg); msg != "" {
+		t.Fatalf("sharded instrumentation rejected: %s", msg)
+	}
+	// PFC is fine unsharded.
 	cfg = smallConfig()
 	cfg.TraceEvents = true
 	cfg.DIBS = false

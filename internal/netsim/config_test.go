@@ -14,16 +14,16 @@ import (
 func TestValidateNamesEveryFamily(t *testing.T) {
 	cfg := smallConfig()
 	cfg.Shards = 2
-	cfg.TraceEvents = true
 	cfg.DIBS = false
 	cfg.Buffer = BufferShared
 	cfg.PFC = true
 	cfg.TTL = 1
+	cfg.FatTreeK = 3
 	msg := validateMsg(cfg)
 	want := []string{
-		"netsim: TraceEvents requires Shards <= 1",
 		"netsim: PFC requires Shards <= 1",
 		"netsim: TTL must be >= 2",
+		"netsim: fat-tree K must be even and >= 2, got 3",
 	}
 	for _, w := range want {
 		if !strings.Contains(msg, w) {

@@ -73,14 +73,14 @@ func fingerprint(t *testing.T, n *Network, r *Results) []byte {
 	for _, f := range flows {
 		fmt.Fprintf(&buf, "flow %d %v %d %d %v %v\n", f.ID, f.Class, f.Bytes, f.QueryID, f.Start, f.End)
 	}
-	for _, d := range n.Trace.Events() {
+	for _, d := range c.Events.Events() {
 		if d.Kind == trace.KindDetour {
 			fmt.Fprintf(&buf, "detour %v %d\n", d.T, d.Node)
 		}
 	}
 
 	fmt.Fprintf(&buf, "executed %d\n", n.Sched.Executed()+serializations(n))
-	if err := trace.WriteJSONL(&buf, n.Trace.Events()); err != nil {
+	if err := trace.WriteJSONL(&buf, c.Events.Events()); err != nil {
 		t.Fatalf("encoding trace: %v", err)
 	}
 	return buf.Bytes()
@@ -140,14 +140,14 @@ func TestSeededRunsAreByteIdentical(t *testing.T) {
 		r2 := n2.Run()
 		fp2 := fingerprint(t, n2, r2)
 
-		if len(n1.Trace.Events()) == 0 {
+		if len(r1.Collector.Events.Events()) == 0 {
 			t.Fatal("trace recorded no events; fingerprint would be vacuous")
 		}
 		if r1.DeliveredData == 0 || r1.QueriesDone == 0 {
 			t.Fatalf("run delivered nothing (delivered=%d queries=%d); config too small",
 				r1.DeliveredData, r1.QueriesDone)
 		}
-		if got, want := len(n2.Trace.Events()), len(n1.Trace.Events()); got != want {
+		if got, want := len(r2.Collector.Events.Events()), len(r1.Collector.Events.Events()); got != want {
 			t.Fatalf("trace event counts differ: %d vs %d", got, want)
 		}
 		if !bytes.Equal(fp1, fp2) {

@@ -305,20 +305,20 @@ func TestMonitorsCollect(t *testing.T) {
 	cfg.OneShot = &OneShot{At: eventq.Millisecond, Senders: 12, FlowsPerSender: 2, Bytes: 20_000}
 	cfg.Duration = 30 * eventq.Millisecond
 	cfg.Drain = 100 * eventq.Millisecond
-	n := Build(cfg)
-	r := n.Run()
-	if n.Util == nil || len(n.Util.Windows) == 0 {
+	r := Build(cfg).Run()
+	c := r.Collector
+	if c.Util == nil || len(c.Util.Windows) == 0 {
 		t.Fatal("no utilization windows")
 	}
-	if n.Buf == nil || len(n.Buf.Snapshots) == 0 {
+	if c.Buf == nil || len(c.Buf.Snapshots) == 0 {
 		t.Fatal("no buffer snapshots")
 	}
-	if got := n.Trace.Count(trace.KindDetour); got != r.Detours {
+	if got := c.Events.Count(trace.KindDetour); got != r.Detours {
 		t.Fatalf("trace holds %d detour events, results count %d", got, r.Detours)
 	}
 	// Hot-link analysis runs.
-	hf := n.Util.HotFractions(0.9)
-	if len(hf) != len(n.Util.Windows) {
+	hf := c.Util.HotFractions(0.9)
+	if len(hf) != len(c.Util.Windows) {
 		t.Fatal("hot fraction length mismatch")
 	}
 }

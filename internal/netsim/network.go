@@ -33,12 +33,9 @@ type Network struct {
 	Switches []*switching.Switch
 	// HostsByID is indexed by node ID (nil entries for switches).
 	HostsByID []*host.Host
+	// Collector is shard 0's collector; Run folds every other shard's
+	// into it.
 	Collector *metrics.Collector
-	// Util and Buf are non-nil when the config enables them.
-	Util *metrics.LinkUtilMonitor
-	Buf  *metrics.BufferSampler
-	// Trace is non-nil when Config.TraceEvents is set.
-	Trace *trace.Recorder
 
 	handlers []switching.Handler
 
@@ -56,10 +53,6 @@ type Network struct {
 	fluid *fluidState
 
 	nextFlow packet.FlowID
-
-	// dataEmitted counts data packets handed to host NICs, for the
-	// trace-sampling stride.
-	dataEmitted int
 }
 
 // portRef lets OutPorts deliver through the network's handler table,
@@ -98,6 +91,9 @@ func Build(cfg Config) *Network {
 	for i := range n.shards {
 		sc := &shardCtx{id: i, sched: eventq.NewScheduler(), pool: packet.NewPool()}
 		sc.coll = metrics.NewCollector(sc.sched)
+		if cfg.TraceEvents {
+			sc.coll.Events = trace.NewRecorder(0, sc.sched)
+		}
 		n.shards[i] = sc
 	}
 	n.Sched = n.shards[0].sched
@@ -109,32 +105,6 @@ func Build(cfg Config) *Network {
 	n.HostsByID = make([]*host.Host, nn)
 	n.handlers = make([]switching.Handler, nn)
 
-	// Each shard's switches report into that shard's collector; the merge
-	// at results time is order-independent (see metrics.MergeFrom).
-	hooksBy := make([]*switching.Hooks, nsh)
-	for i, sc := range n.shards {
-		hooksBy[i] = sc.coll.Hooks()
-	}
-	if cfg.TraceEvents {
-		n.Trace = trace.NewRecorder(0)
-		inner := hooksBy[0] // Validate pinned Shards <= 1 for tracing
-		hooksBy[0] = &switching.Hooks{
-			OnDrop: func(node packet.NodeID, p *packet.Packet, reason switching.DropReason) {
-				inner.OnDrop(node, p, reason)
-				n.Trace.Record(trace.Event{
-					T: n.Sched.Now(), Kind: trace.KindDrop, Node: node,
-					Flow: p.Flow, Seq: p.Seq, Detail: reason.String(),
-				})
-			},
-			OnDetour: func(node packet.NodeID, p *packet.Packet, desired, chosen int) {
-				inner.OnDetour(node, p, desired, chosen)
-				n.Trace.Record(trace.Event{
-					T: n.Sched.Now(), Kind: trace.KindDetour, Node: node,
-					Flow: p.Flow, Seq: p.Seq, Detail: fmt.Sprintf("%d->%d", desired, chosen),
-				})
-			},
-		}
-	}
 	// finishPort applies the per-port policies every link needs: the
 	// port-local jitter stream (a function of (node, port) alone, so draws
 	// do not depend on execution interleaving), the link's same-instant
@@ -180,25 +150,7 @@ func Build(cfg Config) *Network {
 			p.RateBps, p.Delay, portRef{n, p.Peer}, p.PeerPort), hid, 0, p.Peer, p.PeerPort)
 		h.NIC = nic
 		h.OnDeliver = sh.coll.OnDeliver
-		if cfg.TraceEvents {
-			hid := hid
-			h.OnDeliver = func(p *packet.Packet) {
-				n.Collector.OnDeliver(p)
-				if p.Kind == packet.Data {
-					n.Trace.Record(trace.Event{
-						T: n.Sched.Now(), Kind: trace.KindDeliver, Node: hid,
-						Flow: p.Flow, Seq: p.Seq,
-					})
-				}
-			}
-		}
-		if cfg.TraceEveryNth > 0 {
-			stride := cfg.TraceEveryNth
-			h.TracePacket = func(p *packet.Packet) bool {
-				n.dataEmitted++
-				return n.dataEmitted%stride == 0
-			}
-		}
+		h.TraceEveryNth = cfg.TraceEveryNth
 		n.HostsByID[hid] = h
 		n.handlers[hid] = h
 	}
@@ -216,7 +168,8 @@ func Build(cfg Config) *Network {
 		// strconv, not Sprintf: same stream name, so the derived seed (and
 		// every golden) is unchanged, without the printf machinery per switch.
 		swRng := rng.New(cfg.Seed, "switch/"+strconv.Itoa(int(sid)))
-		sw := switching.NewSwitch(sid, n.Topo, ports, n.makePolicy(), swRng, hooksBy[n.part[sid]])
+		// Each shard's switches report into that shard's collector.
+		sw := switching.NewSwitch(sid, n.Topo, ports, n.makePolicy(), swRng, sh.coll.Hooks())
 		sw.MarkDetours = cfg.MarkAtPkts > 0
 		sw.PacketSpray = cfg.PacketSpray
 		if cfg.Arch == ArchCIOQ {
@@ -232,8 +185,30 @@ func Build(cfg Config) *Network {
 	if cfg.mode() != ModePacket {
 		n.buildFluid()
 	}
-	n.installMonitors()
+	for i, sh := range n.shards {
+		if cfg.UtilWindow > 0 {
+			sh.coll.Util = metrics.NewLinkUtilMonitor(sh.sched, cfg.UtilWindow, n.switchPorts(i))
+		}
+		if cfg.BufferSamplePeriod > 0 {
+			sh.coll.Buf = metrics.NewBufferSampler(sh.sched, cfg.BufferSamplePeriod, n.switchPorts(i))
+		}
+	}
 	return n
+}
+
+// switchPorts lists every switch output port for shard i's monitors, which
+// sample only the ones the shard owns (see metrics.PortRef).
+func (n *Network) switchPorts(i int) []metrics.PortRef {
+	var out []metrics.PortRef
+	for _, sid := range n.Topo.Switches() {
+		for pi, op := range n.Switches[sid].Ports() {
+			if n.part[sid] != i {
+				op = nil
+			}
+			out = append(out, metrics.PortRef{Node: sid, Port: pi, Out: op})
+		}
+	}
+	return out
 }
 
 // enablePFC turns on Ethernet flow control everywhere: each switch pauses
@@ -321,27 +296,6 @@ func (n *Network) makePolicy() core.Policy {
 	}
 }
 
-func (n *Network) installMonitors() {
-	cfg := &n.Cfg
-	if cfg.UtilWindow > 0 {
-		n.Util = metrics.NewLinkUtilMonitor(n.Sched, cfg.UtilWindow, n.switchPorts())
-	}
-	if cfg.BufferSamplePeriod > 0 {
-		n.Buf = metrics.NewBufferSampler(n.Sched, cfg.BufferSamplePeriod, n.switchPorts())
-	}
-}
-
-// switchPorts lists every switch output port, for the monitors.
-func (n *Network) switchPorts() []metrics.PortRef {
-	var out []metrics.PortRef
-	for _, sid := range n.Topo.Switches() {
-		for pi, op := range n.Switches[sid].Ports() {
-			out = append(out, metrics.PortRef{Node: sid, Port: pi, Out: op})
-		}
-	}
-	return out
-}
-
 // transportConfig derives the per-flow transport settings from the run
 // config.
 func (n *Network) transportConfig() transport.Config {
@@ -372,57 +326,60 @@ func (n *Network) StartFlow(src, dst packet.NodeID, bytes int64,
 	if src == dst {
 		panic("netsim: flow to self")
 	}
-	flowID := n.nextFlow
-	n.nextFlow++
-
-	srcHost := n.HostsByID[src]
-	dstHost := n.HostsByID[dst]
-	if srcHost == nil || dstHost == nil {
+	if n.HostsByID[src] == nil || n.HostsByID[dst] == nil {
 		panic(fmt.Sprintf("netsim: flow endpoints %d->%d are not hosts", src, dst))
 	}
-
+	f := &flowStart{id: n.nextFlow, at: n.Sched.Now(), src: src, dst: dst, bytes: bytes, class: class, queryID: queryID}
+	n.nextFlow++
+	n.Collector.FlowStarted(f.id, class, bytes, queryID)
 	tc := n.transportConfig()
-	env := transport.Env{Sched: n.Sched, Pool: n.Pool}
+	n.openReceiver(n.shards[0], f, tc)
+	return n.openSender(n.shards[0], f, tc)
+}
 
-	sEnv := env
-	sEnv.Emit = srcHost.SendFn()
-	snd := transport.NewSender(sEnv, tc, flowID, src, dst, bytes)
-
-	rEnv := env
-	rEnv.Emit = dstHost.SendFn()
-	rcv := transport.NewReceiver(rEnv, tc, flowID, dst, bytes)
-
-	n.Collector.FlowStarted(flowID, class, bytes, queryID)
-	if n.Trace != nil {
-		n.Trace.Record(trace.Event{
-			T: n.Sched.Now(), Kind: trace.KindFlowStart, Node: src,
-			Flow: flowID, Seq: -1, Detail: fmt.Sprintf("%s %dB -> %d", class, bytes, dst),
-		})
-	}
+// openReceiver creates flow f's receiving endpoint at its destination
+// host, which lives in shard sh. In fluid modes it leaves the receiver for
+// openSender's hand-off: a flow's receiver is always created first.
+func (n *Network) openReceiver(sh *shardCtx, f *flowStart, tc transport.Config) {
+	dstHost := n.HostsByID[f.dst]
+	rcv := transport.NewReceiver(transport.Env{Sched: sh.sched, Pool: sh.pool, Emit: dstHost.SendFn()},
+		tc, f.id, f.dst, f.bytes)
 	rcv.OnComplete = func() {
-		n.Collector.FlowDone(flowID)
-		dstHost.RemoveReceiver(flowID)
-		if n.Trace != nil {
-			n.Trace.Record(trace.Event{
-				T: n.Sched.Now(), Kind: trace.KindFlowDone, Node: dst,
-				Flow: flowID, Seq: -1,
-			})
-		}
+		sh.coll.FlowDone(f.id)
+		dstHost.RemoveReceiver(f.id)
+		sh.coll.Events.Record(trace.Event{Kind: trace.KindFlowDone, Node: f.dst, Flow: f.id, Seq: -1})
 	}
-	snd.OnComplete = func() {
-		srcHost.RemoveSender(flowID)
-	}
-
-	srcHost.AddSender(snd)
 	dstHost.AddReceiver(rcv)
-	sh := n.shards[0]
-	sh.senders = append(sh.senders, snd)
-	if class == metrics.ClassLong {
+	if f.class == metrics.ClassLong {
 		sh.longRx = append(sh.longRx, rcv)
 	}
-	if n.fluid == nil || !n.fluid.registerFlow(snd, rcv) {
-		snd.Start()
+	if n.fluid != nil {
+		n.fluid.pendingRcv[f.id] = rcv
 	}
+}
+
+// openSender creates flow f's sending endpoint at its source host, which
+// lives in shard sh, and starts it: as packets, or — when the fluid layer
+// takes the flow — under rate custody.
+func (n *Network) openSender(sh *shardCtx, f *flowStart, tc transport.Config) *transport.Sender {
+	srcHost := n.HostsByID[f.src]
+	snd := transport.NewSender(transport.Env{Sched: sh.sched, Pool: sh.pool, Emit: srcHost.SendFn()},
+		tc, f.id, f.src, f.dst, f.bytes)
+	snd.OnComplete = func() { srcHost.RemoveSender(f.id) }
+	srcHost.AddSender(snd)
+	sh.senders = append(sh.senders, snd)
+	if ev := sh.coll.Events; ev != nil {
+		ev.Record(trace.Event{Kind: trace.KindFlowStart, Node: f.src, Flow: f.id, Seq: -1,
+			Detail: fmt.Sprintf("%s %dB -> %d", f.class, f.bytes, f.dst)})
+	}
+	if n.fluid != nil {
+		rcv := n.fluid.pendingRcv[f.id]
+		delete(n.fluid.pendingRcv, f.id)
+		if n.fluid.registerFlow(snd, rcv) {
+			return snd
+		}
+	}
+	snd.Start()
 	return snd
 }
 
@@ -432,12 +389,9 @@ func (n *Network) StartFlow(src, dst packet.NodeID, bytes int64,
 func (n *Network) Run() *Results {
 	cfg := &n.Cfg
 	n.installSchedule(recordSchedule(cfg, n.Topo.Hosts()))
-
-	if n.Util != nil {
-		n.Util.Start()
-	}
-	if n.Buf != nil {
-		n.Buf.Start()
+	for _, sh := range n.shards {
+		sh.coll.Util.Start()
+		sh.coll.Buf.Start()
 	}
 
 	end := cfg.Duration + cfg.Drain

@@ -71,17 +71,13 @@ type Results struct {
 }
 
 func (n *Network) results(end eventq.Time) *Results {
-	if len(n.shards) > 1 {
-		// Reduce the per-shard collectors into one. MergeFrom is
-		// order-independent across shards, so the merged aggregates are
-		// byte-identical to what a 1-shard run accumulates directly.
-		merged := metrics.NewCollector(n.Sched)
-		for _, sh := range n.shards {
-			merged.MergeFrom(sh.coll)
-		}
-		n.Collector = merged
-	}
+	// Fold the other shards' collectors into shard 0's: the aggregates and
+	// instruments come out byte-identical to what a 1-shard run
+	// accumulates directly (see metrics.MergeFrom).
 	c := n.Collector
+	for _, sh := range n.shards[1:] {
+		c.MergeFrom(sh.coll)
+	}
 	r := &Results{
 		Cfg:            n.Cfg,
 		SimTime:        end,

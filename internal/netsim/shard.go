@@ -1,14 +1,11 @@
 package netsim
 
 import (
-	"fmt"
-
 	"dibs/internal/eventq"
 	"dibs/internal/metrics"
 	"dibs/internal/packet"
 	"dibs/internal/pdes"
 	"dibs/internal/switching"
-	"dibs/internal/trace"
 	"dibs/internal/transport"
 )
 
@@ -224,62 +221,11 @@ func (n *Network) installSchedule(s *flowSchedule) {
 // receiver on the destination's shard, then the sender on the source's.
 // Both events carry pri 0 at the flow's start time; installing the receiver
 // first gives it the smaller sequence number, so in a shared shard it
-// exists before the sender's first segment can possibly matter.
+// exists before the sender's first segment can possibly matter (and, in
+// the one-shard fluid modes, before the sender's hand-off reads it).
 func (n *Network) installFlow(f *flowStart, tc transport.Config) {
-	if f.src == f.dst {
-		panic("netsim: flow to self")
-	}
-	srcHost := n.HostsByID[f.src]
-	dstHost := n.HostsByID[f.dst]
-	if srcHost == nil || dstHost == nil {
-		panic(fmt.Sprintf("netsim: flow endpoints %d->%d are not hosts", f.src, f.dst))
-	}
 	ss := n.shards[n.part[f.src]]
 	ds := n.shards[n.part[f.dst]]
-
-	ds.sched.At(f.at, func() {
-		rcv := transport.NewReceiver(transport.Env{Sched: ds.sched, Pool: ds.pool, Emit: dstHost.SendFn()},
-			tc, f.id, f.dst, f.bytes)
-		rcv.OnComplete = func() {
-			ds.coll.FlowDone(f.id)
-			dstHost.RemoveReceiver(f.id)
-			if n.Trace != nil {
-				n.Trace.Record(trace.Event{
-					T: ds.sched.Now(), Kind: trace.KindFlowDone, Node: f.dst,
-					Flow: f.id, Seq: -1,
-				})
-			}
-		}
-		dstHost.AddReceiver(rcv)
-		if f.class == metrics.ClassLong {
-			ds.longRx = append(ds.longRx, rcv)
-		}
-		if n.fluid != nil {
-			// Fluid modes run on one shard; the receiver event precedes
-			// the sender's at the same instant, so the hand-off below is
-			// always populated when the sender registers.
-			n.fluid.pendingRcv[f.id] = rcv
-		}
-	})
-	ss.sched.At(f.at, func() {
-		snd := transport.NewSender(transport.Env{Sched: ss.sched, Pool: ss.pool, Emit: srcHost.SendFn()},
-			tc, f.id, f.src, f.dst, f.bytes)
-		snd.OnComplete = func() { srcHost.RemoveSender(f.id) }
-		srcHost.AddSender(snd)
-		ss.senders = append(ss.senders, snd)
-		if n.Trace != nil {
-			n.Trace.Record(trace.Event{
-				T: ss.sched.Now(), Kind: trace.KindFlowStart, Node: f.src,
-				Flow: f.id, Seq: -1, Detail: fmt.Sprintf("%s %dB -> %d", f.class, f.bytes, f.dst),
-			})
-		}
-		if n.fluid != nil {
-			rcv := n.fluid.pendingRcv[f.id]
-			delete(n.fluid.pendingRcv, f.id)
-			if n.fluid.registerFlow(snd, rcv) {
-				return
-			}
-		}
-		snd.Start()
-	})
+	ds.sched.At(f.at, func() { n.openReceiver(ds, f, tc) })
+	ss.sched.At(f.at, func() { n.openSender(ss, f, tc) })
 }

@@ -11,15 +11,16 @@ import (
 	"dibs/internal/eventq"
 	"dibs/internal/metrics"
 	"dibs/internal/pdes"
+	"dibs/internal/trace"
 	"dibs/internal/workload"
 )
 
 // shardConfigs are the workloads the cross-shard-count property runs over:
 // a pod-structured fat-tree (pods map to shards, cores spread) and a
 // pod-less jellyfish (contiguous-block partition), both with background +
-// incast traffic over every seeded stream that survives sharding. The
-// run-global instrumentation (tracing, timeline, monitors) is off because
-// Shards > 1 rejects it.
+// incast traffic over every seeded stream that survives sharding; then,
+// with every instrument on, the determinism workload and a detour-heavy
+// K=8 burst whose most-detoured traced packets wander across shards.
 func shardConfigs() map[string]Config {
 	ft := DefaultConfig()
 	ft.FatTreeK = 4
@@ -35,13 +36,25 @@ func shardConfigs() map[string]Config {
 	jf.JellyfishDegree = 4
 	jf.JellyfishHostsPer = 2
 
-	return map[string]Config{"fattree": ft, "jellyfish": jf}
+	burst := DefaultConfig()
+	burst.Seed = 1
+	burst.Duration = 20 * eventq.Millisecond
+	burst.Drain = 100 * eventq.Millisecond
+	burst.Query = &workload.QueryConfig{QPS: 1500, Degree: 60, ResponseBytes: 20_000}
+	burst.TraceEvents = true
+	burst.TraceEveryNth = 5
+	burst.UtilWindow = 2 * eventq.Millisecond
+	burst.BufferSamplePeriod = eventq.Millisecond
+
+	return map[string]Config{"fattree": ft, "jellyfish": jf, "instrumented": determinismConfig(), "burst": burst}
 }
 
 // shardFingerprint serializes everything observable about a finished
 // sharded run in canonical form: the Results struct (minus the shard count
 // itself), every retained sample (Values() sorts), every flow record in ID
-// order, and the executed-event total across shards.
+// order, the instruments' products, and the executed-event total across
+// shards. Every shard runs its own monitor ticks, so the total leaves them
+// out.
 func shardFingerprint(t *testing.T, n *Network, r *Results) []byte {
 	t.Helper()
 	var buf bytes.Buffer
@@ -81,8 +94,46 @@ func shardFingerprint(t *testing.T, n *Network, r *Results) []byte {
 		fmt.Fprintf(&buf, "flow %d %v %d %d %v %v\n", f.ID, f.Class, f.Bytes, f.QueryID, f.Start, f.End)
 	}
 
-	fmt.Fprintf(&buf, "executed %d\n", n.Executed())
+	fmt.Fprintf(&buf, "best path %d %v\n", c.BestDetours, c.BestTrace)
+	if ev := c.Events; ev != nil {
+		fmt.Fprintf(&buf, "events %d dropped, %s\n", ev.Dropped, ev.Summary())
+		if err := trace.WriteJSONL(&buf, ev.Events()); err != nil {
+			t.Fatalf("encoding trace: %v", err)
+		}
+	}
+	if u := c.Util; u != nil {
+		fmt.Fprintf(&buf, "util ports %v\n", portIDs(u.Ports()))
+		for _, w := range u.Windows {
+			fmt.Fprintf(&buf, "%v\n", w)
+		}
+	}
+	if b := c.Buf; b != nil {
+		fmt.Fprintf(&buf, "buffer ports %v\n", portIDs(b.Ports()))
+		for _, s := range b.Snapshots {
+			fmt.Fprintf(&buf, "%v %v %v\n", s.T, s.Len, s.Full)
+		}
+	}
+
+	// Every shard runs the monitors' sampling events; the 1-shard run
+	// counts them once.
+	ticks := 0
+	if c.Util != nil {
+		ticks += len(c.Util.Windows)
+	}
+	if c.Buf != nil {
+		ticks += len(c.Buf.Snapshots)
+	}
+	fmt.Fprintf(&buf, "executed %d\n", n.Executed()-uint64((len(n.shards)-1)*ticks))
 	return buf.Bytes()
+}
+
+// portIDs renders a monitor's port list without its per-shard pointers.
+func portIDs(ports []metrics.PortRef) [][2]int {
+	out := make([][2]int, len(ports))
+	for i, p := range ports {
+		out[i] = [2]int{int(p.Node), p.Port}
+	}
+	return out
 }
 
 // TestShardCountInvariance is the sharded engine's core property: for a
@@ -91,11 +142,18 @@ func shardFingerprint(t *testing.T, n *Network, r *Results) []byte {
 // total. Shards=1 is the plain sequential engine, so this pins the parallel
 // protocol (windows, message merge order, per-link delivery keys, arena
 // custody transfer) to sequential semantics on both a pod-structured and a
-// pod-less topology. Run under -race, it doubles as the proof that the
-// window loop shares nothing it shouldn't.
+// pod-less topology, and every instrument's merge (event-log order, path
+// hops across shard boundaries, monitor port order) to the one-shard
+// products. Run under -race, it doubles as the proof that the window loop
+// shares nothing it shouldn't.
 func TestShardCountInvariance(t *testing.T) {
 	for name, base := range shardConfigs() {
 		t.Run(name, func(t *testing.T) {
+			if name == "burst" && testing.Short() {
+				// Over a minute under -race; check.sh's dedicated race
+				// step runs it without -short.
+				t.Skip("detour-heavy K=8 burst")
+			}
 			cfg := base
 			cfg.Shards = 1
 			n1 := Build(cfg)

@@ -12,8 +12,9 @@ import "fmt"
 // keep checking the discipline on both sides of the hand-off. The snapshot
 // itself travels by value inside a pdes.Message; nothing is allocated.
 //
-// Trace is deliberately absent: packet tracing shares an append-only buffer
-// across the run and is rejected by Config.Validate for sharded runs.
+// A traced packet's path moves with it: the snapshot takes the slice, and
+// the source node keeps no alias of it, so the next packet traced on that
+// node cannot write into a path the receiving shard now owns.
 type Wire struct {
 	Kind         Kind
 	Flow         FlowID
@@ -30,11 +31,13 @@ type Wire struct {
 	Detours      int
 	Hops         int
 	Ingress      int
+	Trace        []TraceHop
 }
 
-// Snapshot captures p's simulation-visible state for a shard crossing.
+// Snapshot captures p's simulation-visible state for a shard crossing,
+// moving its path trace (if any) out of p.
 func (p *Packet) Snapshot() Wire {
-	return Wire{
+	w := Wire{
 		Kind:         p.Kind,
 		Flow:         p.Flow,
 		Src:          p.Src,
@@ -50,7 +53,12 @@ func (p *Packet) Snapshot() Wire {
 		Detours:      p.Detours,
 		Hops:         p.Hops,
 		Ingress:      p.Ingress,
+		Trace:        p.Trace,
 	}
+	if p.Trace != nil {
+		p.Trace, p.traceBuf = nil, nil
+	}
+	return w
 }
 
 // Restore writes the snapshot into a freshly borrowed pooled node (whose
@@ -78,4 +86,5 @@ func (w Wire) Restore(p *Packet) {
 	p.Detours = w.Detours
 	p.Hops = w.Hops
 	p.Ingress = w.Ingress
+	p.Trace = w.Trace
 }

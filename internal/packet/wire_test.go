@@ -25,11 +25,12 @@ func fill(p *Packet) {
 	p.Ingress = 2
 }
 
-// A shard crossing of a trace-attached packet: the snapshot must carry the
-// header state but never the trace (tracing is rejected for sharded runs;
-// the buffer stays with the source node), and the pools on both sides must
-// balance — one return at the source, one borrow at the destination.
-func TestWireRoundTripDropsTrace(t *testing.T) {
+// A shard crossing of a trace-attached packet: the snapshot carries the
+// header state and moves the path to the destination node, the source
+// node keeps no alias of the path's storage (re-tracing the recycled
+// node must not write into the travelling path), and the pools on both
+// sides balance — one return at the source, one borrow at the destination.
+func TestWireRoundTripMovesTrace(t *testing.T) {
 	src, dst := NewPool(), NewPool()
 	p := src.Get()
 	fill(p)
@@ -41,9 +42,17 @@ func TestWireRoundTripDropsTrace(t *testing.T) {
 
 	q := dst.Get()
 	w.Restore(q)
-	if q.Trace != nil {
-		t.Errorf("restored packet carries a trace: %v", q.Trace)
+	if len(q.Trace) != 2 || q.Trace[0] != (TraceHop{Node: 3, Port: 1}) || q.Trace[1] != (TraceHop{Node: 5, Port: 2, Detoured: true}) {
+		t.Errorf("restored packet's trace = %v, want the source's two hops", q.Trace)
 	}
+	// The source node, re-borrowed and traced again, must get fresh storage.
+	again := src.Get()
+	again.AttachTrace()
+	again.Trace = append(again.Trace, TraceHop{Node: 9, Port: 9})
+	if q.Trace[0].Node != 3 {
+		t.Errorf("re-tracing the source node overwrote the travelling path: %v", q.Trace)
+	}
+	Free(again)
 	cmp := Packet{}
 	fill(&cmp)
 	if q.Kind != cmp.Kind || q.Flow != cmp.Flow || q.Src != cmp.Src || q.Dst != cmp.Dst ||
@@ -53,7 +62,7 @@ func TestWireRoundTripDropsTrace(t *testing.T) {
 		q.Hops != cmp.Hops || q.Ingress != cmp.Ingress {
 		t.Errorf("restored packet %+v does not match source fields %+v", q, cmp)
 	}
-	if src.Borrowed() != 1 || src.Returned() != 1 || src.Live() != 0 {
+	if src.Borrowed() != 2 || src.Returned() != 2 || src.Live() != 0 {
 		t.Errorf("source pool out of balance: borrowed=%d returned=%d", src.Borrowed(), src.Returned())
 	}
 	if dst.Borrowed() != 1 || dst.Returned() != 0 || dst.Live() != 1 {

@@ -237,7 +237,7 @@ func (e *engine) window(limit eventq.Time) {
 	}
 	e.stats.Windows++
 
-	// Sort an index, not the batch: a Message is 18 words.
+	// Sort an index, not the batch: a Message is 21 words.
 	batch, order := e.batch[:0], e.order[:0]
 	for i := 0; i < e.nShards; i++ {
 		batch = append(batch, e.flush(i)...)

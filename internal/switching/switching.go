@@ -592,6 +592,9 @@ func (s *Switch) Receive(p *packet.Packet, inPort int) {
 	if s.pfc != nil {
 		p.Ingress = inPort
 	}
+	// The hop is recorded before Enqueue: an accepting port on an idle
+	// cross-shard link hands p off (and frees it) inside Enqueue.
+	s.trace(p, desired, detoured)
 	r := s.ports[desired].Enqueue(p)
 	if !r.Accepted && !detoured {
 		if s.policy == nil {
@@ -606,6 +609,9 @@ func (s *Switch) Receive(p *packet.Packet, inPort int) {
 		}
 		s.detour(p, desired, d)
 		desired, detoured = d, true
+		if p.Trace != nil {
+			p.Trace[len(p.Trace)-1] = packet.TraceHop{Node: s.ID, Port: d, Detoured: true}
+		}
 		r = s.ports[d].Enqueue(p)
 	}
 	if !r.Accepted {
@@ -613,7 +619,6 @@ func (s *Switch) Receive(p *packet.Packet, inPort int) {
 		// simulator this cannot race, so refusal is a policy bug.
 		panic(fmt.Sprintf("switching: detour port %d on switch %d refused packet", desired, s.ID))
 	}
-	s.trace(p, desired, detoured)
 	if r.Evicted != nil {
 		s.drop(r.Evicted, DropEvicted)
 	}

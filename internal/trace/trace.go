@@ -1,8 +1,8 @@
 // Package trace records simulation events as a structured, bounded log
 // that can be written to and read back from JSON Lines. It backs the
 // paper's packet-level illustrations (Figures 1-2) and gives experiments a
-// way to post-mortem detour storms: every drop, detour, delivery and flow
-// transition carries its virtual timestamp and location.
+// way to post-mortem detour storms: every drop, detour, delivery, flow
+// start and flow completion carries its virtual timestamp and location.
 package trace
 
 import (
@@ -19,27 +19,20 @@ import (
 type Kind uint8
 
 const (
-	// KindSend: a host emitted a data packet.
-	KindSend Kind = iota
 	// KindDeliver: a host received a data packet.
-	KindDeliver
+	KindDeliver Kind = iota
 	// KindDrop: a switch discarded a packet.
 	KindDrop
 	// KindDetour: a switch detoured a packet (DIBS).
 	KindDetour
-	// KindFlowStart / KindFlowDone: flow lifecycle.
+	// KindFlowStart / KindFlowDone: a flow's sender starts, its receiver
+	// has every byte.
 	KindFlowStart
 	KindFlowDone
-	// KindQueryStart / KindQueryDone: query (incast) lifecycle.
-	KindQueryStart
-	KindQueryDone
 	numKinds
 )
 
-var kindNames = [numKinds]string{
-	"send", "deliver", "drop", "detour",
-	"flow-start", "flow-done", "query-start", "query-done",
-}
+var kindNames = [numKinds]string{"deliver", "drop", "detour", "flow-start", "flow-done"}
 
 func (k Kind) String() string {
 	if int(k) < len(kindNames) {
@@ -48,22 +41,27 @@ func (k Kind) String() string {
 	return fmt.Sprintf("Kind(%d)", uint8(k))
 }
 
-// KindFromString parses a kind name; ok is false for unknown names.
-func KindFromString(s string) (Kind, bool) {
+// MarshalText implements encoding.TextMarshaler: a kind is its name.
+func (k Kind) MarshalText() ([]byte, error) { return []byte(k.String()), nil }
+
+// UnmarshalText implements encoding.TextUnmarshaler, refusing unknown
+// names.
+func (k *Kind) UnmarshalText(text []byte) error {
 	for i, n := range kindNames {
-		if n == s {
-			return Kind(i), true
+		if n == string(text) {
+			*k = Kind(i)
+			return nil
 		}
 	}
-	return 0, false
+	return fmt.Errorf("trace: unknown event kind %q", text)
 }
 
 // Event is one recorded occurrence.
 type Event struct {
 	// T is the virtual time in nanoseconds.
 	T eventq.Time `json:"t"`
-	// Kind names the event type (serialized as its string form).
-	Kind Kind `json:"-"`
+	// Kind names the event type (serialized as its name).
+	Kind Kind `json:"kind"`
 	// Node is where it happened (switch or host), -1 if n/a.
 	Node packet.NodeID `json:"node"`
 	// Flow is the affected flow, -1 if n/a.
@@ -71,71 +69,83 @@ type Event struct {
 	// Seq is the packet byte offset, -1 if n/a.
 	Seq int64 `json:"seq"`
 	// Detail carries kind-specific context (drop reason, detour ports,
-	// query id).
+	// a started flow's class, size and destination).
 	Detail string `json:"detail,omitempty"`
+
+	// pri is the same-instant key of the simulation event that recorded
+	// this one (eventq.Scheduler.Pri); MergeFrom orders by it.
+	pri int64
 }
 
-// MarshalJSON implements json.Marshaler with the kind as a string.
-func (e Event) MarshalJSON() ([]byte, error) {
-	return json.Marshal(struct {
-		T      int64         `json:"t"`
-		Kind   string        `json:"kind"`
-		Node   packet.NodeID `json:"node"`
-		Flow   packet.FlowID `json:"flow"`
-		Seq    int64         `json:"seq"`
-		Detail string        `json:"detail,omitempty"`
-	}{int64(e.T), e.Kind.String(), e.Node, e.Flow, e.Seq, e.Detail})
-}
-
-// UnmarshalJSON implements json.Unmarshaler.
-func (e *Event) UnmarshalJSON(data []byte) error {
-	var ej struct {
-		T      int64         `json:"t"`
-		Kind   string        `json:"kind"`
-		Node   packet.NodeID `json:"node"`
-		Flow   packet.FlowID `json:"flow"`
-		Seq    int64         `json:"seq"`
-		Detail string        `json:"detail"`
-	}
-	if err := json.Unmarshal(data, &ej); err != nil {
-		return err
-	}
-	k, ok := KindFromString(ej.Kind)
-	if !ok {
-		return fmt.Errorf("trace: unknown event kind %q", ej.Kind)
-	}
-	*e = Event{T: eventq.Time(ej.T), Kind: k, Node: ej.Node, Flow: ej.Flow, Seq: ej.Seq, Detail: ej.Detail}
-	return nil
-}
-
-// Recorder accumulates events up to a cap; further events are counted but
-// discarded, so a detour storm cannot exhaust memory.
+// Recorder accumulates the events one scheduler's run records, up to a cap;
+// further events are counted but discarded, so a detour storm cannot
+// exhaust memory.
 type Recorder struct {
+	clock   *eventq.Scheduler
 	max     int
 	events  []Event
 	Dropped int // events discarded after the cap
 	counts  [numKinds]uint64
 }
 
-// NewRecorder creates a recorder holding at most max events (<=0 means a
-// generous default of 1M).
-func NewRecorder(max int) *Recorder {
+// NewRecorder creates a recorder on clock holding at most max events (<=0
+// means a generous default of 1M).
+func NewRecorder(max int, clock *eventq.Scheduler) *Recorder {
 	if max <= 0 {
 		max = 1 << 20
 	}
-	return &Recorder{max: max}
+	return &Recorder{clock: clock, max: max}
 }
 
-// Record appends an event.
+// Record appends an event, stamped with the clock's time and the running
+// event's same-instant key. A nil recorder (tracing off) records nothing.
 func (r *Recorder) Record(e Event) {
-	if int(e.Kind) < len(r.counts) {
-		r.counts[e.Kind]++
+	if r == nil {
+		return
 	}
+	r.counts[e.Kind]++
 	if len(r.events) >= r.max {
 		r.Dropped++
 		return
 	}
+	e.T, e.pri = r.clock.Now(), r.clock.Pri()
 	r.events = append(r.events, e)
+}
+
+// before is the merge order: time, then the recording event's
+// same-instant key, then — among ordinary (pri 0) events, whose only
+// records are flow starts, scheduled in flow-ID order — the flow.
+func before(a, b *Event) bool {
+	if a.T != b.T {
+		return a.T < b.T
+	}
+	if a.pri != b.pri {
+		return a.pri < b.pri
+	}
+	return a.pri == 0 && a.Flow < b.Flow
+}
+
+// MergeFrom folds o — another shard's recorder over the same run — into r.
+// Both hold their shard's events in execution order, and a two-way merge
+// on before restores the one-shard order: drops, detours and deliveries
+// are recorded in link delivery events, whose key is unique to a link that
+// delivers in one shard only. Each shard kept a prefix of its own stream,
+// so the merged prefix of r.max events is exact.
+func (r *Recorder) MergeFrom(o *Recorder) {
+	merged := make([]Event, 0, min(len(r.events)+len(o.events), r.max))
+	a, b := r.events, o.events
+	for len(merged) < r.max && (len(a) > 0 || len(b) > 0) {
+		if len(b) == 0 || len(a) > 0 && !before(&b[0], &a[0]) {
+			merged, a = append(merged, a[0]), a[1:]
+		} else {
+			merged, b = append(merged, b[0]), b[1:]
+		}
+	}
+	r.events = merged
+	r.Dropped += o.Dropped + len(a) + len(b)
+	for k := range r.counts {
+		r.counts[k] += o.counts[k]
+	}
 }
 
 // Events returns the recorded events (not a copy; do not modify).
@@ -154,16 +164,6 @@ func Filter(events []Event, pred func(Event) bool) []Event {
 		}
 	}
 	return out
-}
-
-// ByFlow returns the events of one flow, in time order.
-func ByFlow(events []Event, flow packet.FlowID) []Event {
-	return Filter(events, func(e Event) bool { return e.Flow == flow })
-}
-
-// Between returns events with lo <= T < hi.
-func Between(events []Event, lo, hi eventq.Time) []Event {
-	return Filter(events, func(e Event) bool { return e.T >= lo && e.T < hi })
 }
 
 // WriteJSONL writes events one JSON object per line.

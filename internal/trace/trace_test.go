@@ -17,12 +17,13 @@ func TestKindStrings(t *testing.T) {
 		if strings.Contains(name, "Kind(") {
 			t.Fatalf("kind %d has no name", k)
 		}
-		back, ok := KindFromString(name)
-		if !ok || back != k {
-			t.Fatalf("round trip failed for %q", name)
+		var back Kind
+		if err := back.UnmarshalText([]byte(name)); err != nil || back != k {
+			t.Fatalf("round trip failed for %q: %v", name, err)
 		}
 	}
-	if _, ok := KindFromString("bogus"); ok {
+	var k Kind
+	if err := k.UnmarshalText([]byte("bogus")); err == nil {
 		t.Fatal("bogus kind parsed")
 	}
 	if Kind(99).String() != "Kind(99)" {
@@ -31,7 +32,7 @@ func TestKindStrings(t *testing.T) {
 }
 
 func TestRecorderCap(t *testing.T) {
-	r := NewRecorder(3)
+	r := NewRecorder(3, eventq.NewScheduler())
 	for i := 0; i < 5; i++ {
 		r.Record(Event{T: 1, Kind: KindDrop})
 	}
@@ -52,15 +53,53 @@ func TestRecorderCap(t *testing.T) {
 
 func TestFilters(t *testing.T) {
 	events := []Event{
-		{T: 10, Kind: KindSend, Flow: 1},
+		{T: 10, Kind: KindFlowStart, Flow: 1},
 		{T: 20, Kind: KindDetour, Flow: 2},
 		{T: 30, Kind: KindDeliver, Flow: 1},
 	}
-	if got := ByFlow(events, 1); len(got) != 2 {
-		t.Fatalf("ByFlow = %d", len(got))
+	if got := Filter(events, func(e Event) bool { return e.Kind == KindDetour }); len(got) != 1 || got[0].Flow != 2 {
+		t.Fatalf("Filter = %v", got)
 	}
-	if got := Between(events, 15, 30); len(got) != 1 || got[0].Kind != KindDetour {
-		t.Fatalf("Between = %v", got)
+}
+
+// Two shards' recorders merge into the order one scheduler running every
+// event would have recorded them in: by time, then by the recording
+// event's same-instant key, then by flow among ordinary (pri 0) events.
+// The cap keeps the first max events of that order and counts the rest.
+func TestMergeRestoresOneSchedulerOrder(t *testing.T) {
+	type rec struct {
+		at   eventq.Time
+		pri  int64
+		flow packet.FlowID
+	}
+	// Flow numbers spell out the expected merged order.
+	shard0 := []rec{{5, 0, 0}, {5, 0, 3}, {5, 7, 4}, {9, 2, 7}}
+	shard1 := []rec{{5, 0, 1}, {5, 0, 2}, {5, 9, 5}, {5, 9, 6}, {9, 3, 8}}
+	record := func(max int, recs []rec) *Recorder {
+		s := eventq.NewScheduler()
+		r := NewRecorder(max, s)
+		for _, e := range recs {
+			e := e
+			s.AtPri(e.at, e.pri, func() { r.Record(Event{Kind: KindDeliver, Flow: e.flow}) })
+		}
+		s.Run()
+		return r
+	}
+	for _, max := range []int{100, 6, 3} {
+		r := record(max, shard0)
+		r.MergeFrom(record(max, shard1))
+		got := r.Events()
+		if want := min(max, 9); len(got) != want {
+			t.Fatalf("max %d: merged %d events, want %d", max, len(got), want)
+		}
+		for i, e := range got {
+			if e.Flow != packet.FlowID(i) {
+				t.Fatalf("max %d: event %d is flow %d: %v", max, i, e.Flow, got)
+			}
+		}
+		if r.Dropped != 9-len(got) || r.Count(KindDeliver) != 9 {
+			t.Fatalf("max %d: dropped %d, counted %d", max, r.Dropped, r.Count(KindDeliver))
+		}
 	}
 }
 

@@ -12,7 +12,11 @@
 # spray decision, caught by the architecture parity test. M21-M22 score the
 # indexed fluid solver against its rescanning reference: a candidate filter
 # that drops a flow whose qualifying link is not its first path link, and a
-# changed share left at its old place in the heap.
+# changed share left at its old place in the heap. M23-M24 score the
+# per-shard instruments against the one-shard run: an event-log merge that
+# ignores each record's same-instant key, and a path hop recorded after
+# Enqueue, which on an idle cross-shard port has already handed the packet
+# (and its path) off.
 # Each row plants one bug in a temp copy of the tree and names the check
 # that must catch it, with the output that proves it failed for the right
 # reason. A row whose source text no longer matches exactly once is an error
@@ -137,5 +141,14 @@ mutant M21 $solve $'\t\tif !s.frozen[j] {\n\t\t\ts.cand[j>>6]' $'\t\tif !s.froze
     'rate .*, reference' "${solvetest[@]}"
 mutant M22 $solve $'if ls.hpos >= 0 {\n\t\t\t\t\t\ts.heapFix(ls.hpos)\n' $'if ls.hpos >= 0 {\n' \
     'rate .*, reference' "${solvetest[@]}"
+
+# Per-shard instruments, caught by the detour-heavy burst's shard-count
+# invariance subtest.
+burst=(go test -count=1 -run 'TestShardCountInvariance/burst' ./internal/netsim)
+mutant M23 internal/trace/trace.go $'\tif a.pri != b.pri {\n\t\treturn a.pri < b.pri\n\t}\n' '' \
+    'Shards=[0-9]+ diverged' "${burst[@]}"
+mutant M24 $sw $'\ts.trace(p, desired, detoured)\n\tr := s.ports[desired].Enqueue(p)\n' \
+    $'\tr := s.ports[desired].Enqueue(p)\n\ts.trace(p, desired, detoured)\n' \
+    'Shards=[0-9]+ diverged' "${burst[@]}"
 
 exit $failed
