@@ -1,5 +1,6 @@
 // Command dibsim runs a single configurable DIBS simulation and prints the
-// paper's metrics, exposing every Table 1/2 knob as a flag.
+// paper's metrics, exposing every Table 1/2 knob as a flag. Each flag's
+// default is the matching field of dibs.DefaultConfig.
 //
 // Examples:
 //
@@ -12,10 +13,12 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
+	"sort"
 	"strings"
 	"time"
 
@@ -26,29 +29,33 @@ import (
 )
 
 func main() {
+	// Tuning flags write straight into cfg; the rest are derived after Parse.
+	cfg := dibs.DefaultConfig()
+	flag.IntVar(&cfg.FatTreeK, "k", cfg.FatTreeK, "fat-tree K")
+	flag.IntVar(&cfg.Oversub, "oversub", cfg.Oversub, "uplink capacity divisor (1:f^2 oversubscription)")
+	flag.IntVar(&cfg.BufferPkts, "buffer", cfg.BufferPkts, "per-port buffer (packets)")
+	flag.StringVar((*string)(&cfg.Buffer), "bufmode", string(cfg.Buffer), "buffer mode: droptail|infinite|shared|pfabric")
+	flag.IntVar(&cfg.MarkAtPkts, "markat", cfg.MarkAtPkts, "DCTCP ECN marking threshold (packets, 0=off)")
+	flag.BoolVar(&cfg.DIBS, "dibs", cfg.DIBS, "enable DIBS detouring")
+	flag.StringVar((*string)(&cfg.Policy), "policy", string(cfg.Policy), "detour policy: random|load-aware|flow-based|probabilistic (probabilistic needs -transport pfabric, whose packets carry priorities)")
+	flag.IntVar(&cfg.TTL, "ttl", cfg.TTL, "initial packet TTL")
+	flag.IntVar(&cfg.DupAckThresh, "dupack", cfg.DupAckThresh, "dup-ack threshold (0 disables fast retransmit)")
+	flag.Int64Var(&cfg.Seed, "seed", cfg.Seed, "RNG seed")
+	flag.BoolVar(&cfg.PacketSpray, "spray", cfg.PacketSpray, "packet-level ECMP instead of flow-level")
+	flag.BoolVar(&cfg.DelayedAck, "delack", cfg.DelayedAck, "DCTCP delayed-ACK ECN-echo state machine")
+	flag.IntVar(&cfg.Shards, "shards", cfg.Shards, "conservative-PDES scheduler shards within one run (0 or 1 runs the sequential engine; results, -events included, are byte-identical for any count)")
+	flag.StringVar((*string)(&cfg.Mode), "mode", string(cfg.Mode), "simulation fidelity: packet|fluid|hybrid (empty means packet; fluid/hybrid rate-model long flows; see DESIGN §9 for the options they exclude)")
 	var (
-		topo     = flag.String("topo", "fattree", "topology: fattree|click|linear|jellyfish|hyperx")
-		k        = flag.Int("k", 8, "fat-tree K")
-		oversub  = flag.Int("oversub", 1, "uplink capacity divisor (1:f^2 oversubscription)")
-		buffer   = flag.Int("buffer", 100, "per-port buffer (packets)")
-		bufMode  = flag.String("bufmode", "droptail", "buffer mode: droptail|infinite|shared|pfabric")
-		markAt   = flag.Int("markat", 20, "DCTCP ECN marking threshold (packets, 0=off)")
-		useDIBS  = flag.Bool("dibs", true, "enable DIBS detouring")
-		policy   = flag.String("policy", "random", "detour policy: random|load-aware|flow-based|probabilistic (probabilistic needs -transport pfabric, whose packets carry priorities)")
-		tp       = flag.String("transport", "dctcp", "transport: dctcp|newreno|pfabric")
-		ttl      = flag.Int("ttl", 255, "initial packet TTL")
-		dupack   = flag.Int("dupack", 0, "dup-ack threshold (0 disables fast retransmit)")
-		qps      = flag.Float64("qps", 300, "query arrival rate (0 disables incast)")
-		degree   = flag.Int("degree", 40, "incast degree")
-		respKB   = flag.Int64("response", 20, "query response size (KB)")
-		bgIAms   = flag.Float64("bg", 120, "per-host background inter-arrival (ms, 0 disables)")
-		duration = flag.Duration("duration", time.Second, "traffic generation window")
-		drain    = flag.Duration("drain", 300*time.Millisecond, "extra drain time")
-		seed     = flag.Int64("seed", 1, "RNG seed")
+		topo     = flag.String("topo", string(cfg.Topo), "topology: fattree|click|linear|jellyfish|hyperx")
+		tp       = flag.String("transport", cfg.Transport.String(), "transport: dctcp|newreno|pfabric")
+		qps      = flag.Float64("qps", cfg.Query.QPS, "query arrival rate (0 disables incast)")
+		degree   = flag.Int("degree", cfg.Query.Degree, "incast degree")
+		respKB   = flag.Int64("response", cfg.Query.ResponseBytes/1000, "query response size (KB)")
+		bgIAms   = flag.Float64("bg", cfg.BGInterarrival.Millis(), "per-host background inter-arrival (ms, 0 disables)")
+		duration = flag.Duration("duration", time.Duration(cfg.Duration), "traffic generation window")
+		drain    = flag.Duration("drain", time.Duration(cfg.Drain), "extra drain time")
 		fairN    = flag.Int("longflows", 0, "long-lived flows per host pair (fairness mode)")
-		pfc      = flag.Bool("pfc", false, "enable Ethernet flow control (implies -bufmode shared, -dibs=false)")
-		spray    = flag.Bool("spray", false, "packet-level ECMP instead of flow-level")
-		delack   = flag.Bool("delack", false, "DCTCP delayed-ACK ECN-echo state machine")
+		pfc      = flag.Bool("pfc", cfg.PFC, "enable Ethernet flow control (implies -bufmode shared, -dibs=false)")
 		repeat   = flag.Int("repeat", 1, "repeat the run over seeds seed..seed+N-1 and aggregate")
 		workers  = flag.Int("workers", 0, "parallel runs for -repeat (0 = GOMAXPROCS, 1 = serial); output is identical for any value")
 		events   = flag.String("events", "", "write a JSONL event trace to this file")
@@ -56,8 +63,6 @@ func main() {
 		confOut  = flag.String("dumpconfig", "", "write the effective JSON config to this file and exit")
 		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf  = flag.String("memprofile", "", "write a heap profile to this file at exit")
-		shards   = flag.Int("shards", 1, "conservative-PDES scheduler shards within one run (results, -events included, are byte-identical for any count)")
-		mode     = flag.String("mode", "packet", "simulation fidelity: packet|fluid|hybrid (fluid/hybrid rate-model long flows; see DESIGN §9 for the options they exclude)")
 	)
 	flag.Parse()
 
@@ -68,7 +73,6 @@ func main() {
 	}
 	defer stopProf()
 
-	cfg := dibs.DefaultConfig()
 	if *confIn != "" {
 		// Pure config mode: the JSON file fully describes the run, so a
 		// tuning flag set next to it would be silently ignored.
@@ -87,20 +91,37 @@ func main() {
 			fmt.Fprintf(os.Stderr, "reading config: %v\n", err)
 			os.Exit(1)
 		}
-		if err := json.Unmarshal(data, &cfg); err != nil {
+		if err := loadConfig(data, &cfg); err != nil {
 			fmt.Fprintf(os.Stderr, "parsing config: %v\n", err)
-			os.Exit(1)
+			os.Exit(2)
 		}
 	} else {
-		applyFlags(&cfg, flags{
-			topo: *topo, k: *k, oversub: *oversub, buffer: *buffer,
-			bufMode: *bufMode, markAt: *markAt, useDIBS: *useDIBS,
-			policy: *policy, tp: *tp, ttl: *ttl, dupack: *dupack,
-			qps: *qps, degree: *degree, respKB: *respKB, bgIAms: *bgIAms,
-			duration: *duration, drain: *drain, seed: *seed, fairN: *fairN,
-			pfc: *pfc, spray: *spray, delack: *delack,
-			shards: *shards, mode: *mode,
-		})
+		setTopology(&cfg, *topo)
+		switch *tp {
+		case "dctcp":
+			cfg.Transport = dibs.DCTCP
+		case "newreno":
+			cfg.Transport = dibs.NewReno
+		case "pfabric":
+			cfg.Transport = dibs.PFabric
+		default:
+			fmt.Fprintf(os.Stderr, "unknown transport %q\n", *tp)
+			os.Exit(2)
+		}
+		cfg.Duration, cfg.Drain = dibs.Duration(*duration), dibs.Duration(*drain)
+		cfg.Query, cfg.BGInterarrival = nil, 0
+		if *qps > 0 {
+			cfg.Query = &dibs.QueryConfig{QPS: *qps, Degree: *degree, ResponseBytes: *respKB * 1000}
+		}
+		if *bgIAms > 0 {
+			cfg.BGInterarrival = dibs.Time(*bgIAms * float64(dibs.Millisecond))
+		}
+		if *fairN > 0 {
+			cfg.Long = &dibs.LongFlows{PerPair: *fairN}
+		}
+		if *pfc {
+			cfg.PFC, cfg.DIBS, cfg.Buffer = true, false, dibs.BufferShared
+		}
 	}
 	if *events != "" {
 		cfg.TraceEvents = true
@@ -154,6 +175,50 @@ var configModeFlags = map[string]bool{
 	"workers": true, "cpuprofile": true, "memprofile": true,
 }
 
+// retiredKeys maps each key that Config no longer has to the one value a
+// -dumpconfig file holds for it: the fixed value the simulator now uses
+// (Engine, RecordTimeline and TraceEventCap: the last value dumped).
+var retiredKeys = map[string]any{
+	"CIOQIngressCap": 100.0, "CIOQSpeedup": 2.0, "InitCwnd": 10.0,
+	"SharedPoolPkts": 1133.0, "SharedAlpha": 1.0, "SharedReserve": 10.0,
+	"ProbabilisticStart": 0.8, "PFCXoff": 100.0, "PFCXon": 80.0,
+	"HostQueuePkts": 100000.0, "FluidPromoteFrac": 0.5,
+	"Engine": "wheel", "RecordTimeline": false, "TraceEventCap": 0.0,
+}
+
+// loadConfig decodes a -config file over cfg. Every key must name a Config
+// field, except a retired key holding its one dumped value, which is
+// dropped: an old dump still loads, and any other value would be ignored.
+func loadConfig(data []byte, cfg *dibs.Config) error {
+	var keys map[string]json.RawMessage
+	if err := json.Unmarshal(data, &keys); err != nil {
+		return err
+	}
+	var refused []string
+	for key, raw := range keys {
+		want, retired := retiredKeys[key]
+		if !retired {
+			continue
+		}
+		var got any
+		if json.Unmarshal(raw, &got) != nil || got != want {
+			refused = append(refused, fmt.Sprintf("%q is no longer a setting; a config file may hold it only as %#v", key, want))
+		}
+		delete(keys, key)
+	}
+	if len(refused) > 0 {
+		sort.Strings(refused)
+		return fmt.Errorf("%s", strings.Join(refused, "; "))
+	}
+	rest, err := json.Marshal(keys)
+	if err != nil {
+		return err
+	}
+	dec := json.NewDecoder(bytes.NewReader(rest))
+	dec.DisallowUnknownFields()
+	return dec.Decode(cfg)
+}
+
 // exitIfInvalid prints every reason Validate gives for refusing cfg, one
 // "netsim: ..." line each, and exits with status 2.
 func exitIfInvalid(cfg dibs.Config) {
@@ -163,22 +228,10 @@ func exitIfInvalid(cfg dibs.Config) {
 	}
 }
 
-// flags bundles the command-line tuning knobs.
-type flags struct {
-	topo, bufMode, policy, tp   string
-	mode                        string
-	k, oversub, buffer, markAt  int
-	ttl, dupack, degree, fairN  int
-	shards                      int
-	respKB                      int64
-	qps, bgIAms                 float64
-	duration, drain             time.Duration
-	seed                        int64
-	useDIBS, pfc, spray, delack bool
-}
-
-func applyFlags(cfg *dibs.Config, f flags) {
-	switch f.topo {
+// setTopology selects the -topo topology, giving the non-fat-tree ones a
+// fixed small geometry.
+func setTopology(cfg *dibs.Config, name string) {
+	switch name {
 	case "fattree":
 		cfg.Topo = dibs.TopoFatTree
 	case "click":
@@ -193,54 +246,9 @@ func applyFlags(cfg *dibs.Config, f flags) {
 		cfg.Topo = dibs.TopoHyperX
 		cfg.HyperXX, cfg.HyperXY, cfg.HyperXHostsPer = 4, 4, 4
 	default:
-		fmt.Fprintf(os.Stderr, "unknown topology %q\n", f.topo)
+		fmt.Fprintf(os.Stderr, "unknown topology %q\n", name)
 		os.Exit(2)
 	}
-	cfg.FatTreeK = f.k
-	cfg.Oversub = f.oversub
-	cfg.BufferPkts = f.buffer
-	cfg.MarkAtPkts = f.markAt
-	cfg.Buffer = dibs.BufferMode(f.bufMode) // Validate names an unknown mode or policy
-	cfg.DIBS = f.useDIBS
-	cfg.Policy = dibs.DetourPolicy(f.policy)
-	switch f.tp {
-	case "dctcp":
-		cfg.Transport = dibs.DCTCP
-	case "newreno":
-		cfg.Transport = dibs.NewReno
-	case "pfabric":
-		cfg.Transport = dibs.PFabric
-	default:
-		fmt.Fprintf(os.Stderr, "unknown transport %q\n", f.tp)
-		os.Exit(2)
-	}
-	cfg.TTL = f.ttl
-	cfg.DupAckThresh = f.dupack
-	cfg.Seed = f.seed
-	cfg.Duration = dibs.Duration(f.duration)
-	cfg.Drain = dibs.Duration(f.drain)
-	if f.qps > 0 {
-		cfg.Query = &dibs.QueryConfig{QPS: f.qps, Degree: f.degree, ResponseBytes: f.respKB * 1000}
-	} else {
-		cfg.Query = nil
-	}
-	if f.bgIAms > 0 {
-		cfg.BGInterarrival = dibs.Time(f.bgIAms * float64(dibs.Millisecond))
-	} else {
-		cfg.BGInterarrival = 0
-	}
-	if f.fairN > 0 {
-		cfg.Long = &dibs.LongFlows{PerPair: f.fairN}
-	}
-	if f.pfc {
-		cfg.PFC = true
-		cfg.DIBS = false
-		cfg.Buffer = dibs.BufferShared
-	}
-	cfg.PacketSpray = f.spray
-	cfg.DelayedAck = f.delack
-	cfg.Shards = f.shards
-	cfg.Mode = dibs.SimMode(f.mode)
 }
 
 func runIt(cfg dibs.Config, confOut, events string) {

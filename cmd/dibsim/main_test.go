@@ -2,12 +2,16 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
+
+	"dibs"
 )
 
 // TestCLI builds the command once and drives it as a user would; run
@@ -32,6 +36,8 @@ func TestCLI(t *testing.T) {
 	t.Run("InvalidConfigExitsWithReason", func(t *testing.T) { testInvalidConfigExitsWithReason(t, run) })
 	t.Run("RemovedEngineOption", func(t *testing.T) { testRemovedEngineOption(t, run) })
 	t.Run("ConfigRefusesTuningFlags", func(t *testing.T) { testConfigRefusesTuningFlags(t, run) })
+	t.Run("ConfigRefusesUnknownKeys", func(t *testing.T) { testConfigRefusesUnknownKeys(t, run) })
+	t.Run("FlagDefaultsAreDefaultConfig", func(t *testing.T) { testFlagDefaultsAreDefaultConfig(t, run) })
 	t.Run("EventsIndependentOfShards", func(t *testing.T) { testEventsIndependentOfShards(t, run) })
 }
 
@@ -98,9 +104,50 @@ func testConfigRefusesTuningFlags(t *testing.T, run runFunc) {
 	}
 }
 
+// testConfigRefusesUnknownKeys pins that a config file key is never
+// ignored: a key Config does not have, or a retired key at any value but
+// the one an old dump holds, exits 2 naming the key.
+func testConfigRefusesUnknownKeys(t *testing.T, run runFunc) {
+	dir := t.TempDir()
+	for _, tc := range []struct{ json, key string }{
+		{`{"SharedAlpha": 2}`, `"SharedAlpha" is no longer a setting`},
+		{`{"Qps": 1}`, `unknown field "Qps"`},
+	} {
+		path := filepath.Join(dir, "c.json")
+		if err := os.WriteFile(path, []byte(tc.json), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		code, stdout, stderr := run(t, "-config", path)
+		if code != 2 || !strings.Contains(stderr, tc.key) || stdout != "" {
+			t.Errorf("-config %s: exit %d, want 2 naming %s\nstdout: %s\nstderr: %s", tc.json, code, tc.key, stdout, stderr)
+		}
+	}
+}
+
+// testFlagDefaultsAreDefaultConfig pins that the flags restate no default:
+// with no tuning flag, the dumped config is dibs.DefaultConfig.
+func testFlagDefaultsAreDefaultConfig(t *testing.T, run runFunc) {
+	out := filepath.Join(t.TempDir(), "out.json")
+	if code, _, stderr := run(t, "-dumpconfig", out); code != 0 {
+		t.Fatalf("-dumpconfig: exit %d\nstderr: %s", code, stderr)
+	}
+	data, err := os.ReadFile(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got dibs.Config
+	if err := json.Unmarshal(data, &got); err != nil {
+		t.Fatal(err)
+	}
+	if want := dibs.DefaultConfig(); !reflect.DeepEqual(got, want) {
+		t.Errorf("flag defaults dump\n%s\nnot DefaultConfig %+v", data, want)
+	}
+}
+
 // testRemovedEngineOption pins both halves of the -engine removal: the flag
 // is gone, and a config file dumped while Config still had an Engine field
-// ("Engine": "wheel" in the fixture) keeps loading — the key is ignored.
+// ("Engine": "wheel" in the fixture, beside the other retired keys at their
+// dumped values) keeps loading — those keys are dropped.
 func testRemovedEngineOption(t *testing.T, run runFunc) {
 	if code, _, stderr := run(t, "-engine", "heap"); code != 2 || !strings.Contains(stderr, "flag provided but not defined: -engine") {
 		t.Errorf("-engine heap: exit %d, stderr:\n%s", code, stderr)

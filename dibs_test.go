@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"dibs"
+	"dibs/internal/transport"
 )
 
 func TestDefaultConfigMatchesPaperTable1(t *testing.T) {
@@ -18,8 +19,8 @@ func TestDefaultConfigMatchesPaperTable1(t *testing.T) {
 	if cfg.MinRTO != 10*dibs.Millisecond {
 		t.Errorf("minRTO = %v, Table 1 says 10ms", cfg.MinRTO)
 	}
-	if cfg.InitCwnd != 10 {
-		t.Errorf("initial cwnd = %v, Table 1 says 10", cfg.InitCwnd)
+	if w := transport.DefaultConfig(cfg.Transport).InitCwnd; w != 10 {
+		t.Errorf("initial cwnd = %v, Table 1 says 10", w)
 	}
 	if cfg.DupAckThresh != 0 {
 		t.Errorf("fast retransmit should be disabled (Table 1)")

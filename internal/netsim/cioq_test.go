@@ -75,8 +75,6 @@ func TestCIOQWithoutDIBSDropsUnderIncast(t *testing.T) {
 func TestCIOQValidation(t *testing.T) {
 	cases := []func(*Config){
 		func(c *Config) { c.Buffer = BufferInfinite },
-		func(c *Config) { c.CIOQIngressCap = 0 },
-		func(c *Config) { c.CIOQSpeedup = 0 },
 		func(c *Config) { c.Arch = "banyan" },
 	}
 	for i, mutate := range cases {

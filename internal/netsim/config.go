@@ -8,6 +8,7 @@ import (
 	"fmt"
 
 	"dibs/internal/eventq"
+	"dibs/internal/topology"
 	"dibs/internal/transport"
 	"dibs/internal/workload"
 )
@@ -136,11 +137,9 @@ type Config struct {
 	// --- switch architecture ---
 	// Arch selects output-queued (default) or combined input/output
 	// queued switches (§4): "cioq" adds per-input VOQ buffers and a
-	// crossbar with CIOQSpeedup; DIBS detours at the forwarding engine
-	// against the egress queues.
-	Arch           SwitchArch
-	CIOQIngressCap int
-	CIOQSpeedup    int
+	// crossbar (switching.DefaultCIOQ); DIBS detours at the forwarding
+	// engine against the egress queues.
+	Arch SwitchArch
 
 	// --- switch buffers ---
 	Buffer BufferMode
@@ -148,30 +147,22 @@ type Config struct {
 	BufferPkts int
 	// MarkAtPkts is the DCTCP ECN marking threshold; 0 disables marking.
 	MarkAtPkts int
-	// SharedPoolPkts / SharedAlpha / SharedReserve parameterize DBA.
-	SharedPoolPkts int
-	SharedAlpha    float64
-	SharedReserve  int
 
 	// --- DIBS ---
 	DIBS   bool
 	Policy DetourPolicy
-	// ProbabilisticStart is the early-detour occupancy threshold.
-	ProbabilisticStart float64
 
 	// --- Ethernet flow control (§6 comparison; alternative to DIBS) ---
 	// PFC enables hop-by-hop pause. Requires BufferShared (real PFC
 	// switches do per-ingress accounting over shared memory) and DIBS
-	// off. A switch pauses an upstream link when PFCXoff packets from
-	// that ingress are buffered, and resumes below PFCXon.
-	PFC     bool
-	PFCXoff int
-	PFCXon  int
+	// off. A switch pauses an upstream link when the packets buffered from
+	// that ingress cross enablePFC's Xoff threshold, and resumes below
+	// its Xon.
+	PFC bool
 
 	// --- transport (Table 1) ---
 	Transport    transport.Variant
 	MinRTO       eventq.Time
-	InitCwnd     float64
 	DupAckThresh int
 	TTL          int
 	// DelayedAck enables the DCTCP delayed-ACK ECN-echo state machine
@@ -222,8 +213,6 @@ type Config struct {
 	// BufferSamplePeriod enables the buffer-occupancy snapshots
 	// Collector.Buf (Figures 2b and 5); 0 disables.
 	BufferSamplePeriod eventq.Time
-	// HostQueuePkts is the host NIC queue depth.
-	HostQueuePkts int
 	// HostMarkAtPkts, when > 0, ECN-marks at the host NIC queue at that
 	// threshold, as DCTCP deployments do on end hosts. The default 0
 	// leaves NICs unmarked (deep FIFO bufferbloat), matching the paper's
@@ -253,13 +242,6 @@ type Config struct {
 	// eligible for fluid custody (0 = 1 MB). Short flows — the paper's
 	// query traffic — always stay packets.
 	FluidMinBytes int64
-	// FluidPromoteFrac is the fraction of a port's queue capacity —
-	// counting both real packets and the folded fluid share — at which
-	// fluid flows crossing the port promote back to packets (0 = 0.5).
-	// Half the buffer is well above any steady-state standing queue yet
-	// fires early in a genuine incast, while per-packet physics (detours,
-	// drops, retransmissions) still have headroom to matter.
-	FluidPromoteFrac float64
 	// Shards partitions the network across that many conservative-PDES
 	// scheduler shards (DESIGN §9): pods stay together, cores spread
 	// round-robin, hosts follow their edge switch, and shards run
@@ -285,23 +267,15 @@ func DefaultConfig() Config {
 		LinkRate:  1_000_000_000,
 		LinkDelay: 1500 * eventq.Nanosecond,
 
-		Buffer:         BufferDropTail,
-		BufferPkts:     100,
-		MarkAtPkts:     20,
-		SharedPoolPkts: 1133, // ~1.7MB of 1500B packets (§5.5.2)
-		SharedAlpha:    1,
-		SharedReserve:  10,
+		Buffer:     BufferDropTail,
+		BufferPkts: 100,
+		MarkAtPkts: 20,
 
-		DIBS:               true,
-		Policy:             PolicyRandom,
-		ProbabilisticStart: 0.8,
-
-		PFCXoff: 100,
-		PFCXon:  80,
+		DIBS:   true,
+		Policy: PolicyRandom,
 
 		Transport:    transport.DCTCP,
 		MinRTO:       10 * eventq.Millisecond,
-		InitCwnd:     10,
 		DupAckThresh: 0,
 		TTL:          255,
 
@@ -315,36 +289,33 @@ func DefaultConfig() Config {
 			ResponseBytes: 20_000,
 		},
 
-		HostQueuePkts: 100_000,
 		ForwardJitter: 2 * eventq.Microsecond,
 
 		FluidTick:          100 * eventq.Microsecond,
 		FluidStableWindows: 8,
 		FluidMinBytes:      1 << 20,
-		FluidPromoteFrac:   0.5,
 
-		Arch:           ArchOutputQueued,
-		CIOQIngressCap: 100,
-		CIOQSpeedup:    2,
+		Arch: ArchOutputQueued,
 	}
 }
 
-// hostCount is the number of hosts the topology c describes: what
-// len(Build(c).Topo.Hosts()) returns for any geometry Validate accepts.
-func (c *Config) hostCount() int {
+// geometry returns the host count and the widest switch's port count of
+// the topology c describes: what Build(c).Topo has, for any geometry
+// Validate accepts.
+func (c *Config) geometry() (hosts, radix int) {
 	switch c.Topo {
 	case TopoFatTree:
-		return c.FatTreeK * c.FatTreeK * c.FatTreeK / 4
+		return c.FatTreeK * c.FatTreeK * c.FatTreeK / 4, c.FatTreeK
 	case TopoClick:
-		return 6
+		return 6, 4 // an edge switch: two aggregation switches, two hosts
 	case TopoLinear:
-		return c.LinearSwitches * c.LinearHostsPer
+		return c.LinearSwitches * c.LinearHostsPer, min(c.LinearSwitches-1, 2) + c.LinearHostsPer
 	case TopoJellyfish:
-		return c.JellyfishSwitches * c.JellyfishHostsPer
+		return c.JellyfishSwitches * c.JellyfishHostsPer, c.JellyfishDegree + c.JellyfishHostsPer
 	case TopoHyperX:
-		return c.HyperXX * c.HyperXY * c.HyperXHostsPer
+		return c.HyperXX * c.HyperXY * c.HyperXHostsPer, c.HyperXX + c.HyperXY - 2 + c.HyperXHostsPer
 	}
-	return 0
+	return 0, 0
 }
 
 // option is a Config setting named the way a rejection reports it.
@@ -364,13 +335,11 @@ func (c *Config) Validate() error {
 		}
 	}
 	reject(c.LinkRate <= 0, "link rate must be positive")
+	reject(c.LinkDelay < 0, "LinkDelay must be >= 0")
 	switch c.Buffer {
 	case BufferDropTail, BufferPFabric:
 		reject(c.BufferPkts < 1, "%s needs BufferPkts >= 1", c.Buffer)
-	case BufferShared:
-		reject(c.SharedPoolPkts < 1, "shared buffer needs SharedPoolPkts >= 1")
-		reject(c.SharedAlpha <= 0, "shared buffer needs SharedAlpha > 0")
-	case BufferInfinite:
+	case BufferShared, BufferInfinite:
 	default:
 		reject(true, "unknown buffer mode %q", c.Buffer)
 	}
@@ -378,14 +347,12 @@ func (c *Config) Validate() error {
 	if c.PFC {
 		reject(c.DIBS, "PFC and DIBS are alternative mechanisms; enable one")
 		reject(c.Buffer != BufferShared, "PFC requires shared-buffer switches")
-		reject(c.PFCXon <= 0 || c.PFCXon >= c.PFCXoff, "PFC requires 0 < PFCXon < PFCXoff")
 	}
 	// A named policy must exist even with DIBS off; DIBS on needs one.
 	if c.DIBS || c.Policy != "" {
 		switch c.Policy {
 		case PolicyRandom, PolicyLoadAware, PolicyFlowBased:
 		case PolicyProbabilistic:
-			reject(c.ProbabilisticStart <= 0 || c.ProbabilisticStart > 1, "ProbabilisticStart must be in (0,1]")
 			reject(c.Transport != transport.PFabric, "Policy=probabilistic needs Transport=pfabric: it detours early only packets with a nonzero priority, which only pFabric tags, so on any other transport it runs as plain random")
 		default:
 			reject(true, "unknown detour policy %q", c.Policy)
@@ -398,7 +365,6 @@ func (c *Config) Validate() error {
 	default:
 		reject(true, "unknown transport variant %d", c.Transport)
 	}
-	reject(c.InitCwnd < 1, "InitCwnd must be >= 1")
 	switch c.BGDist {
 	case "", BGWebSearch, BGDataMining:
 	default:
@@ -409,19 +375,18 @@ func (c *Config) Validate() error {
 	case ArchCIOQ:
 		reject(c.PFC, "PFC is implemented for output-queued switches only")
 		reject(c.Buffer != BufferDropTail, "CIOQ uses dedicated drop-tail egress queues")
-		reject(c.CIOQIngressCap < 1 || c.CIOQSpeedup < 1, "CIOQ needs positive ingress capacity and speedup")
 	default:
 		reject(true, "unknown switch architecture %q", c.Arch)
 	}
 	reject(c.Duration <= 0, "duration must be positive")
+	reject(c.Drain < 0, "Drain must be >= 0")
 	reject(c.TTL < 2, "TTL must be >= 2")
-	reject(c.HostQueuePkts < 1, "host queue must hold >= 1 packet")
 	reject(c.HostMarkAtPkts < 0, "HostMarkAtPkts must be >= 0 (0 disables NIC marking)")
 	reject(c.Shards < 0, "Shards must be >= 0")
 
 	if c.Shards > 1 {
 		reject(c.PFC, "PFC requires Shards <= 1: pause feedback reacts faster than the link-delay lookahead window")
-		reject(c.LinkDelay <= 0, "Shards > 1 needs a positive LinkDelay lookahead")
+		reject(c.LinkDelay == 0, "Shards > 1 needs a positive LinkDelay lookahead")
 	}
 	switch c.Mode {
 	case "", ModePacket:
@@ -442,7 +407,7 @@ func (c *Config) Validate() error {
 		} {
 			reject(o.on, "%s cannot combine with Mode=%s: fluid-modeled flows emit no packets for it to observe or control", o.name, c.Mode)
 		}
-		reject(c.FluidTick < 0 || c.FluidStableWindows < 0 || c.FluidMinBytes < 0 || c.FluidPromoteFrac < 0,
+		reject(c.FluidTick < 0 || c.FluidStableWindows < 0 || c.FluidMinBytes < 0,
 			"fluid tunables must be >= 0 (0 selects the default)")
 	default:
 		reject(true, "unknown simulation mode %q", c.Mode)
@@ -453,11 +418,20 @@ func (c *Config) Validate() error {
 		reject(q.Degree < 1, "Query.Degree must be >= 1")
 		reject(q.ResponseBytes <= 0, "Query.ResponseBytes must be positive")
 	}
+	if os := c.OneShot; os != nil {
+		reject(os.At < 0, "OneShot.At must be >= 0")
+		reject(os.Senders < 1, "OneShot.Senders must be >= 1")
+		reject(os.FlowsPerSender < 1, "OneShot.FlowsPerSender must be >= 1")
+		reject(os.Bytes <= 0, "OneShot.Bytes must be positive")
+	}
+	reject(c.Long != nil && c.Long.PerPair < 1, "Long.PerPair must be >= 1")
 	beforeGeometry := len(errs)
 	switch c.Topo {
 	case TopoFatTree:
 		reject(c.FatTreeK < 2 || c.FatTreeK%2 != 0, "fat-tree K must be even and >= 2, got %d", c.FatTreeK)
 		reject(c.Oversub < 1, "Oversub must be >= 1, got %d", c.Oversub)
+		reject(c.LinkRate > 0 && int64(c.Oversub) > c.LinkRate,
+			"Oversub %d leaves switch-to-switch links no capacity at LinkRate %d", c.Oversub, c.LinkRate)
 	case TopoClick:
 	case TopoLinear:
 		reject(c.LinearSwitches < 1, "linear topology needs LinearSwitches >= 1")
@@ -470,9 +444,11 @@ func (c *Config) Validate() error {
 	default:
 		reject(true, "unknown topology %q", c.Topo)
 	}
-	// Workload bounds on the host count, which only a buildable geometry has.
+	// The port bound, and workload bounds on the host count, which only a
+	// well-formed geometry has.
 	if len(errs) == beforeGeometry {
-		hosts := c.hostCount()
+		hosts, radix := c.geometry()
+		reject(radix > topology.MaxPorts, "%s switches would need %d ports; at most %d fit", c.Topo, radix, topology.MaxPorts)
 		if q := c.Query; q != nil {
 			capacity := (hosts - 1) * max(1, q.MaxFanInPerHost)
 			reject(q.Degree > capacity, "Query.Degree %d exceeds responder capacity %d of %d hosts", q.Degree, capacity, hosts)

@@ -133,7 +133,7 @@ func TestValidateModeAcceptsCleanAndPacketConfigs(t *testing.T) {
 	// Negative fluid tunables are nonsense in any fluid mode.
 	cfg = smallConfig()
 	cfg.Mode = ModeHybrid
-	cfg.FluidPromoteFrac = -1
+	cfg.FluidTick = -1
 	if msg := validateMsg(cfg); !strings.Contains(msg, "fluid tunables") {
 		t.Fatalf("negative fluid tunable accepted (error %q)", msg)
 	}

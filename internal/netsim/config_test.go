@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"dibs/internal/eventq"
-	"dibs/internal/transport"
 	"dibs/internal/workload"
 )
 
@@ -37,8 +36,9 @@ func TestValidateNamesEveryFamily(t *testing.T) {
 
 // Each of these used to pass Validate and then panic deeper inside Build or
 // at the first flow (or, for the transport, run silently as loss-based TCP;
-// for the policy, be ignored). Validate now names each one as the config's
-// only violation.
+// for the policy, be ignored; for the one-shot senders, drain and long
+// flows, run to a result that can never be complete). Validate now names
+// each one as the config's only violation.
 func TestValidateRejectsWhatBuildCannotBuild(t *testing.T) {
 	cases := []struct {
 		name   string
@@ -48,16 +48,33 @@ func TestValidateRejectsWhatBuildCannotBuild(t *testing.T) {
 		{"unknown buffer", func(c *Config) { c.Buffer = "foo" }, `unknown buffer mode "foo"`},
 		{"unknown transport", func(c *Config) { c.Transport = 7 }, "unknown transport variant 7"},
 		{"zero min RTO", func(c *Config) { c.MinRTO = 0 }, "MinRTO must be positive"},
-		{"zero initial window", func(c *Config) { c.InitCwnd = 0 }, "InitCwnd must be >= 1"},
-		{"zero shared alpha", func(c *Config) { c.Buffer = BufferShared; c.SharedAlpha = 0 }, "SharedAlpha > 0"},
-		{"probabilistic past full", func(c *Config) {
-			c.Policy, c.Transport, c.ProbabilisticStart = PolicyProbabilistic, transport.PFabric, 1.5
-		}, "ProbabilisticStart must be in (0,1]"},
 		{"probabilistic without priorities", func(c *Config) { c.Policy = PolicyProbabilistic },
 			"Policy=probabilistic needs Transport=pfabric"},
 		{"unknown policy without DIBS", func(c *Config) { c.DIBS = false; c.Policy = "psychic" }, `unknown detour policy "psychic"`},
 		{"odd fat-tree", func(c *Config) { c.FatTreeK = 3 }, "fat-tree K must be even and >= 2, got 3"},
 		{"zero oversub", func(c *Config) { c.Oversub = 0 }, "Oversub must be >= 1"},
+		{"oversub beyond link rate", func(c *Config) { c.Oversub = 1_000_000_001 },
+			"Oversub 1000000001 leaves switch-to-switch links no capacity at LinkRate 1000000000"},
+		{"fat-tree beyond 64 ports", func(c *Config) { c.FatTreeK = 66 }, "fattree switches would need 66 ports; at most 64 fit"},
+		{"linear beyond 64 ports", func(c *Config) {
+			c.Topo = TopoLinear
+			c.LinearSwitches, c.LinearHostsPer = 1, 65
+		}, "linear switches would need 65 ports; at most 64 fit"},
+		{"negative link delay", func(c *Config) { c.LinkDelay = -1 }, "LinkDelay must be >= 0"},
+		{"negative drain", func(c *Config) { c.Drain = -c.Duration }, "Drain must be >= 0"},
+		{"one-shot of nothing", func(c *Config) {
+			c.OneShot = &OneShot{At: eventq.Millisecond, Senders: 4, FlowsPerSender: 1, Bytes: 0}
+		}, "OneShot.Bytes must be positive"},
+		{"one-shot in the past", func(c *Config) {
+			c.OneShot = &OneShot{At: -eventq.Millisecond, Senders: 4, FlowsPerSender: 1, Bytes: 1}
+		}, "OneShot.At must be >= 0"},
+		{"one-shot without senders", func(c *Config) {
+			c.OneShot = &OneShot{At: eventq.Millisecond, Senders: -1, FlowsPerSender: 1, Bytes: 1}
+		}, "OneShot.Senders must be >= 1"},
+		{"one-shot without flows", func(c *Config) {
+			c.OneShot = &OneShot{At: eventq.Millisecond, Senders: 4, FlowsPerSender: 0, Bytes: 1}
+		}, "OneShot.FlowsPerSender must be >= 1"},
+		{"long pairs without flows", func(c *Config) { c.Long = &LongFlows{PerPair: 0} }, "Long.PerPair must be >= 1"},
 		{"empty linear", func(c *Config) { c.Topo = TopoLinear }, "LinearSwitches >= 1"},
 		{"flat hyperx", func(c *Config) { c.Topo = TopoHyperX }, "hyperx dimensions must be >= 1, got 0x0"},
 		{"dense jellyfish", func(c *Config) {

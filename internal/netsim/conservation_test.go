@@ -201,7 +201,7 @@ func TestDropPathPoolConservation(t *testing.T) {
 			c.Transport = transport.PFabric
 		}},
 		{"cioq-ingress", []switching.DropReason{switching.DropOverflow},
-			func(c *Config) { c.Arch = ArchCIOQ; c.CIOQIngressCap = 4 }},
+			func(c *Config) { c.Arch = ArchCIOQ; c.DIBS = false; c.BufferPkts = 10; c.MarkAtPkts = 0 }},
 	} {
 		t.Run(row.name, func(t *testing.T) {
 			cfg := smallConfig()

@@ -42,12 +42,13 @@ func (c *Config) fluidMinBytes() int64 {
 	return 1 << 20
 }
 
-func (c *Config) fluidPromoteFrac() float64 {
-	if c.FluidPromoteFrac > 0 {
-		return c.FluidPromoteFrac
-	}
-	return 0.5
-}
+// promoteFrac is the fraction of a port's queue capacity — counting both
+// real packets and the folded fluid share — at which fluid flows crossing
+// the port promote back to packets. Half the buffer is well above any
+// steady-state standing queue yet fires early in a genuine incast, while
+// per-packet physics (detours, drops, retransmissions) still have headroom
+// to matter.
+const promoteFrac = 0.5
 
 // Candidate fidelity states.
 const (
@@ -115,7 +116,7 @@ func (n *Network) buildFluid() {
 	if cfg.Buffer != BufferDropTail {
 		promoteCap = 100
 	}
-	promote := int(cfg.fluidPromoteFrac() * float64(promoteCap))
+	promote := int(promoteFrac * float64(promoteCap))
 	if promote < 1 {
 		promote = 1
 	}

@@ -47,8 +47,13 @@ func TestBuildTopologies(t *testing.T) {
 		if len(n.Topo.Hosts()) < 2 {
 			t.Fatalf("%s: too few hosts", cfg.Topo)
 		}
-		if got, want := cfg.hostCount(), len(n.Topo.Hosts()); got != want {
-			t.Fatalf("%s: hostCount %d, built %d hosts", cfg.Topo, got, want)
+		widest := 0
+		for _, sid := range n.Topo.Switches() {
+			widest = max(widest, len(n.Topo.Ports(sid)))
+		}
+		if hosts, radix := cfg.geometry(); hosts != len(n.Topo.Hosts()) || radix != widest {
+			t.Fatalf("%s: geometry %d hosts, radix %d; built %d hosts, widest switch %d ports",
+				cfg.Topo, hosts, radix, len(n.Topo.Hosts()), widest)
 		}
 		// Every node has a handler; switches and hosts are disjoint.
 		for _, hid := range n.Topo.Hosts() {
@@ -339,11 +344,9 @@ func TestConfigValidationPanics(t *testing.T) {
 	cases := []func(c *Config){
 		func(c *Config) { c.LinkRate = 0 },
 		func(c *Config) { c.BufferPkts = 0 },
-		func(c *Config) { c.Buffer = BufferShared; c.SharedPoolPkts = 0 },
 		func(c *Config) { c.Buffer = BufferPFabric; c.DIBS = true },
 		func(c *Config) { c.Duration = 0 },
 		func(c *Config) { c.TTL = 1 },
-		func(c *Config) { c.HostQueuePkts = 0 },
 		func(c *Config) { c.Topo = "mesh" },
 		func(c *Config) { c.Policy = "psychic" },
 	}

@@ -142,11 +142,12 @@ func Build(cfg Config) *Network {
 	var qArena queue.DropTailArena
 
 	// Hosts first (their NICs are simple), then switches.
+	const nicQueuePkts = 100_000 // a deep host FIFO (see HostMarkAtPkts)
 	for hi, hid := range n.Topo.Hosts() {
 		h := hostBlock[hi].Init(hid)
 		sh := n.shards[n.part[hid]]
 		p := n.Topo.Ports(hid)[0]
-		nic := finishPort(switching.InitOutPort(nextPort(), sh.sched, qArena.New(cfg.HostQueuePkts, cfg.HostMarkAtPkts),
+		nic := finishPort(switching.InitOutPort(nextPort(), sh.sched, qArena.New(nicQueuePkts, cfg.HostMarkAtPkts),
 			p.RateBps, p.Delay, portRef{n, p.Peer}, p.PeerPort), hid, 0, p.Peer, p.PeerPort)
 		h.NIC = nic
 		h.OnDeliver = sh.coll.OnDeliver
@@ -159,7 +160,9 @@ func Build(cfg Config) *Network {
 		ports := make([]*switching.OutPort, 0, len(n.Topo.Ports(sid)))
 		var pool *queue.SharedPool
 		if cfg.Buffer == BufferShared {
-			pool = queue.NewSharedPool(cfg.SharedPoolPkts, cfg.SharedAlpha, cfg.SharedReserve)
+			// Dynamic buffer allocation (§5.5.2): ~1.7 MB of 1500 B packets
+			// per switch, threshold alpha 1, 10 packets reserved per port.
+			pool = queue.NewSharedPool(1133, 1, 10)
 		}
 		for pi, p := range n.Topo.Ports(sid) {
 			ports = append(ports, finishPort(switching.InitOutPort(nextPort(), sh.sched, n.makeQueue(pool, &qArena),
@@ -173,7 +176,7 @@ func Build(cfg Config) *Network {
 		sw.MarkDetours = cfg.MarkAtPkts > 0
 		sw.PacketSpray = cfg.PacketSpray
 		if cfg.Arch == ArchCIOQ {
-			sw.EnableCIOQ(sh.sched, switching.CIOQConfig{IngressCap: cfg.CIOQIngressCap, Speedup: cfg.CIOQSpeedup})
+			sw.EnableCIOQ(sh.sched, switching.DefaultCIOQ)
 		}
 		n.Switches[sid] = sw
 		n.handlers[sid] = sw
@@ -213,13 +216,15 @@ func (n *Network) switchPorts(i int) []metrics.PortRef {
 
 // enablePFC turns on Ethernet flow control everywhere: each switch pauses
 // the upstream transmitter (switch port or host NIC) of an ingress whose
-// buffered packets cross Xoff. Control frames take one link delay.
+// buffered packets cross Xoff, and resumes it below Xon. Control frames
+// take one link delay.
 func (n *Network) enablePFC() {
+	const xoff, xon = 100, 80 // packets buffered per ingress
 	for _, sid := range n.Topo.Switches() {
 		sid := sid
 		n.Switches[sid].EnablePFC(switching.PFCConfig{
-			Xoff: n.Cfg.PFCXoff,
-			Xon:  n.Cfg.PFCXon,
+			Xoff: xoff,
+			Xon:  xon,
 			Pause: func(inPort int, paused bool) {
 				p := n.Topo.Ports(sid)[inPort]
 				n.Sched.After(p.Delay, func() {
@@ -290,7 +295,7 @@ func (n *Network) makePolicy() core.Policy {
 	case PolicyFlowBased:
 		return core.NewFlowBased()
 	case PolicyProbabilistic:
-		return core.NewProbabilistic(n.Cfg.ProbabilisticStart)
+		return core.NewProbabilistic(0.8) // detour low priorities from 80% full
 	default:
 		panic("netsim: unreachable policy")
 	}
@@ -301,7 +306,6 @@ func (n *Network) makePolicy() core.Policy {
 func (n *Network) transportConfig() transport.Config {
 	cfg := &n.Cfg
 	tc := transport.DefaultConfig(cfg.Transport)
-	tc.InitCwnd = cfg.InitCwnd
 	tc.DupAckThresh = cfg.DupAckThresh
 	tc.TTL = cfg.TTL
 	tc.DelayedAck = cfg.DelayedAck

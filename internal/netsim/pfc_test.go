@@ -11,14 +11,12 @@ func pfcConfig() Config {
 	cfg.DIBS = false
 	cfg.Buffer = BufferShared
 	cfg.PFC = true
-	cfg.PFCXoff = 50
-	cfg.PFCXon = 40
 	return cfg
 }
 
 func TestPFCAbsorbsIncastWithoutLoss(t *testing.T) {
 	cfg := pfcConfig()
-	cfg.OneShot = &OneShot{At: eventq.Millisecond, Senders: 12, FlowsPerSender: 2, Bytes: 20_000}
+	cfg.OneShot = &OneShot{At: eventq.Millisecond, Senders: 12, FlowsPerSender: 6, Bytes: 20_000}
 	cfg.Duration = 30 * eventq.Millisecond
 	cfg.Drain = 500 * eventq.Millisecond
 	r := Build(cfg).Run()
@@ -73,8 +71,6 @@ func TestPFCValidation(t *testing.T) {
 	cases := []func(*Config){
 		func(c *Config) { c.DIBS = true },             // PFC+DIBS
 		func(c *Config) { c.Buffer = BufferDropTail }, // needs shared
-		func(c *Config) { c.PFCXon = c.PFCXoff },      // bad thresholds
-		func(c *Config) { c.PFCXon = 0 },              // bad thresholds
 	}
 	for i, mutate := range cases {
 		func() {

@@ -63,7 +63,7 @@ func TestSingleFlowMatchesSlowStartModel(t *testing.T) {
 		t.Fatal("flow did not complete")
 	}
 	rtt := model.BaseRTT(6, cfg.LinkRate, cfg.LinkDelay, model.DefaultWire)
-	ideal := model.SlowStartIdealFCT(bytes, cfg.LinkRate, rtt, cfg.InitCwnd, model.DefaultWire)
+	ideal := model.SlowStartIdealFCT(bytes, cfg.LinkRate, rtt, n.transportConfig().InitCwnd, model.DefaultWire)
 	got := f.FCT()
 	if float64(got) < 0.9*float64(ideal) {
 		t.Fatalf("FCT %v beats the slow-start estimate %v by >10%%", got, ideal)

@@ -173,8 +173,8 @@ func (b *builder) finalize() *Topology {
 	}
 	t.hostPortMask = make([]uint64, len(t.nodes))
 	for id, ports := range t.ports {
-		if len(ports) > 64 {
-			panic(fmt.Sprintf("topology: node %d has %d ports; max 64", id, len(ports)))
+		if len(ports) > MaxPorts {
+			panic(fmt.Sprintf("topology: node %d has %d ports; max %d", id, len(ports), MaxPorts))
 		}
 		for pi, p := range ports {
 			if t.nodes[p.Peer].Kind == Host {
@@ -286,6 +286,10 @@ func (t *Topology) NextHops(node, dst packet.NodeID) []uint8 {
 func (t *Topology) Distance(node, dst packet.NodeID) int {
 	return int(t.dist[int(t.hostIdx[dst])*len(t.nodes)+int(node)])
 }
+
+// MaxPorts is the most ports a node may have: one bit each in a uint64
+// port mask.
+const MaxPorts = 64
 
 // HostPortMask returns the bitmap of host-facing ports at node: bit i set
 // means port i attaches to an end host. DIBS must never detour to those.

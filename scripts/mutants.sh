@@ -16,7 +16,9 @@
 # per-shard instruments against the one-shard run: an event-log merge that
 # ignores each record's same-instant key, and a path hop recorded after
 # Enqueue, which on an idle cross-shard port has already handed the packet
-# (and its path) off.
+# (and its path) off. M25-M26 score the refusals that replaced retired
+# Config knobs: Validate's one-shot size check, and dibsim's refusal of a
+# retired config-file key at any but its dumped value.
 # Each row plants one bug in a temp copy of the tree and names the check
 # that must catch it, with the output that proves it failed for the right
 # reason. A row whose source text no longer matches exactly once is an error
@@ -150,5 +152,14 @@ mutant M23 internal/trace/trace.go $'\tif a.pri != b.pri {\n\t\treturn a.pri < b
 mutant M24 $sw $'\ts.trace(p, desired, detoured)\n\tr := s.ports[desired].Enqueue(p)\n' \
     $'\tr := s.ports[desired].Enqueue(p)\n\ts.trace(p, desired, detoured)\n' \
     'Shards=[0-9]+ diverged' "${burst[@]}"
+
+# Inputs Build cannot honor are refused by name: Validate names a one-shot
+# of empty flows (which would panic at the first flow), and dibsim refuses a
+# retired key that holds anything but the value an old dump wrote.
+mutant M25 internal/netsim/config.go $'\t\treject(os.Bytes <= 0, "OneShot.Bytes must be positive")\n' '' \
+    'FAIL: TestValidateRejectsWhatBuildCannotBuild/one-shot_of_nothing' \
+    go test -count=1 -run TestValidateRejectsWhatBuildCannotBuild ./internal/netsim
+mutant M26 cmd/dibsim/main.go 'json.Unmarshal(raw, &got) != nil || got != want' 'json.Unmarshal(raw, &got) != nil' \
+    'FAIL: TestCLI/ConfigRefusesUnknownKeys' go test -count=1 -run TestCLI ./cmd/dibsim
 
 exit $failed
