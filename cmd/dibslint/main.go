@@ -12,8 +12,6 @@
 // type-check (its findings are still printed). -disable=rule1,rule2 drops
 // specific rules for one invocation; an ID that -rules does not list is a
 // usage error, so a typo or a retired rule cannot silently disable nothing.
-// -workers=n analyzes packages in parallel (default one worker per CPU);
-// findings are identical and identically ordered at any worker count.
 //
 // Suppress a single finding with a trailing or preceding comment:
 //
@@ -35,7 +33,6 @@ import (
 	"strings"
 
 	"dibs/internal/lint"
-	"dibs/internal/runner"
 )
 
 func main() {
@@ -43,9 +40,8 @@ func main() {
 	tests := flag.Bool("tests", false, "also lint _test.go files (test-relevant rules only)")
 	jsonOut := flag.Bool("json", false, "emit findings as a JSON array on stdout")
 	disable := flag.String("disable", "", "comma-separated rule IDs to skip")
-	workers := flag.Int("workers", 0, "packages analyzed in parallel (0 = one per CPU); output is identical at any setting")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: dibslint [-rules] [-tests] [-json] [-disable=rule,...] [-workers=n] [packages]\n\npatterns: directories, or dir/... for recursion (default ./...)\n")
+		fmt.Fprintf(os.Stderr, "usage: dibslint [-rules] [-tests] [-json] [-disable=rule,...] [packages]\n\npatterns: directories, or dir/... for recursion (default ./...)\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -110,7 +106,7 @@ func main() {
 		}
 	}
 
-	all := loader.RunParallel(pkgs, lint.Analyzers(), runner.DefaultWorkers(*workers))
+	all := loader.Run(pkgs, lint.Analyzers())
 	findings := all[:0]
 	for _, f := range all {
 		if !disabled[f.Rule] {

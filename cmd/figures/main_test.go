@@ -6,8 +6,11 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
+
+	"dibs/internal/experiments"
 )
 
 // TestCLI builds the command once and drives it as a user would.
@@ -52,6 +55,26 @@ func TestCLI(t *testing.T) {
 		}
 		if _, err := os.Stat(prof); err == nil {
 			t.Errorf("%v: left a profile behind", args)
+		}
+	}
+}
+
+// TestREADMEFigIDsAreRegistered keeps the README's commands runnable: every
+// experiment ID it passes to -fig must be one the registry knows.
+func TestREADMEFigIDsAreRegistered(t *testing.T) {
+	readme, err := os.ReadFile("../../README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	uses := regexp.MustCompile(`-fig ([\w,]+)`).FindAllStringSubmatch(string(readme), -1)
+	if len(uses) == 0 {
+		t.Fatal("README.md cites no -fig command")
+	}
+	for _, use := range uses {
+		for _, id := range strings.Split(use[1], ",") {
+			if _, ok := experiments.ByID(id); !ok {
+				t.Errorf("README.md: %q names unregistered experiment %q", use[0], id)
+			}
 		}
 	}
 }

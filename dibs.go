@@ -8,13 +8,10 @@
 // (topology, switch buffers, DIBS policy, transport, workload), call Run,
 // and read the paper's metrics off Results.
 //
-//	cfg := dibs.DefaultConfig()              // K=8 fat-tree, DCTCP+DIBS
-//	cfg.Duration = 500 * dibs.Millisecond
-//	res := dibs.Run(cfg)
-//	fmt.Println(res.QCT99, res.TotalDrops)
-//
-// The experiment harness that regenerates every figure of the paper lives
-// in cmd/figures; runnable walkthroughs live in examples/.
+// ExampleRun compares DCTCP with and without DIBS on the paper's default
+// workload; ExampleWriteEventTrace analyzes a burst's event log. The
+// experiment harness that regenerates every figure of the paper lives in
+// cmd/figures.
 package dibs
 
 import (

@@ -47,9 +47,6 @@ type Opts struct {
 	Log func(format string, args ...any)
 }
 
-// DefaultOpts returns the standard full-scale options.
-func DefaultOpts() Opts { return Opts{Seed: 1, Scale: 1} }
-
 func (o *Opts) normalize() {
 	if o.Scale <= 0 {
 		o.Scale = 1

@@ -35,8 +35,6 @@ import (
 	"regexp"
 	"sort"
 	"strings"
-
-	"dibs/internal/runner"
 )
 
 // Finding is one rule violation, reported as file:line:col rule-id message.
@@ -408,8 +406,8 @@ func packageClause(filename string) (string, error) {
 
 // SimPackage reports whether path is a simulation package: the module root
 // package and everything under internal/, except the lint tooling itself.
-// cmd/ and examples/ binaries may legitimately read the wall clock (to print
-// elapsed real time) and are outside the determinism perimeter.
+// cmd/ binaries may legitimately read the wall clock (to print elapsed real
+// time) and are outside the determinism perimeter.
 func (l *Loader) SimPackage(path string) bool {
 	if path == l.ModulePath {
 		return true
@@ -499,7 +497,7 @@ func suppressions(fset *token.FileSet, files []*ast.File, report func(pos token.
 
 // runPkg runs all analyzers over one package and applies suppressions, the
 // test-file filter, severity stamping, and stale-directive detection. The
-// per-package slice is unsorted; callers merge and sort.
+// per-package slice is unsorted; Run merges and sorts.
 func (l *Loader) runPkg(pkg *Package, analyzers []*Analyzer, docs map[string]RuleDoc) []Finding {
 	var raw []Finding
 	report := func(pos token.Pos, rule, msg string) {
@@ -546,27 +544,15 @@ func (l *Loader) runPkg(pkg *Package, analyzers []*Analyzer, docs map[string]Rul
 // Findings inside _test.go files are kept only for rules marked InTests;
 // severities are stamped from the rule docs.
 func (l *Loader) Run(pkgs []*Package, analyzers []*Analyzer) []Finding {
-	return l.RunParallel(pkgs, analyzers, 1)
-}
-
-// RunParallel is Run with package analysis fanned out over workers via
-// internal/runner.Map. Results are merged in package-index order and fully
-// sorted (position, rule, then message), so the output is byte-identical
-// for every worker count. Loading stays serial — the type-checker is not
-// concurrency-safe — but analysis dominates on warm caches.
-func (l *Loader) RunParallel(pkgs []*Package, analyzers []*Analyzer, workers int) []Finding {
 	docs := map[string]RuleDoc{BadIgnoreRule.ID: BadIgnoreRule, StaleIgnoreRule.ID: StaleIgnoreRule}
 	for _, a := range analyzers {
 		for _, d := range a.Rules {
 			docs[d.ID] = d
 		}
 	}
-	perPkg := runner.Map(workers, len(pkgs), func(i int) []Finding {
-		return l.runPkg(pkgs[i], analyzers, docs)
-	})
 	var findings []Finding
-	for _, fs := range perPkg {
-		findings = append(findings, fs...)
+	for _, pkg := range pkgs {
+		findings = append(findings, l.runPkg(pkg, analyzers, docs)...)
 	}
 	sort.Slice(findings, func(i, j int) bool {
 		a, b := findings[i], findings[j]

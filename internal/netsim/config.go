@@ -382,6 +382,13 @@ func (c *Config) Validate() error {
 	reject(c.Drain < 0, "Drain must be >= 0")
 	reject(c.TTL < 2, "TTL must be >= 2")
 	reject(c.HostMarkAtPkts < 0, "HostMarkAtPkts must be >= 0 (0 disables NIC marking)")
+	reject(c.MarkAtPkts < 0, "MarkAtPkts must be >= 0 (0 disables switch ECN marking)")
+	reject(c.DupAckThresh < 0, "DupAckThresh must be >= 0 (0 disables fast retransmit)")
+	reject(c.BGInterarrival < 0, "BGInterarrival must be >= 0 (0 disables background traffic)")
+	reject(c.ForwardJitter < 0, "ForwardJitter must be >= 0 (0 disables link jitter)")
+	reject(c.TraceEveryNth < 0, "TraceEveryNth must be >= 0 (0 disables path tracing)")
+	reject(c.UtilWindow < 0, "UtilWindow must be >= 0 (0 disables the utilization monitor)")
+	reject(c.BufferSamplePeriod < 0, "BufferSamplePeriod must be >= 0 (0 disables buffer sampling)")
 	reject(c.Shards < 0, "Shards must be >= 0")
 
 	if c.Shards > 1 {
@@ -417,6 +424,7 @@ func (c *Config) Validate() error {
 		reject(q.QPS <= 0, "Query.QPS must be positive")
 		reject(q.Degree < 1, "Query.Degree must be >= 1")
 		reject(q.ResponseBytes <= 0, "Query.ResponseBytes must be positive")
+		reject(q.MaxFanInPerHost < 0, "Query.MaxFanInPerHost must be >= 0 (0 keeps responders distinct, as 1 does)")
 	}
 	if os := c.OneShot; os != nil {
 		reject(os.At < 0, "OneShot.At must be >= 0")

@@ -93,6 +93,16 @@ func TestValidateRejectsWhatBuildCannotBuild(t *testing.T) {
 		{"one-shot without target", func(c *Config) {
 			c.OneShot = &OneShot{At: eventq.Millisecond, Senders: 16, FlowsPerSender: 1, Bytes: 1}
 		}, "one-shot senders must leave a target host: 16 senders, 16 hosts"},
+		{"negative switch marking", func(c *Config) { c.MarkAtPkts = -1 }, "MarkAtPkts must be >= 0 (0 disables switch ECN marking)"},
+		{"negative dup-ack threshold", func(c *Config) { c.DupAckThresh = -1 }, "DupAckThresh must be >= 0 (0 disables fast retransmit)"},
+		{"negative background gap", func(c *Config) { c.BGInterarrival = -1 }, "BGInterarrival must be >= 0 (0 disables background traffic)"},
+		{"negative jitter", func(c *Config) { c.ForwardJitter = -1 }, "ForwardJitter must be >= 0 (0 disables link jitter)"},
+		{"negative trace stride", func(c *Config) { c.TraceEveryNth = -1 }, "TraceEveryNth must be >= 0 (0 disables path tracing)"},
+		{"negative util window", func(c *Config) { c.UtilWindow = -1 }, "UtilWindow must be >= 0 (0 disables the utilization monitor)"},
+		{"negative buffer sampling", func(c *Config) { c.BufferSamplePeriod = -1 }, "BufferSamplePeriod must be >= 0 (0 disables buffer sampling)"},
+		{"negative fan-in", func(c *Config) {
+			c.Query = &workload.QueryConfig{QPS: 1, Degree: 4, ResponseBytes: 1, MaxFanInPerHost: -1}
+		}, "Query.MaxFanInPerHost must be >= 0"},
 		{"background on one host", func(c *Config) {
 			c.Topo = TopoLinear
 			c.LinearSwitches, c.LinearHostsPer = 1, 1

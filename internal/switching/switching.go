@@ -337,14 +337,6 @@ func (o *OutPort) BusyTime() eventq.Time {
 	return o.busyTime
 }
 
-// InFlight counts packets started but not yet delivered (for conservation
-// checks). A cross-shard link hands each packet off when it starts, so its
-// count is always 0.
-func (o *OutPort) InFlight() int {
-	o.advance()
-	return o.inflight.n
-}
-
 // Sync catches the transmitter up to the current instant, so that the
 // exported counters read what an event-driven transmitter would show.
 func (o *OutPort) Sync() { o.advance() }

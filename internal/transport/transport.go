@@ -559,12 +559,6 @@ func (s *Sender) StableWindows() int { return s.stableWins }
 // Remaining returns the bytes not yet cumulatively acknowledged.
 func (s *Sender) Remaining() int64 { return s.Total - s.sndUna }
 
-// InFluid reports whether the sender's bytes are under fluid custody.
-func (s *Sender) InFluid() bool { return s.fluid }
-
-// HandoffPending reports whether a demotion is quiescing the window.
-func (s *Sender) HandoffPending() bool { return s.quiesce }
-
 // StartFluidHandoff begins demoting the flow to fluid custody: emission
 // stops at the current sndNxt, the in-flight window drains through normal
 // ack (and, on loss, RTO) processing, and when the pipe is empty —

@@ -6,7 +6,8 @@
 #   fmt     gofmt on every tracked .go file (fails listing unformatted files)
 #   vet     go vet across the module
 #   lint    dibslint: the simulator's own determinism / virtual-time rules
-#   build   go build everything, including cmd/ and examples/
+#   build   go build everything, including cmd/
+#   tested  every package has a test file
 #   test    full test suite (use SHORT=1 for the quick subset)
 #   mutants seeded-mutation corpus: runtime backstops and lint rules (full
 #           only)
@@ -44,6 +45,16 @@ fi
 
 step "go build"
 go build ./...
+
+# A package without a test is only ever compiled: nothing it prints or
+# returns is checked. Every package must carry at least one test file.
+step "every package has a test"
+untested=$(go list -f '{{if not (or .TestGoFiles .XTestGoFiles)}}{{.ImportPath}}{{end}}' ./...)
+if [ -n "$untested" ]; then
+    echo "packages without a test file:" >&2
+    echo "$untested" >&2
+    exit 1
+fi
 
 step "go test"
 if [ "${SHORT:-0}" = "1" ]; then
