@@ -15,9 +15,34 @@ import "math/rand"
 // stream names yield statistically independent sequences even for adjacent
 // seeds. Stream names are slash-separated paths by convention, e.g.
 // "workload/background" or "switch/17".
+//
+// The generator seeds itself on its first draw. A math/rand source is
+// 4.9 KB and about 15 µs to seed, and a switch's stream is drawn from only
+// when it detours or sprays, so many are never seeded; the sequence is the
+// same either way.
 func New(seed int64, stream string) *rand.Rand {
-	return rand.New(rand.NewSource(int64(Derive(uint64(seed), stream))))
+	return rand.New(&lazySource{seed: int64(Derive(uint64(seed), stream))})
 }
+
+// lazySource is a rand.Source64 that builds rand.NewSource(seed) on its
+// first draw and delegates to it from then on.
+type lazySource struct {
+	seed int64
+	src  rand.Source64
+}
+
+func (s *lazySource) load() rand.Source64 {
+	if s.src == nil {
+		s.src = rand.NewSource(s.seed).(rand.Source64)
+	}
+	return s.src
+}
+
+func (s *lazySource) Int63() int64   { return s.load().Int63() }
+func (s *lazySource) Uint64() uint64 { return s.load().Uint64() }
+
+// Seed re-seeds the stream as rand.Source.Seed does.
+func (s *lazySource) Seed(seed int64) { s.seed, s.src = seed, nil }
 
 // Derive mixes a seed with a stream name into a 64-bit stream seed:
 // FNV-1a over the name, then the SplitMix64 finalizer over seed+hash.

@@ -1,6 +1,10 @@
 package rng
 
-import "testing"
+import (
+	"math/rand"
+	"runtime"
+	"testing"
+)
 
 // TestDerivePinned locks the stream-seed derivation. Changing it silently
 // re-seeds every simulation, invalidating all recorded results, so the
@@ -91,4 +95,57 @@ func TestStreamsAreIndependent(t *testing.T) {
 			t.Errorf("pair %d: stream seeds collide: %#x", i, p[0])
 		}
 	}
+}
+
+// TestNewMatchesEagerSource pins the lazily seeded source to the eager one
+// it replaced: every draw method, interleaved, gives the same values as
+// rand.New(rand.NewSource(Derive(seed, stream))), before and after Seed.
+func TestNewMatchesEagerSource(t *testing.T) {
+	for _, c := range []struct {
+		seed   int64
+		stream string
+	}{{1, "switch/0"}, {1, "switch/17"}, {7, "workload/queries"}, {-3, "bench/detour"}, {1 << 40, ""}} {
+		lazy := New(c.seed, c.stream)
+		eager := rand.New(rand.NewSource(int64(Derive(uint64(c.seed), c.stream))))
+		for round := 0; round < 2; round++ {
+			for i := 0; i < 50; i++ {
+				if got, want := drawAll(lazy, i), drawAll(eager, i); got != want {
+					t.Fatalf("New(%d, %q) round %d draw %d: %v, eager source %v", c.seed, c.stream, round, i, got, want)
+				}
+			}
+			lazy.Seed(c.seed + 11)
+			eager.Seed(c.seed + 11)
+		}
+	}
+}
+
+// drawAll takes one draw of each kind from r, sized by i.
+func drawAll(r *rand.Rand, i int) (out [5]uint64) {
+	out[0] = uint64(r.Intn(1 + i*37))
+	out[1] = uint64(r.Int63n(int64(1) << (i + 1)))
+	out[2] = uint64(r.Float64() * (1 << 53))
+	out[3] = r.Uint64()
+	p := r.Perm(i % 9)
+	r.Shuffle(len(p), func(a, b int) { p[a], p[b] = p[b], p[a] })
+	for _, v := range p {
+		out[4] = out[4]*31 + uint64(v)
+	}
+	return out
+}
+
+// TestNewUndrawnIsSmall: a stream that is never drawn from costs its Rand
+// and a small seed record, not a 4.9 KB seeded source.
+func TestNewUndrawnIsSmall(t *testing.T) {
+	const n = 1000
+	keep := make([]*rand.Rand, n)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := range keep {
+		keep[i] = New(int64(i), "switch/7")
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / n; per >= 100 {
+		t.Fatalf("New of an undrawn stream allocates %d B, want < 100", per)
+	}
+	runtime.KeepAlive(keep)
 }

@@ -21,9 +21,9 @@ import (
 	"sync/atomic"
 )
 
-// DefaultWorkers resolves a worker-count flag value: n > 0 is used as
+// defaultWorkers resolves a worker-count flag value: n > 0 is used as
 // given, anything else (0 or negative) means GOMAXPROCS.
-func DefaultWorkers(n int) int {
+func defaultWorkers(n int) int {
 	if n > 0 {
 		return n
 	}
@@ -44,7 +44,7 @@ func Map[T any](workers, n int, fn func(int) T) []T {
 		return nil
 	}
 	out := make([]T, n)
-	workers = DefaultWorkers(workers)
+	workers = defaultWorkers(workers)
 	if workers > n {
 		workers = n
 	}

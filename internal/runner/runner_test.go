@@ -80,14 +80,14 @@ func TestMapPanicLowestIndex(t *testing.T) {
 }
 
 func TestDefaultWorkers(t *testing.T) {
-	if got := DefaultWorkers(5); got != 5 {
-		t.Fatalf("DefaultWorkers(5) = %d", got)
+	if got := defaultWorkers(5); got != 5 {
+		t.Fatalf("defaultWorkers(5) = %d", got)
 	}
 	want := runtime.GOMAXPROCS(0)
-	if got := DefaultWorkers(0); got != want {
-		t.Fatalf("DefaultWorkers(0) = %d, want %d", got, want)
+	if got := defaultWorkers(0); got != want {
+		t.Fatalf("defaultWorkers(0) = %d, want %d", got, want)
 	}
-	if got := DefaultWorkers(-1); got != want {
-		t.Fatalf("DefaultWorkers(-1) = %d, want %d", got, want)
+	if got := defaultWorkers(-1); got != want {
+		t.Fatalf("defaultWorkers(-1) = %d, want %d", got, want)
 	}
 }

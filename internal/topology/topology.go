@@ -1,6 +1,8 @@
 // Package topology models data center network topologies as graphs of hosts
 // and switches joined by full-duplex links, and computes shortest-path
-// forwarding tables (FIBs) with ECMP next-hop sets.
+// forwarding tables (FIBs) with ECMP next-hop sets. Every host hangs off
+// exactly one switch, so the tables hold one row per such attachment switch
+// and each host adds only its last hop.
 //
 // Builders are provided for the topologies in the DIBS paper: the K-ary
 // fat-tree used for the NS-3 simulations (§5.3), the small Click/Emulab
@@ -10,6 +12,7 @@ package topology
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 
 	"dibs/internal/eventq"
@@ -83,27 +86,45 @@ type Topology struct {
 
 	hosts    []packet.NodeID // all host node IDs, in construction order
 	switches []packet.NodeID
-	// hostIdx maps NodeID -> dense host index (-1 for switches). NodeIDs
-	// are dense, so a flat slice replaces the former map: NextHops is on
-	// the per-hop hot path and the map lookup dominated its cost.
+	// hostIdx maps NodeID -> dense host index (-1 for switches) for
+	// HostIndex. NodeIDs are dense, so a flat slice serves as the map.
 	hostIdx []int32
 
 	hostPortMask []uint64 // per node: bitmap of ports that face a host
 
-	// The FIB and distance tables are flat, host-major arrays rather than
-	// per-(node,host) slices: a K=8 fat-tree has 208 nodes × 128 hosts =
-	// 26k entries, and building one simulator per benchmark iteration made
-	// those little slices the single largest allocation source in the
-	// whole run. Entry (node, hostIdx) lives at hostIdx*numNodes+node.
+	// Every host hangs off exactly one switch, its attachment switch
+	// (finalize checks this), so the route to a host is its attachment
+	// switch's route plus one last hop. The FIB and distance tables
+	// therefore keep one row per distinct attachment switch, not per host:
+	// a K=16 fat-tree has 1,344 nodes × 128 edge switches = 172k entries
+	// where per-host rows would need 1.38M. The tables are flat arrays, not
+	// per-(node,row) slices, so building them costs a handful of
+	// allocations. Entry (node, row) lives at row*numNodes+node.
 	//
 	// fibDat holds every ECMP next-hop set back to back; entry i spans
 	// fibDat[fibOff[i]:fibOff[i+1]].
 	fibOff []int32
 	fibDat []uint8
-	// dist holds hop distance (switch hops + final host link), -1 when
+	// dist holds hop distance to the row's attachment switch, -1 when
 	// unreachable.
 	dist []int16
+	// routes[id] locates host id in the tables. NextHops reads the row
+	// offset, the attachment switch and the last hop together, so they
+	// share one record rather than three per-host arrays.
+	routes []route
 }
+
+// route is one host's key into the routing tables. Switches get noRoute.
+type route struct {
+	row    int32         // offset of the attachment switch's row in dist/fibOff
+	attach packet.NodeID // the attachment switch
+	last   [1]uint8      // the attachment switch's port facing the host
+}
+
+// noRoute is a switch's route record: a row offset so negative that
+// NextHops or Distance toward a switch panics on the index, and an
+// attachment switch no node matches.
+var noRoute = route{row: math.MinInt32, attach: -1}
 
 // builder accumulates nodes and links before Finalize.
 type builder struct {
@@ -152,7 +173,9 @@ func (b *builder) link(a, bb packet.NodeID, rateBps int64, delay eventq.Time) {
 	b.ports[bb] = append(b.ports[bb], Port{Peer: a, PeerPort: ap, RateBps: rateBps, Delay: delay})
 }
 
-// finalize freezes the graph and computes routing tables.
+// finalize freezes the graph and computes routing tables. It panics, naming
+// the host, if a host does not have exactly one port facing a switch:
+// routing and Partition both rely on every host being single-homed.
 func (b *builder) finalize() *Topology {
 	t := &Topology{
 		Name:    b.name,
@@ -165,6 +188,9 @@ func (b *builder) finalize() *Topology {
 	}
 	for _, n := range b.nodes {
 		if n.Kind == Host {
+			if ps := t.ports[n.ID]; len(ps) != 1 || t.nodes[ps[0].Peer].Kind != Switch {
+				panic(fmt.Sprintf("topology: host %s must have exactly one port, facing a switch", n.Name))
+			}
 			t.hostIdx[n.ID] = int32(len(t.hosts))
 			t.hosts = append(t.hosts, n.ID)
 		} else {
@@ -186,56 +212,63 @@ func (b *builder) finalize() *Topology {
 	return t
 }
 
-// computeRoutes runs one BFS per destination host over the whole graph and
-// records, for every node, the set of output ports on shortest paths. All
-// results go into three flat arrays (see the field comments): the loop
-// visits (host, node) pairs in exactly index order, so next-hop sets are
-// emitted contiguously and the offset table is built as a running prefix
-// sum — no per-pair allocations.
+// computeRoutes gives each distinct attachment switch a row, in order of
+// first appearance in the host list, and fills it with one BFS from that
+// switch. The BFS never expands a host, and no host is ever a next hop: a
+// host's one neighbour is its attachment switch, so its distance is always
+// that switch's plus one. A node's next hops are its ports toward a
+// strictly closer neighbour, in port order. The loop visits (row, node)
+// pairs in index order, so next-hop sets are emitted contiguously and the
+// offset table is a running prefix sum: no per-pair allocations.
 func (t *Topology) computeRoutes() {
 	n := len(t.nodes)
-	h := len(t.hosts)
-	t.dist = make([]int16, n*h)
+	t.routes = make([]route, n)
+	rowOf := make([]int32, n) // attachment switch -> its row + 1; 0 if none yet
+	var attach []packet.NodeID
+	for id := range t.routes {
+		t.routes[id] = noRoute
+	}
+	for _, h := range t.hosts {
+		p := t.ports[h][0]
+		if rowOf[p.Peer] == 0 {
+			attach = append(attach, p.Peer)
+			rowOf[p.Peer] = int32(len(attach))
+		}
+		t.routes[h] = route{row: (rowOf[p.Peer] - 1) * int32(n), attach: p.Peer, last: [1]uint8{uint8(p.PeerPort)}}
+	}
+	a := len(attach)
+	t.dist = make([]int16, n*a)
 	for i := range t.dist {
 		t.dist[i] = -1
 	}
-	t.fibOff = make([]int32, n*h+1)
-	// Most nodes have one next-hop per destination; hosts and ECMP fan-out
-	// change that, but n*h is the right starting capacity either way.
-	t.fibDat = make([]uint8, 0, n*h)
+	t.fibOff = make([]int32, n*a+1)
+	// Most nodes have one next hop per row; ECMP fan-out and the empty
+	// entry at the row's own switch change that, but n*a is the right
+	// starting capacity either way.
+	t.fibDat = make([]uint8, 0, n*a)
 	queue := make([]packet.NodeID, 0, n)
-	for hi, dst := range t.hosts {
-		base := hi * n
+	for row, src := range attach {
+		base := row * n
 		dist := t.dist[base : base+n]
-		// BFS from the destination host; dist counts links to dst.
 		// Pop via an index, not queue[1:]: re-slicing the head discards
-		// capacity, so every push past it would reallocate — per BFS, per
-		// destination host.
-		queue = append(queue[:0], dst)
-		dist[dst] = 0
+		// capacity, so every push past it would reallocate.
+		queue = append(queue[:0], src)
+		dist[src] = 0
 		for qi := 0; qi < len(queue); qi++ {
 			cur := queue[qi]
-			d := dist[cur]
+			d := dist[cur] + 1
 			for _, p := range t.ports[cur] {
-				// Hosts do not forward transit traffic: only the
-				// destination itself may be traversed "through" a host,
-				// so BFS never expands out of a non-destination host.
-				if t.nodes[cur].Kind == Host && cur != dst {
-					continue
-				}
 				if dist[p.Peer] == -1 {
-					dist[p.Peer] = d + 1
-					queue = append(queue, p.Peer)
+					dist[p.Peer] = d
+					if t.nodes[p.Peer].Kind == Switch {
+						queue = append(queue, p.Peer)
+					}
 				}
 			}
 		}
-		// Next hops: ports leading to a strictly closer neighbor.
 		for id := 0; id < n; id++ {
 			if dist[id] > 0 {
 				for pi, p := range t.ports[id] {
-					if t.nodes[p.Peer].Kind == Host && p.Peer != dst {
-						continue
-					}
 					if dist[p.Peer] == dist[id]-1 {
 						t.fibDat = append(t.fibDat, uint8(pi))
 					}
@@ -264,7 +297,7 @@ func (t *Topology) Switches() []packet.NodeID { return t.switches }
 // Ports returns the port table of a node. The slice must not be modified.
 func (t *Topology) Ports(id packet.NodeID) []Port { return t.ports[id] }
 
-// HostIndex returns the dense index of a host node, used as the FIB key.
+// HostIndex returns the dense index of a host node: its position in Hosts.
 func (t *Topology) HostIndex(id packet.NodeID) int {
 	hi := t.hostIdx[id]
 	if hi < 0 {
@@ -274,17 +307,32 @@ func (t *Topology) HostIndex(id packet.NodeID) int {
 }
 
 // NextHops returns the ECMP set of output ports at node leading along
-// shortest paths to dst (a host). Empty when unreachable. The slice aliases
-// the shared FIB backing and must not be modified.
+// shortest paths to dst (a host): the one port facing dst at its attachment
+// switch, nil at dst itself, and empty when unreachable. The slice aliases
+// the shared routing tables and must not be modified.
 func (t *Topology) NextHops(node, dst packet.NodeID) []uint8 {
-	i := int(t.hostIdx[dst])*len(t.nodes) + int(node)
+	r := &t.routes[dst]
+	if node == r.attach {
+		return r.last[:]
+	}
+	if node == dst {
+		return nil
+	}
+	i := int(r.row) + int(node)
 	return t.fibDat[t.fibOff[i]:t.fibOff[i+1]]
 }
 
 // Distance returns the hop count (number of links) from node to host dst,
 // or -1 if unreachable.
 func (t *Topology) Distance(node, dst packet.NodeID) int {
-	return int(t.dist[int(t.hostIdx[dst])*len(t.nodes)+int(node)])
+	if node == dst {
+		return 0
+	}
+	d := t.dist[int(t.routes[dst].row)+int(node)]
+	if d < 0 {
+		return -1
+	}
+	return int(d) + 1
 }
 
 // MaxPorts is the most ports a node may have: one bit each in a uint64
@@ -344,19 +392,6 @@ func (t *Topology) Partition(nShards int) []int {
 		part[hid] = part[t.ports[hid][0].Peer]
 	}
 	return part
-}
-
-// Diameter returns the maximum finite host-to-host distance.
-func (t *Topology) Diameter() int {
-	max := 0
-	for _, h := range t.hosts {
-		for _, g := range t.hosts {
-			if d := t.Distance(h, g); d > max {
-				max = d
-			}
-		}
-	}
-	return max
 }
 
 // Neighbors returns the switch neighbors of a switch (deduplicated).
@@ -506,8 +541,9 @@ func (t *Topology) connected() bool {
 	if len(t.hosts) == 0 {
 		return true
 	}
+	row := int(t.routes[t.hosts[0]].row)
 	for id := range t.nodes {
-		if t.dist[id] < 0 { // host index 0 occupies the first n entries
+		if t.dist[row+id] < 0 {
 			return false
 		}
 	}

@@ -1,6 +1,9 @@
 package topology
 
 import (
+	"bytes"
+	"fmt"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -33,10 +36,23 @@ func TestFatTreeCounts(t *testing.T) {
 	}
 }
 
+// diameter is the maximum finite host-to-host distance.
+func diameter(tp *Topology) int {
+	max := 0
+	for _, h := range tp.Hosts() {
+		for _, g := range tp.Hosts() {
+			if d := tp.Distance(h, g); d > max {
+				max = d
+			}
+		}
+	}
+	return max
+}
+
 func TestFatTreeDiameter(t *testing.T) {
 	tp := FatTree(4, DefaultLink, 1)
 	// host-edge-aggr-core-aggr-edge-host = 6 links.
-	if d := tp.Diameter(); d != 6 {
+	if d := diameter(tp); d != 6 {
 		t.Fatalf("fat-tree diameter = %d, want 6", d)
 	}
 }
@@ -206,7 +222,7 @@ func TestHyperX(t *testing.T) {
 	}
 	// Max switch-to-switch distance is 2 (row then column), so host pairs
 	// are at most 4 apart.
-	if d := tp.Diameter(); d != 4 {
+	if d := diameter(tp); d != 4 {
 		t.Fatalf("hyperx diameter = %d, want 4", d)
 	}
 }
@@ -368,5 +384,124 @@ func TestJellyfishAlwaysConnected(t *testing.T) {
 				t.Fatalf("seed %d: disconnected jellyfish", seed)
 			}
 		}
+	}
+}
+
+// refRoutes is the original routing computation, kept as the reference the
+// attachment-switch tables must reproduce: one BFS per destination host,
+// with host-major tables where entry (node, host index) lives at
+// hostIdx*numNodes+node and dist counts links to the host.
+func refRoutes(t *Topology) (fibOff []int32, fibDat []uint8, dist []int16) {
+	n := len(t.nodes)
+	h := len(t.hosts)
+	dist = make([]int16, n*h)
+	for i := range dist {
+		dist[i] = -1
+	}
+	fibOff = make([]int32, n*h+1)
+	queue := make([]packet.NodeID, 0, n)
+	for hi, dst := range t.hosts {
+		base := hi * n
+		dist := dist[base : base+n]
+		queue = append(queue[:0], dst)
+		dist[dst] = 0
+		for qi := 0; qi < len(queue); qi++ {
+			cur := queue[qi]
+			d := dist[cur]
+			for _, p := range t.ports[cur] {
+				// Hosts do not forward transit traffic: BFS never expands
+				// out of a non-destination host.
+				if t.nodes[cur].Kind == Host && cur != dst {
+					continue
+				}
+				if dist[p.Peer] == -1 {
+					dist[p.Peer] = d + 1
+					queue = append(queue, p.Peer)
+				}
+			}
+		}
+		for id := 0; id < n; id++ {
+			if dist[id] > 0 {
+				for pi, p := range t.ports[id] {
+					if t.nodes[p.Peer].Kind == Host && p.Peer != dst {
+						continue
+					}
+					if dist[p.Peer] == dist[id]-1 {
+						fibDat = append(fibDat, uint8(pi))
+					}
+				}
+			}
+			fibOff[base+id+1] = int32(len(fibDat))
+		}
+	}
+	return fibOff, fibDat, dist
+}
+
+// TestRoutesMatchReference holds NextHops (bytes and order) and Distance to
+// refRoutes for every (node, host) pair on every topology family.
+func TestRoutesMatchReference(t *testing.T) {
+	topos := []*Topology{
+		FatTree(2, DefaultLink, 1),
+		FatTree(4, DefaultLink, 1),
+		FatTree(8, DefaultLink, 1),
+		FatTree(8, DefaultLink, 2),
+		FatTree(16, DefaultLink, 1),
+		ClickTestbed(DefaultLink),
+		Linear(1, 3, DefaultLink),
+		Linear(8, 4, DefaultLink),
+		HyperX(4, 4, 4, DefaultLink),
+	}
+	for seed := int64(1); seed <= 5; seed++ {
+		topos = append(topos, Jellyfish(16, 4, 4, DefaultLink, seed), Jellyfish(20, 6, 4, DefaultLink, seed))
+	}
+	for i, tp := range topos {
+		fibOff, fibDat, dist := refRoutes(tp)
+		n := tp.NumNodes()
+		bad := 0
+		for hi, dst := range tp.Hosts() {
+			for node := 0; node < n && bad < 5; node++ {
+				j := hi*n + node
+				want := fibDat[fibOff[j]:fibOff[j+1]]
+				got := tp.NextHops(packet.NodeID(node), dst)
+				wantD, gotD := int(dist[j]), tp.Distance(packet.NodeID(node), dst)
+				if !bytes.Equal(got, want) || gotD != wantD {
+					t.Errorf("%s #%d: %s -> %s: NextHops %v, Distance %d; reference %v, %d",
+						tp.Name, i, tp.Node(packet.NodeID(node)).Name, tp.Node(dst).Name, got, gotD, want, wantD)
+					bad++
+				}
+			}
+		}
+	}
+}
+
+// TestFinalizeRefusesHostsNotSingleHomed: routing and Partition assume every
+// host has exactly one port, facing a switch; finalize names a host that
+// breaks the rule.
+func TestFinalizeRefusesHostsNotSingleHomed(t *testing.T) {
+	cases := map[string]func(b *builder, sw, h packet.NodeID){
+		"unattached": func(b *builder, sw, h packet.NodeID) {},
+		"dual-homed": func(b *builder, sw, h packet.NodeID) {
+			b.link(sw, h, DefaultLink.RateBps, DefaultLink.Delay)
+			b.link(sw, h, DefaultLink.RateBps, DefaultLink.Delay)
+		},
+		"host-to-host": func(b *builder, sw, h packet.NodeID) {
+			g := b.addNode(Host, "host-peer", LayerNone, -1)
+			b.link(h, g, DefaultLink.RateBps, DefaultLink.Delay)
+		},
+	}
+	for name, wire := range cases {
+		t.Run(name, func(t *testing.T) {
+			b := newBuilder(name)
+			sw := b.addNode(Switch, "sw-0", LayerNone, -1)
+			h := b.addNode(Host, "host-bad", LayerNone, -1)
+			wire(b, sw, h)
+			defer func() {
+				msg := fmt.Sprint(recover())
+				if !strings.Contains(msg, "host host-bad ") {
+					t.Fatalf("finalize panicked with %q, want a message naming the host", msg)
+				}
+			}()
+			b.finalize()
+		})
 	}
 }

@@ -18,7 +18,10 @@
 # Enqueue, which on an idle cross-shard port has already handed the packet
 # (and its path) off. M25-M26 score the refusals that replaced retired
 # Config knobs: Validate's one-shot size check, and dibsim's refusal of a
-# retired config-file key at any but its dumped value.
+# retired config-file key at any but its dumped value. M27-M28 score the
+# set-up shortcuts against their references: routing tables keyed by
+# attachment switch that lose the last hop to the host, and a lazily seeded
+# RNG source that seeds from the wrong value.
 # Each row plants one bug in a temp copy of the tree and names the check
 # that must catch it, with the output that proves it failed for the right
 # reason. A row whose source text no longer matches exactly once is an error
@@ -161,5 +164,12 @@ mutant M25 internal/netsim/config.go $'\t\treject(os.Bytes <= 0, "OneShot.Bytes 
     go test -count=1 -run TestValidateRejectsWhatBuildCannotBuild ./internal/netsim
 mutant M26 cmd/dibsim/main.go 'json.Unmarshal(raw, &got) != nil || got != want' 'json.Unmarshal(raw, &got) != nil' \
     'FAIL: TestCLI/ConfigRefusesUnknownKeys' go test -count=1 -run TestCLI ./cmd/dibsim
+
+# Build's shortcuts must not move a route or a draw: the attachment-switch
+# routes are held to the per-host BFS, the lazy source to the eager one.
+mutant M27 internal/topology/topology.go $'\tif node == r.attach {\n\t\treturn r.last[:]\n\t}\n' '' \
+    'FAIL: TestRoutesMatchReference' go test -count=1 -run TestRoutesMatchReference ./internal/topology
+mutant M28 internal/rng/rng.go 'rand.NewSource(s.seed)' 'rand.NewSource(s.seed + 1)' \
+    'FAIL: TestNewMatchesEagerSource' go test -count=1 -run TestNewMatchesEagerSource ./internal/rng
 
 exit $failed
