@@ -177,13 +177,15 @@ var configModeFlags = map[string]bool{
 
 // retiredKeys maps each key that Config no longer has to the one value a
 // -dumpconfig file holds for it: the fixed value the simulator now uses
-// (Engine, RecordTimeline and TraceEventCap: the last value dumped).
+// (Engine, RecordTimeline, TraceEventCap and BGDist: the last value dumped;
+// an empty BGDist meant the web-search sizes every run now draws).
 var retiredKeys = map[string]any{
 	"CIOQIngressCap": 100.0, "CIOQSpeedup": 2.0, "InitCwnd": 10.0,
 	"SharedPoolPkts": 1133.0, "SharedAlpha": 1.0, "SharedReserve": 10.0,
 	"ProbabilisticStart": 0.8, "PFCXoff": 100.0, "PFCXon": 80.0,
 	"HostQueuePkts": 100000.0, "FluidPromoteFrac": 0.5,
 	"Engine": "wheel", "RecordTimeline": false, "TraceEventCap": 0.0,
+	"BGDist": "",
 }
 
 // loadConfig decodes a -config file over cfg. Every key must name a Config

@@ -113,6 +113,7 @@ func testConfigRefusesUnknownKeys(t *testing.T, run runFunc) {
 	dir := t.TempDir()
 	for _, tc := range []struct{ json, key string }{
 		{`{"SharedAlpha": 2}`, `"SharedAlpha" is no longer a setting`},
+		{`{"BGDist": "datamining"}`, `"BGDist" is no longer a setting`},
 		{`{"Qps": 1}`, `unknown field "Qps"`},
 	} {
 		path := filepath.Join(dir, "c.json")

@@ -2,26 +2,18 @@
 // suite over package patterns and exits non-zero on findings:
 //
 //	go run ./cmd/dibslint ./...
-//	go run ./cmd/dibslint -tests -json ./...
+//	go run ./cmd/dibslint -tests ./...
 //	go run ./cmd/dibslint -rules
 //
 // Output is one finding per line, file:line:col: rule-id: message, sorted
-// by position; -json emits a JSON array (rule, position, message,
-// severity) instead. Exit status: 0 clean or warnings only, 1 error-level
-// findings, 2 usage or load failure, including a package that does not
-// type-check (its findings are still printed). -disable=rule1,rule2 drops
-// specific rules for one invocation; an ID that -rules does not list is a
-// usage error, so a typo or a retired rule cannot silently disable nothing.
-//
-// Suppress a single finding with a trailing or preceding comment:
-//
-//	//dibslint:ignore RULE reason
-//
-// The reason is mandatory; a bare ignore is itself reported. Test files
-// are skipped by default; -tests loads them too (in-package and external
-// _test packages) and applies the rules marked as test-relevant in
-// -rules — seeding from the wall clock or the process-global rand source
-// makes a test flaky-by-construction.
+// by position. Exit status: 0 clean, 1 findings, 2 usage or load failure,
+// including a package that does not type-check (its findings are still
+// printed). There is no suppression: a rule exists only because
+// scripts/mutants.sh plants a bug that it alone catches, so a finding is
+// fixed, not silenced. Test files are skipped by default; -tests loads
+// them too (in-package and external _test packages) and applies the rules
+// marked [tests] in -rules — seeding from the wall clock makes a test
+// flaky by construction.
 package main
 
 import (
@@ -38,38 +30,21 @@ import (
 func main() {
 	rules := flag.Bool("rules", false, "list rule IDs and exit")
 	tests := flag.Bool("tests", false, "also lint _test.go files (test-relevant rules only)")
-	jsonOut := flag.Bool("json", false, "emit findings as a JSON array on stdout")
-	disable := flag.String("disable", "", "comma-separated rule IDs to skip")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: dibslint [-rules] [-tests] [-json] [-disable=rule,...] [packages]\n\npatterns: directories, or dir/... for recursion (default ./...)\n")
+		fmt.Fprintf(os.Stderr, "usage: dibslint [-rules] [-tests] [packages]\n\npatterns: directories, or dir/... for recursion (default ./...)\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
 
 	if *rules {
 		for _, r := range lint.AllRules() {
-			marks := r.Severity
+			marks := ""
 			if r.InTests {
-				marks += ",tests"
+				marks = " [tests]"
 			}
-			fmt.Printf("%-20s [%s] %s\n", r.ID, marks, r.Doc)
+			fmt.Printf("%-17s%s %s\n", r.ID, marks, r.Doc)
 		}
 		return
-	}
-
-	known := make(map[string]bool)
-	for _, r := range lint.AllRules() {
-		known[r.ID] = true
-	}
-	disabled := make(map[string]bool)
-	for _, id := range strings.Split(*disable, ",") {
-		if id = strings.TrimSpace(id); id == "" {
-			continue
-		}
-		if !known[id] {
-			fatal(fmt.Errorf("-disable: unknown rule %q (see dibslint -rules)", id))
-		}
-		disabled[id] = true
 	}
 
 	patterns := flag.Args()
@@ -106,39 +81,17 @@ func main() {
 		}
 	}
 
-	all := loader.Run(pkgs, lint.Analyzers())
-	findings := all[:0]
-	for _, f := range all {
-		if !disabled[f.Rule] {
-			findings = append(findings, f)
-		}
-	}
-	errors := 0
+	findings := loader.Run(pkgs, lint.Analyzers())
 	for _, f := range findings {
-		if f.Severity == lint.SevError {
-			errors++
-		}
-	}
-	if *jsonOut {
-		if err := lint.WriteJSON(os.Stdout, findings); err != nil {
-			fatal(err)
-		}
-	} else {
-		for _, f := range findings {
-			fmt.Println(f)
-		}
+		fmt.Println(f)
 	}
 	if len(loader.TypeErrors) > 0 {
 		fmt.Fprintf(os.Stderr, "dibslint: %d type-check diagnostics (first: %v)\n",
 			len(loader.TypeErrors), loader.TypeErrors[0])
-	}
-	if len(findings) > 0 {
-		fmt.Fprintf(os.Stderr, "dibslint: %d finding(s), %d error(s)\n", len(findings), errors)
-	}
-	if len(loader.TypeErrors) > 0 {
 		os.Exit(2)
 	}
-	if errors > 0 {
+	if len(findings) > 0 {
+		fmt.Fprintf(os.Stderr, "dibslint: %d finding(s)\n", len(findings))
 		os.Exit(1)
 	}
 }

@@ -36,34 +36,17 @@ func buildDibslint(t *testing.T, dir string) func(args ...string) (int, string, 
 // moduleRoot is this repository's root, relative to the test's directory.
 var moduleRoot = filepath.Join("..", "..")
 
-// TestDisableValidatesRuleIDs: -disable of an ID that -rules does not list
-// (a typo, or a rule since retired) is a usage error naming the ID, not a
-// silent no-op.
-func TestDisableValidatesRuleIDs(t *testing.T) {
-	run := buildDibslint(t, moduleRoot)
-	retired := []string{"vtime-flow", "path-droppederr", "mutable-globals"}
-	for _, id := range append([]string{"no-such-rule", "float-equal"}, retired...) {
-		code, stdout, stderr := run("-disable=float-eq,"+id, "./internal/rng")
-		if code != 2 || stdout != "" {
-			t.Errorf("-disable=%s: exit %d, stdout %q; want exit 2 and no findings", id, code, stdout)
-		}
-		if !strings.Contains(stderr, `"`+id+`"`) || !strings.Contains(stderr, "-rules") || strings.Count(stderr, "\n") != 1 {
-			t.Errorf("-disable=%s: stderr should be one line naming the ID and pointing at -rules:\n%s", id, stderr)
-		}
-	}
-
-	if code, stdout, stderr := run("-disable=float-eq, lint-staleignore", "./internal/stats"); code != 0 || stdout != "" {
-		t.Errorf("-disable of known rules: exit %d\nstdout: %s\nstderr: %s", code, stdout, stderr)
-	}
-}
-
-// TestRemovedSARIFOutput pins the removal of -sarif: -json is the one
-// machine-readable format, and the old flag is a usage error.
+// TestRemovedSARIFOutput pins the removal of the output and rule-selection
+// flags: the text format is the only output, every rule always runs, and
+// each old flag is a usage error.
 func TestRemovedSARIFOutput(t *testing.T) {
 	run := buildDibslint(t, moduleRoot)
-	code, stdout, stderr := run("-sarif", "./internal/rng")
-	if code != 2 || stdout != "" || !strings.Contains(stderr, "flag provided but not defined: -sarif") {
-		t.Errorf("-sarif: exit %d\nstdout: %s\nstderr: %s", code, stdout, stderr)
+	for _, flag := range []string{"-sarif", "-json", "-disable=float-eq"} {
+		code, stdout, stderr := run(flag, "./internal/rng")
+		name, _, _ := strings.Cut(flag, "=")
+		if code != 2 || stdout != "" || !strings.Contains(stderr, "flag provided but not defined: "+name) {
+			t.Errorf("%s: exit %d\nstdout: %s\nstderr: %s", flag, code, stdout, stderr)
+		}
 	}
 }
 

@@ -30,8 +30,6 @@ import (
 type Time = eventq.Time
 
 // Duration converts a wall-clock time.Duration into virtual Time units.
-//
-//dibslint:ignore vtime-duration facade boundary converter, mirrors eventq.Duration
 func Duration(d time.Duration) Time { return eventq.Duration(d) }
 
 // Virtual-time units.

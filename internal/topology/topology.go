@@ -86,9 +86,6 @@ type Topology struct {
 
 	hosts    []packet.NodeID // all host node IDs, in construction order
 	switches []packet.NodeID
-	// hostIdx maps NodeID -> dense host index (-1 for switches) for
-	// HostIndex. NodeIDs are dense, so a flat slice serves as the map.
-	hostIdx []int32
 
 	hostPortMask []uint64 // per node: bitmap of ports that face a host
 
@@ -178,20 +175,15 @@ func (b *builder) link(a, bb packet.NodeID, rateBps int64, delay eventq.Time) {
 // routing and Partition both rely on every host being single-homed.
 func (b *builder) finalize() *Topology {
 	t := &Topology{
-		Name:    b.name,
-		nodes:   b.nodes,
-		ports:   b.ports,
-		hostIdx: make([]int32, len(b.nodes)),
-	}
-	for i := range t.hostIdx {
-		t.hostIdx[i] = -1
+		Name:  b.name,
+		nodes: b.nodes,
+		ports: b.ports,
 	}
 	for _, n := range b.nodes {
 		if n.Kind == Host {
 			if ps := t.ports[n.ID]; len(ps) != 1 || t.nodes[ps[0].Peer].Kind != Switch {
 				panic(fmt.Sprintf("topology: host %s must have exactly one port, facing a switch", n.Name))
 			}
-			t.hostIdx[n.ID] = int32(len(t.hosts))
 			t.hosts = append(t.hosts, n.ID)
 		} else {
 			t.switches = append(t.switches, n.ID)
@@ -296,15 +288,6 @@ func (t *Topology) Switches() []packet.NodeID { return t.switches }
 
 // Ports returns the port table of a node. The slice must not be modified.
 func (t *Topology) Ports(id packet.NodeID) []Port { return t.ports[id] }
-
-// HostIndex returns the dense index of a host node: its position in Hosts.
-func (t *Topology) HostIndex(id packet.NodeID) int {
-	hi := t.hostIdx[id]
-	if hi < 0 {
-		panic(fmt.Sprintf("topology: node %d is not a host", id))
-	}
-	return int(hi)
-}
 
 // NextHops returns the ECMP set of output ports at node leading along
 // shortest paths to dst (a host): the one port facing dst at its attachment

@@ -266,16 +266,6 @@ func TestJellyfishDeterminism(t *testing.T) {
 	}
 }
 
-func TestHostIndexPanicsOnSwitch(t *testing.T) {
-	tp := Linear(1, 1, DefaultLink)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("HostIndex(switch) should panic")
-		}
-	}()
-	tp.HostIndex(tp.Switches()[0])
-}
-
 func TestBadParamsPanic(t *testing.T) {
 	cases := []func(){
 		func() { FatTree(3, DefaultLink, 1) },

@@ -460,11 +460,13 @@ func (s *Sender) grow(newly int64) {
 // dctcpOnAck implements the DCTCP control law: per-window marked-byte
 // fraction drives alpha; one proportional window decrease per window.
 func (s *Sender) dctcpOnAck(ack, newly int64, echo bool) {
+	// The float64(...) conversions below round each product on its own,
+	// so no platform fuses it into the neighbouring add or subtract.
 	s.ackedBytes += newly
 	if echo {
 		s.markedBytes += newly
 		if !s.cwndReduced {
-			s.cwnd = maxf(1, s.cwnd*(1-s.alpha/2))
+			s.cwnd = maxf(1, s.cwnd*(1-float64(s.alpha/2)))
 			s.ssthresh = s.cwnd
 			s.cwndReduced = true
 		}
@@ -472,7 +474,7 @@ func (s *Sender) dctcpOnAck(ack, newly int64, echo bool) {
 	if ack >= s.windowEnd {
 		if s.ackedBytes > 0 {
 			f := float64(s.markedBytes) / float64(s.ackedBytes)
-			s.alpha = (1-s.cfg.DCTCPGain)*s.alpha + s.cfg.DCTCPGain*f
+			s.alpha = float64((1-s.cfg.DCTCPGain)*s.alpha) + float64(s.cfg.DCTCPGain*f)
 		}
 		s.ackedBytes, s.markedBytes = 0, 0
 		s.windowEnd = s.sndNxt

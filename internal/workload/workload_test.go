@@ -60,6 +60,7 @@ func TestSizeDistValidation(t *testing.T) {
 		{{1000, 0.5}, {500, 1}},               // bytes not increasing
 		{{1000, 0.5}, {2000, 0.4}},            // F not increasing
 		{{1000, 0.5}, {2000, 0.9}},            // doesn't end at 1
+		{{1000, 0.5}, {2000, 1.5}},            // ends above 1
 		{{0, 0.5}, {2000, 1}},                 // nonpositive bytes
 		{{1000, 0.5}, {2000, 0.5}, {3000, 1}}, // F stalls
 	}
@@ -322,37 +323,5 @@ func TestQuickPickResponders(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestDataMiningBackgroundShape(t *testing.T) {
-	d := DataMiningBackground()
-	rng := rand.New(rand.NewSource(9))
-	n := 50_000
-	under1K, under10K := 0, 0
-	var totalBytes, tailBytes float64
-	for i := 0; i < n; i++ {
-		s := d.Sample(rng)
-		if s <= 1_000 {
-			under1K++
-		}
-		if s <= 10_000 {
-			under10K++
-		}
-		totalBytes += float64(s)
-		if s > 1_000_000 {
-			tailBytes += float64(s)
-		}
-	}
-	// VL2-style bimodality: over half the flows are tiny...
-	if f := float64(under1K) / float64(n); f < 0.50 || f > 0.60 {
-		t.Fatalf("fraction <= 1KB = %v, want ~0.55", f)
-	}
-	if f := float64(under10K) / float64(n); f < 0.65 || f > 0.75 {
-		t.Fatalf("fraction <= 10KB = %v, want ~0.70", f)
-	}
-	// ...while the >1MB tail carries the overwhelming majority of bytes.
-	if frac := tailBytes / totalBytes; frac < 0.85 {
-		t.Fatalf("tail byte share = %v, want > 0.85", frac)
 	}
 }

@@ -21,7 +21,12 @@
 # retired config-file key at any but its dumped value. M27-M28 score the
 # set-up shortcuts against their references: routing tables keyed by
 # attachment switch that lose the last hop to the host, and a lazily seeded
-# RNG source that seeds from the wrong value.
+# RNG source that seeds from the wrong value. M29-M34 score the other six
+# dibslint rules, one row each: the planted code passes go test (only the
+# lint package's own lint of internal/fluid sees M30), so the rule's finding
+# is its only catch. A rule whose bug a run-twice check, a runtime panic or
+# the race detector already catches has no row and no rule: DESIGN.md §8
+# lists the five deleted that way.
 # Each row plants one bug in a temp copy of the tree and names the check
 # that must catch it, with the output that proves it failed for the right
 # reason. A row whose source text no longer matches exactly once is an error
@@ -171,5 +176,26 @@ mutant M27 internal/topology/topology.go $'\tif node == r.attach {\n\t\treturn r
     'FAIL: TestRoutesMatchReference' go test -count=1 -run TestRoutesMatchReference ./internal/topology
 mutant M28 internal/rng/rng.go 'rand.NewSource(s.seed)' 'rand.NewSource(s.seed + 1)' \
     'FAIL: TestNewMatchesEagerSource' go test -count=1 -run TestNewMatchesEagerSource ./internal/rng
+
+# The rest of the lint rules. Each plant moves nothing go test can see
+# today: a PRNG built outside internal/rng that still draws the plumbed
+# stream, a promotion order taken from a map that no repeated run happens
+# to expose, the boundary conversion spelled as a cast, a raw-nanosecond
+# default, a count dressed as eventq.Time in a product, and an exact float
+# compare that is exact on these inputs.
+lint=(go run ./cmd/dibslint)
+mutant M29 internal/workload/workload.go 'return &Queries{sched: sched, rng: rng,' 'return &Queries{sched: sched, rng: rand.New(rng),' \
+    'workload.go:[0-9]+:[0-9]+: nondet-randnew: rand.New outside internal/rng' "${lint[@]}" ./internal/workload
+mutant M30 internal/fluid/fluid.go $'\tfor _, f := range e.flows {\n\t\tfor _, l := range f.Path {\n\t\t\tif l.Hot() {\n\t\t\t\tvictims = append(victims, f)\n\t\t\t\tbreak\n\t\t\t}\n\t\t}\n\t}\n' \
+    $'\thotFlows := make(map[*Flow]bool)\n\tfor _, f := range e.flows {\n\t\tfor _, l := range f.Path {\n\t\t\tif l.Hot() {\n\t\t\t\thotFlows[f] = true\n\t\t\t}\n\t\t}\n\t}\n\tfor f := range hotFlows {\n\t\tvictims = append(victims, f)\n\t}\n' \
+    'fluid.go:[0-9]+:[0-9]+: nondet-maprange: append to outer state' "${lint[@]}" ./internal/fluid
+mutant M31 internal/eventq/eventq.go 'return Time(d.Nanoseconds())' 'return Time(d)' \
+    'eventq.go:[0-9]+:[0-9]+: vtime-duration: direct cast of time.Duration' "${lint[@]}" ./internal/eventq
+mutant M32 internal/transport/transport.go $'\t\t\t\ttimeout = 500 * eventq.Microsecond\n' $'\t\t\t\ttimeout = 500_000\n' \
+    'transport.go:[0-9]+:[0-9]+: vtime-rawns: raw nanosecond literal 500_000' "${lint[@]}" ./internal/transport
+mutant M33 internal/model/model.go 'return eventq.Time(int64(hops) * int64(data+ack))' 'return eventq.Time(hops) * (data + ack)' \
+    'model.go:[0-9]+:[0-9]+: vtime-overflow: Time × Time product' "${lint[@]}" ./internal/model
+mutant M34 internal/stats/stats.go 's.vals[i+1] <= s.vals[i]' 's.vals[i+1] == s.vals[i]' \
+    'stats.go:[0-9]+:[0-9]+: float-eq: floating-point == comparison' "${lint[@]}" ./internal/stats
 
 exit $failed
