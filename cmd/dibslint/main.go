@@ -1,5 +1,5 @@
-// Command dibslint runs the repo's determinism/virtual-time/metric lint
-// suite over package patterns and exits non-zero on findings:
+// Command dibslint runs the repo's determinism and virtual-time lint suite
+// over package patterns and exits non-zero on findings:
 //
 //	go run ./cmd/dibslint ./...
 //	go run ./cmd/dibslint -tests ./...
@@ -9,11 +9,11 @@
 // by position. Exit status: 0 clean, 1 findings, 2 usage or load failure,
 // including a package that does not type-check (its findings are still
 // printed). There is no suppression: a rule exists only because
-// scripts/mutants.sh plants a bug that it alone catches, so a finding is
-// fixed, not silenced. Test files are skipped by default; -tests loads
-// them too (in-package and external _test packages) and applies the rules
-// marked [tests] in -rules — seeding from the wall clock makes a test
-// flaky by construction.
+// scripts/mutants.sh plants a bug that changes a value no test but a
+// golden constant sees, so a finding is fixed, not silenced. Test files
+// are skipped by default; -tests loads them too (in-package and external
+// _test packages) and applies the rules marked [tests] in -rules — seeding
+// from the wall clock makes a test flaky by construction.
 package main
 
 import (

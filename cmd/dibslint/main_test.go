@@ -41,7 +41,7 @@ var moduleRoot = filepath.Join("..", "..")
 // each old flag is a usage error.
 func TestRemovedSARIFOutput(t *testing.T) {
 	run := buildDibslint(t, moduleRoot)
-	for _, flag := range []string{"-sarif", "-json", "-disable=float-eq"} {
+	for _, flag := range []string{"-sarif", "-json", "-disable=rng-taint"} {
 		code, stdout, stderr := run(flag, "./internal/rng")
 		name, _, _ := strings.Cut(flag, "=")
 		if code != 2 || stdout != "" || !strings.Contains(stderr, "flag provided but not defined: "+name) {

@@ -1,27 +1,25 @@
 // Package lint implements dibslint, a static-analysis suite purpose-built
-// for this simulator. DIBS results are only meaningful if a run is exactly
-// reproducible, and most ways to break that are caught at run time: a
-// global rand, a wall-clock read or a goroutine in simulation code makes
-// two seeded runs diverge or the race detector fire, a packet literal
+// for this simulator. DIBS results are only meaningful if a run is a pure
+// function of Config.Seed, and most ways to break that are caught by go
+// test: a global rand, a wall-clock read or a goroutine in simulation code
+// makes two seeded runs diverge or the race detector fire, a stream that
+// ignores the seed fails TestEveryStreamFollowsSeed, a packet literal
 // panics when it is freed, and scheduling into the past panics in the
-// scheduler. dibslint keeps only the rules that catch what those checks
-// cannot see, because the run still repeats itself:
+// scheduler. dibslint keeps only the rules whose bug changes a value that
+// no test but a golden constant sees:
 //
-//   - a PRNG constructed outside internal/rng, or a seed built from the
-//     wall clock or by ad-hoc arithmetic (every stream must derive from
-//     Config.Seed via internal/rng),
-//   - map-range iteration feeding event scheduling or result aggregation
-//     where no run-twice check happens to reach,
-//   - time.Duration, raw-nanosecond literals or Time×Time products in
-//     virtual-time code,
-//   - ==/!= on floats, and dropped error or queue.Result returns.
+//   - rng-taint: a seed built from the wall clock or by ad-hoc arithmetic
+//     (every stream must derive from Config.Seed via internal/rng),
+//   - nondet-maprange: map-range iteration feeding event scheduling or
+//     result aggregation where no run-twice check happens to reach,
+//   - vtime-overflow: a Time×Time product in virtual-time code.
 //
 // Every rule is a syntactic check over one type-checked package; there is
 // no control-flow or cross-function analysis. The engine is built
 // exclusively on the standard library (go/parser, go/ast, go/types with the
 // source importer), honoring the repo's stdlib-only rule. See rules.go for
-// the analyzers and DESIGN.md ("Determinism & lint rules") for the rule
-// catalogue and the mutant row that scores each rule.
+// the analyzers and DESIGN.md ("Determinism & lint rules") for the scoring
+// rule, the rule catalogue and the mutant row that scores each rule.
 package lint
 
 import (

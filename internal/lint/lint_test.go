@@ -77,15 +77,27 @@ func Roll(rng *rand.Rand) int { return rng.Intn(6) }
 	}
 }
 
+// TestRandConstructorOutsideRNGPackage: building a math/rand source
+// outside internal/rng is no finding of its own (a stream that ignores
+// Config.Seed fails TestEveryStreamFollowsSeed), but each of its arguments
+// is a seed position.
 func TestRandConstructorOutsideRNGPackage(t *testing.T) {
 	fs := lintFixture(t, "dibs/internal/fixrandnew", "fixrandnew.go", `
 package fixrandnew
 
-import "math/rand"
+import (
+	"math/rand"
+	"time"
+)
 
 func Make(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
+
+func Fresh() rand.Source { return rand.NewSource(time.Now().UnixNano()) }
 `)
-	assertRule(t, fs, "nondet-randnew", 2)
+	assertRule(t, fs, "rng-taint", 1)
+	if len(fs) != 1 {
+		t.Errorf("want only the clock-seeded source flagged, got %v", rulesOf(fs))
+	}
 }
 
 func TestMapRangeSchedulingAndAggregation(t *testing.T) {
@@ -120,72 +132,6 @@ func Good(s *eventq.Scheduler, xs []int) []int {
 	assertRule(t, fs, "nondet-maprange", 2) // one schedule + one escaping append
 }
 
-func TestVirtualTimeDurationLeak(t *testing.T) {
-	fs := lintFixture(t, "dibs/internal/fixvtime", "fixvtime.go", `
-package fixvtime
-
-import (
-	"time"
-
-	"dibs/internal/eventq"
-)
-
-type LinkCfg struct {
-	Delay time.Duration // should be eventq.Time
-}
-
-func Convert(d time.Duration) eventq.Time { return eventq.Time(d) }
-`)
-	// One for the struct field, one for the parameter declaration, one for
-	// the direct cast.
-	assertRule(t, fs, "vtime-duration", 3)
-
-	// The facade (the module root) is the wall-clock boundary: its
-	// converter takes a time.Duration by design, but a cast still flags.
-	// checkWith keeps the fixture out of the loader's cache of "dibs".
-	l := loaderForTest(t)
-	facade, err := l.checkWith("dibs", map[string]string{"facade.go": `
-package dibs
-
-import (
-	"time"
-
-	"dibs/internal/eventq"
-)
-
-func Duration(d time.Duration) eventq.Time { return eventq.Duration(d) }
-
-func Cast(d time.Duration) eventq.Time { return eventq.Time(d) }
-`}, l, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertRule(t, l.Run([]*Package{facade}, Analyzers()), "vtime-duration", 1)
-}
-
-func TestRawNanosecondLiterals(t *testing.T) {
-	fs := lintFixture(t, "dibs/internal/fixrawns", "fixrawns.go", `
-package fixrawns
-
-import "dibs/internal/eventq"
-
-func Bad(s *eventq.Scheduler) {
-	s.After(5000, func() {}) // raw ns magic number
-	var t eventq.Time = 1_000_000
-	_ = t
-}
-
-func Good(s *eventq.Scheduler) {
-	s.After(5*eventq.Microsecond, func() {})
-	s.After(1, func() {}) // small tie-break epsilon is fine
-	if s.Now() > 3*eventq.Second {
-		return
-	}
-}
-`)
-	assertRule(t, fs, "vtime-rawns", 2)
-}
-
 func TestTimeTimesTimeOverflow(t *testing.T) {
 	fs := lintFixture(t, "dibs/internal/fixoverflow", "fixoverflow.go", `
 package fixoverflow
@@ -197,55 +143,6 @@ func Bad(a, b eventq.Time) eventq.Time { return a * b }
 func Good(a eventq.Time) eventq.Time { return 3 * a }
 `)
 	assertRule(t, fs, "vtime-overflow", 1)
-}
-
-func TestFloatEquality(t *testing.T) {
-	fs := lintFixture(t, "dibs/internal/fixfloat", "fixfloat.go", `
-package fixfloat
-
-func Bad(p99, prev float64) bool { return p99 == prev }
-
-func Guards(sum float64, n int) bool {
-	return sum == 0 || n == 3 // exact-zero guard and int compare are fine
-}
-`)
-	assertRule(t, fs, "float-eq", 1)
-}
-
-func TestDroppedErrorReturn(t *testing.T) {
-	fs := lintFixture(t, "dibs/internal/fixerr", "fixerr.go", `
-package fixerr
-
-import "errors"
-
-func mayFail() error { return errors.New("boom") }
-
-func Bad()  { mayFail() }
-func Good() { _ = mayFail() }
-`)
-	assertRule(t, fs, "sched-droppederr", 1)
-}
-
-func TestDroppedQueueResult(t *testing.T) {
-	fs := lintFixture(t, "dibs/internal/fixdroppedq", "fixdroppedq.go", `
-package fixdroppedq
-
-import (
-	"dibs/internal/packet"
-	"dibs/internal/queue"
-)
-
-func Bad(q queue.Queue, p *packet.Packet) {
-	q.Enqueue(p) // result discarded outright
-}
-
-func Good(q queue.Queue, p *packet.Packet) bool {
-	_ = q.Enqueue(p)
-	r := q.Enqueue(p)
-	return r.Accepted
-}
-`)
-	assertRule(t, fs, "sched-droppederr", 1)
 }
 
 // --- rng-taint: one fire and one stay-quiet fixture per seed form ---
@@ -359,8 +256,9 @@ func Run(o Opts, runs int, seedRaw uint32) {
 
 // TestAllRulesDocumented holds every rule to its justification: a
 // catalogue row in DESIGN.md §8 and a scripts/mutants.sh row whose planted
-// bug passes go test and is caught by the rule's message alone. A rule
-// without a bug of its own to catch has no place in the suite.
+// bug changes a value that no go test but a golden constant sees, caught
+// by the rule's message. A rule without such a bug has no place in the
+// suite.
 func TestAllRulesDocumented(t *testing.T) {
 	design, err := os.ReadFile(filepath.Join("..", "..", "DESIGN.md"))
 	if err != nil {
@@ -396,13 +294,15 @@ func TestFindingString(t *testing.T) {
 	fs := lintFixture(t, "dibs/internal/fixformat", "fixformat.go", `
 package fixformat
 
-func Same(a, b float64) bool { return a == b }
+import "dibs/internal/eventq"
+
+func Square(a eventq.Time) eventq.Time { return a * a }
 `)
 	if len(fs) == 0 {
 		t.Fatal("expected a finding")
 	}
 	s := fs[0].String()
-	if !strings.Contains(s, "fixformat.go:") || !strings.Contains(s, "float-eq") {
+	if !strings.Contains(s, "fixformat.go:") || !strings.Contains(s, "vtime-overflow") {
 		t.Errorf("finding format %q lacks file:line or rule id", s)
 	}
 }
@@ -462,9 +362,9 @@ func Placeholder() {}
 package fixtestfilter
 
 import (
-	"math/rand"
 	"time"
 
+	"dibs/internal/eventq"
 	"dibs/internal/rng"
 )
 
@@ -472,8 +372,8 @@ func helperClockSeed() {
 	_ = rng.New(time.Now().UnixNano(), "flaky") // rng-taint: InTests
 }
 
-func helperSource() *rand.Rand {
-	return rand.New(rand.NewSource(7)) // nondet-randnew: filtered out in tests
+func helperSquare(d eventq.Time) eventq.Time {
+	return d * d // vtime-overflow: filtered out in tests
 }
 `,
 	})
@@ -482,5 +382,5 @@ func helperSource() *rand.Rand {
 	}
 	fs := l.Run([]*Package{pkg}, Analyzers())
 	assertRule(t, fs, "rng-taint", 1)
-	assertRule(t, fs, "nondet-randnew", 0)
+	assertRule(t, fs, "vtime-overflow", 0)
 }

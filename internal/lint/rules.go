@@ -3,7 +3,6 @@ package lint
 import (
 	"fmt"
 	"go/ast"
-	"go/constant"
 	"go/token"
 	"go/types"
 	"strings"
@@ -12,11 +11,9 @@ import (
 // Analyzers returns the full dibslint suite.
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
-		Nondeterminism(),
-		VirtualTime(),
-		FloatEq(),
-		DroppedResults(),
 		RNGTaint(),
+		MapRange(),
+		TimeOverflow(),
 	}
 }
 
@@ -29,38 +26,24 @@ func AllRules() []RuleDoc {
 	return docs
 }
 
-// randConstructors create PRNG sources; outside internal/rng they bypass
-// the single-seed derivation contract.
+// randConstructors create PRNG sources; every argument of one is a seed
+// position for rng-taint.
 var randConstructors = map[string]bool{
 	"New": true, "NewSource": true, "NewZipf": true, "NewPCG": true, "NewChaCha8": true,
 }
 
-// Nondeterminism reports the run-to-run hazards that a run-twice check
-// cannot see in simulation packages: a PRNG constructed outside
-// internal/rng (a fixed or private seed repeats itself, so two runs still
-// agree), and map-range iteration that feeds event scheduling or result
-// aggregation (on a path where the order happens not to move the output
-// of any repeated run).
-func Nondeterminism() *Analyzer {
+// MapRange reports map-range iteration that feeds event scheduling or
+// result aggregation in simulation packages: Go randomizes the order per
+// run, but on a path no repeated run happens to reach, every test still
+// agrees with itself.
+func MapRange() *Analyzer {
 	return &Analyzer{
 		Rules: []RuleDoc{
-			{ID: "nondet-randnew", Doc: "PRNG constructed outside internal/rng; derive every stream from Config.Seed via rng.New"},
 			{ID: "nondet-maprange", Doc: "map iteration order feeds event scheduling or result aggregation"},
 		},
 		Check: func(l *Loader, pkg *Package, report func(token.Pos, string, string)) {
-			path := effectivePath(pkg)
-			if !l.SimPackage(path) {
+			if !l.SimPackage(effectivePath(pkg)) {
 				return
-			}
-			for ident, obj := range pkg.Info.Uses {
-				fn, ok := obj.(*types.Func)
-				if !ok || fn.Pkg() == nil || !randConstructors[fn.Name()] || l.RNGPackage(path) {
-					continue
-				}
-				if p := fn.Pkg().Path(); p == "math/rand" || p == "math/rand/v2" {
-					report(ident.Pos(), "nondet-randnew",
-						fmt.Sprintf("rand.%s outside internal/rng; derive streams with rng.New(seed, name)", fn.Name()))
-				}
 			}
 			for _, f := range pkg.Files {
 				checkMapRanges(pkg, f, report)
@@ -324,57 +307,18 @@ func escapesLoop(pkg *Package, lhs ast.Expr, rs *ast.RangeStmt) bool {
 	return false
 }
 
-// VirtualTime enforces eventq.Time hygiene: no time.Duration leaking into
-// simulation state, no raw-nanosecond magic literals, and no Time×Time
-// products (ns² overflows int64 within milliseconds).
-func VirtualTime() *Analyzer {
+// TimeOverflow flags Time×Time products: the result is in ns², which
+// overflows int64 once both factors reach about 3 s.
+func TimeOverflow() *Analyzer {
 	return &Analyzer{
 		Rules: []RuleDoc{
-			{ID: "vtime-duration", Doc: "time.Duration used in simulation code where eventq.Time belongs; convert at the boundary with eventq.Duration"},
-			{ID: "vtime-rawns", Doc: "raw integer literal used as eventq.Time; spell durations with eventq unit constants (e.g. 5*eventq.Microsecond)"},
 			{ID: "vtime-overflow", Doc: "product of two non-constant eventq.Time values; ns×ns overflows int64 once both factors reach about 3 s"},
 		},
 		Check: func(l *Loader, pkg *Package, report func(token.Pos, string, string)) {
-			path := effectivePath(pkg)
-			if !l.SimPackage(path) {
+			if !l.SimPackage(effectivePath(pkg)) {
 				return
 			}
-			eventqPkg := path == l.ModulePath+"/internal/eventq"
-			// eventq.Duration and the facade's dibs.Duration are the two
-			// wall-clock boundaries: they take a time.Duration by design.
-			if !eventqPkg && path != l.ModulePath {
-				// Declarations of wall-clock duration type in sim state.
-				for ident, obj := range pkg.Info.Defs {
-					v, ok := obj.(*types.Var)
-					if !ok || !isNamedType(v.Type(), "time", "Duration") {
-						continue
-					}
-					report(ident.Pos(), "vtime-duration",
-						fmt.Sprintf("%s has type time.Duration; simulator quantities use eventq.Time", ident.Name))
-				}
-			}
 			for _, f := range pkg.Files {
-				// Conversions eventq.Time(d) from a time.Duration.
-				ast.Inspect(f, func(n ast.Node) bool {
-					call, ok := n.(*ast.CallExpr)
-					if !ok || len(call.Args) != 1 {
-						return true
-					}
-					ft, ok := pkg.Info.Types[call.Fun]
-					if !ok || !ft.IsType() || !isEventqTime(ft.Type) {
-						return true
-					}
-					if at, ok := pkg.Info.Types[call.Args[0]]; ok && isNamedType(at.Type, "time", "Duration") {
-						report(call.Pos(), "vtime-duration",
-							"direct cast of time.Duration to eventq.Time; use eventq.Duration for the boundary conversion")
-					}
-					return true
-				})
-				if !eventqPkg {
-					walkWithParent(f, func(n, parent ast.Node) {
-						checkRawNs(pkg, n, parent, report)
-					})
-				}
 				ast.Inspect(f, func(n ast.Node) bool {
 					be, ok := n.(*ast.BinaryExpr)
 					if !ok || be.Op != token.MUL {
@@ -394,143 +338,7 @@ func VirtualTime() *Analyzer {
 	}
 }
 
-// rawNsThreshold is the smallest integer literal treated as a raw-nanosecond
-// magic number when typed as eventq.Time. Small counts (tie-break epsilons,
-// 1-ns floors) stay legal.
-const rawNsThreshold = 1000
-
-// checkRawNs flags bare INT literals typed eventq.Time at or above the
-// threshold, except as factors of a multiplication/division (the idiomatic
-// `1500 * eventq.Nanosecond` spelling) or in comparisons.
-func checkRawNs(pkg *Package, n, parent ast.Node, report func(token.Pos, string, string)) {
-	lit, ok := n.(*ast.BasicLit)
-	if !ok || lit.Kind != token.INT {
-		return
-	}
-	tv, ok := pkg.Info.Types[lit]
-	if !ok || !isEventqTime(tv.Type) || tv.Value == nil {
-		return
-	}
-	v, ok := constant.Int64Val(constant.ToInt(tv.Value))
-	if !ok || v < rawNsThreshold {
-		return
-	}
-	if be, ok := parent.(*ast.BinaryExpr); ok && be.Op != token.ADD && be.Op != token.SUB {
-		return
-	}
-	report(lit.Pos(), "vtime-rawns",
-		fmt.Sprintf("raw nanosecond literal %s as eventq.Time; write it with unit constants", lit.Value))
-}
-
-// FloatEq flags ==/!= between floating-point values. Percentiles, FCTs and
-// goodputs are float64; exact equality on them silently depends on
-// accumulation order. Comparisons against an exact literal zero are exempt
-// (division guards test "never accumulated", which is exact).
-func FloatEq() *Analyzer {
-	return &Analyzer{
-		Rules: []RuleDoc{
-			{ID: "float-eq", Doc: "==/!= on floating-point values; compare with a tolerance or restructure"},
-		},
-		Check: func(l *Loader, pkg *Package, report func(token.Pos, string, string)) {
-			for _, f := range pkg.Files {
-				ast.Inspect(f, func(n ast.Node) bool {
-					be, ok := n.(*ast.BinaryExpr)
-					if !ok || (be.Op != token.EQL && be.Op != token.NEQ) {
-						return true
-					}
-					xt, xok := pkg.Info.Types[be.X]
-					yt, yok := pkg.Info.Types[be.Y]
-					if !xok || !yok || (!isFloat(xt.Type) && !isFloat(yt.Type)) {
-						return true
-					}
-					if isExactZero(xt) || isExactZero(yt) {
-						return true
-					}
-					report(be.Pos(), "float-eq",
-						fmt.Sprintf("floating-point %s comparison; use a tolerance", be.Op))
-					return true
-				})
-			}
-		},
-	}
-}
-
-// DroppedResults flags error or queue.Result returns of module calls
-// discarded as bare statements inside simulation packages. A refused
-// Enqueue or a dropped Validate error changes nothing a repeated run can
-// see: both runs drop it alike.
-func DroppedResults() *Analyzer {
-	return &Analyzer{
-		Rules: []RuleDoc{
-			{ID: "sched-droppederr", Doc: "error or queue.Result of a simulator API call silently dropped"},
-		},
-		Check: func(l *Loader, pkg *Package, report func(token.Pos, string, string)) {
-			if !l.SimPackage(effectivePath(pkg)) {
-				return
-			}
-			for _, f := range pkg.Files {
-				ast.Inspect(f, func(n ast.Node) bool {
-					if e, ok := n.(*ast.ExprStmt); ok {
-						checkDroppedErr(l, pkg, e, report)
-					}
-					return true
-				})
-			}
-		},
-	}
-}
-
-func checkDroppedErr(l *Loader, pkg *Package, stmt *ast.ExprStmt, report func(token.Pos, string, string)) {
-	call, ok := stmt.X.(*ast.CallExpr)
-	if !ok {
-		return
-	}
-	fn := staticCallee(pkg.Info, call)
-	if fn == nil || !l.inModule(fn.Pkg()) {
-		return
-	}
-	res := fn.Type().(*types.Signature).Results()
-	for i := 0; i < res.Len(); i++ {
-		switch checkedResultKind(res.At(i).Type()) {
-		case "error":
-			report(stmt.Pos(), "sched-droppederr",
-				fmt.Sprintf("%s returns an error that is dropped; handle it or assign to _ explicitly", fn.Name()))
-			return
-		case "queue.Result":
-			report(stmt.Pos(), "sched-droppederr",
-				"queue.Result discarded; Accepted must be checked (or assign to _ explicitly)")
-			return
-		}
-	}
-}
-
-// checkedResultKind classifies result types that must be consumed: the
-// error interface and internal/queue's Result.
-func checkedResultKind(t types.Type) string {
-	named, ok := t.(*types.Named)
-	if !ok {
-		return ""
-	}
-	obj := named.Obj()
-	if obj.Name() == "error" && obj.Pkg() == nil {
-		return "error"
-	}
-	if obj.Name() == "Result" && obj.Pkg() != nil && strings.HasSuffix(obj.Pkg().Path(), "internal/queue") {
-		return "queue.Result"
-	}
-	return ""
-}
-
-// --- shared type helpers ---
-
-func isNamedType(t types.Type, pkgPath, name string) bool {
-	named, ok := t.(*types.Named)
-	if !ok || named.Obj().Pkg() == nil {
-		return false
-	}
-	return named.Obj().Pkg().Path() == pkgPath && named.Obj().Name() == name
-}
-
+// isEventqTime reports whether t is internal/eventq's Time.
 func isEventqTime(t types.Type) bool {
 	named, ok := t.(*types.Named)
 	if !ok || named.Obj().Pkg() == nil {
@@ -538,34 +346,4 @@ func isEventqTime(t types.Type) bool {
 	}
 	return named.Obj().Name() == "Time" &&
 		strings.HasSuffix(named.Obj().Pkg().Path(), "internal/eventq")
-}
-
-func isFloat(t types.Type) bool {
-	b, ok := t.Underlying().(*types.Basic)
-	return ok && b.Info()&types.IsFloat != 0
-}
-
-func isExactZero(tv types.TypeAndValue) bool {
-	if tv.Value == nil {
-		return false
-	}
-	return constant.Compare(tv.Value, token.EQL, constant.MakeInt64(0))
-}
-
-// walkWithParent visits every node with its immediate parent.
-func walkWithParent(root ast.Node, visit func(n, parent ast.Node)) {
-	var stack []ast.Node
-	ast.Inspect(root, func(n ast.Node) bool {
-		if n == nil {
-			stack = stack[:len(stack)-1]
-			return true
-		}
-		var parent ast.Node
-		if len(stack) > 0 {
-			parent = stack[len(stack)-1]
-		}
-		visit(n, parent)
-		stack = append(stack, n)
-		return true
-	})
 }

@@ -2,61 +2,28 @@ package lint
 
 import "testing"
 
-// The fluid engine is where float rates and coarse virtual-time ticks meet,
-// the two things the determinism suite exists to police. These fixtures pin
-// the suite on fluid-shaped code: rate accumulators compared exactly,
-// tick lengths typed as time.Duration, and raw-nanosecond tick literals —
-// each of which would make hybrid runs drift across platforms or refactors.
-
-func TestFluidStyleRateComparisons(t *testing.T) {
-	fs := lintFixture(t, "dibs/internal/fixfluidrate", "fixfluidrate.go", `
-package fixfluidrate
-
-// solver-style max-min loop with exact float comparisons on rates.
-type flow struct {
-	rate float64
-	prev float64
-}
-
-func Converged(fl []*flow) bool {
-	for _, f := range fl {
-		if f.rate == f.prev { // exact equality on an accumulated rate
-			continue
-		}
-		return false
-	}
-	return true
-}
-
-func ShareChanged(share, last float64) bool {
-	return share != last // same bug, != spelling
-}
-`)
-	assertRule(t, fs, "float-eq", 2)
-}
+// The fluid engine is where float rates and coarse virtual-time ticks meet.
+// These fixtures pin the suite on fluid-shaped code: tick arithmetic that
+// passes through ns² is flagged, and tolerance compares and eventq-typed
+// ticks stay quiet.
 
 func TestFluidStyleVirtualTimeMisuse(t *testing.T) {
 	fs := lintFixture(t, "dibs/internal/fixfluidtick", "fixfluidtick.go", `
 package fixfluidtick
 
-import (
-	"time"
+import "dibs/internal/eventq"
 
-	"dibs/internal/eventq"
-)
-
-// A tick period held as wall-clock Duration instead of eventq.Time.
 type Engine struct {
-	Tick time.Duration
+	Tick   eventq.Time
+	Window eventq.Time
 }
 
-func (e *Engine) Arm(s *eventq.Scheduler) {
-	s.After(100_000, func() {}) // raw 100µs tick as a bare ns literal
-	_ = e.Tick
+// Weight scales a tick against the averaging window through ns².
+func (e *Engine) Weight(elapsed eventq.Time) eventq.Time {
+	return e.Tick * elapsed / e.Window
 }
 `)
-	assertRule(t, fs, "vtime-duration", 1)
-	assertRule(t, fs, "vtime-rawns", 1)
+	assertRule(t, fs, "vtime-overflow", 1)
 }
 
 func TestFluidStyleCleanPatterns(t *testing.T) {
@@ -102,8 +69,8 @@ func (e *Engine) Arm(s *eventq.Scheduler) {
 }
 
 // TestRealFluidPackageClean is the acceptance gate: the production fluid
-// solver passes the full suite — no exact float compares, no wall-clock
-// durations, every tick spelled in eventq units.
+// solver passes the full suite. It is also the one check that fails on
+// M30's promotion victims gathered from a map.
 func TestRealFluidPackageClean(t *testing.T) {
 	l := loaderForTest(t)
 	pkg, err := l.Load("dibs/internal/fluid")

@@ -37,8 +37,6 @@ type Network struct {
 	// into it.
 	Collector *metrics.Collector
 
-	handlers []switching.Handler
-
 	// shards holds one scheduler/arena/collector group per PDES shard
 	// (exactly one with Shards <= 1); part maps every node ID to its
 	// shard.
@@ -53,17 +51,6 @@ type Network struct {
 	fluid *fluidState
 
 	nextFlow packet.FlowID
-}
-
-// portRef lets OutPorts deliver through the network's handler table,
-// breaking the construction cycle between ports and handlers.
-type portRef struct {
-	n    *Network
-	node packet.NodeID
-}
-
-func (r portRef) Receive(p *packet.Packet, port int) {
-	r.n.handlers[r.node].Receive(p, port)
 }
 
 // Build constructs the network described by cfg. It panics with
@@ -103,7 +90,6 @@ func Build(cfg Config) *Network {
 	nn := n.Topo.NumNodes()
 	n.Switches = make([]*switching.Switch, nn)
 	n.HostsByID = make([]*host.Host, nn)
-	n.handlers = make([]switching.Handler, nn)
 
 	// finishPort applies the per-port policies every link needs: the
 	// port-local jitter stream (a function of (node, port) alone, so draws
@@ -148,12 +134,11 @@ func Build(cfg Config) *Network {
 		sh := n.shards[n.part[hid]]
 		p := n.Topo.Ports(hid)[0]
 		nic := finishPort(switching.InitOutPort(nextPort(), sh.sched, qArena.New(nicQueuePkts, cfg.HostMarkAtPkts),
-			p.RateBps, p.Delay, portRef{n, p.Peer}, p.PeerPort), hid, 0, p.Peer, p.PeerPort)
+			p.RateBps, p.Delay, nil, p.PeerPort), hid, 0, p.Peer, p.PeerPort)
 		h.NIC = nic
 		h.OnDeliver = sh.coll.OnDeliver
 		h.TraceEveryNth = cfg.TraceEveryNth
 		n.HostsByID[hid] = h
-		n.handlers[hid] = h
 	}
 	for _, sid := range n.Topo.Switches() {
 		sh := n.shards[n.part[sid]]
@@ -166,7 +151,7 @@ func Build(cfg Config) *Network {
 		}
 		for pi, p := range n.Topo.Ports(sid) {
 			ports = append(ports, finishPort(switching.InitOutPort(nextPort(), sh.sched, n.makeQueue(pool, &qArena),
-				p.RateBps, p.Delay, portRef{n, p.Peer}, p.PeerPort), sid, pi, p.Peer, p.PeerPort))
+				p.RateBps, p.Delay, nil, p.PeerPort), sid, pi, p.Peer, p.PeerPort))
 		}
 		// strconv, not Sprintf: same stream name, so the derived seed (and
 		// every golden) is unchanged, without the printf machinery per switch.
@@ -179,8 +164,8 @@ func Build(cfg Config) *Network {
 			sw.EnableCIOQ(sh.sched, switching.DefaultCIOQ)
 		}
 		n.Switches[sid] = sw
-		n.handlers[sid] = sw
 	}
+	n.connect()
 
 	if cfg.PFC {
 		n.enablePFC()
@@ -197,6 +182,35 @@ func Build(cfg Config) *Network {
 		}
 	}
 	return n
+}
+
+// connect points every port, and every cross-shard link's receiving end,
+// at the node on its far side. Build calls it once every host and switch
+// exists: a port is made before its peer, so it cannot be wired then.
+func (n *Network) connect() {
+	node := func(id packet.NodeID) switching.Handler {
+		if h := n.HostsByID[id]; h != nil {
+			return h
+		}
+		return n.Switches[id]
+	}
+	for _, hid := range n.Topo.Hosts() {
+		p := n.Topo.Ports(hid)[0]
+		n.HostsByID[hid].NIC.SetPeer(node(p.Peer), p.PeerPort)
+	}
+	for _, sid := range n.Topo.Switches() {
+		for pi, op := range n.Switches[sid].Ports() {
+			p := n.Topo.Ports(sid)[pi]
+			op.SetPeer(node(p.Peer), p.PeerPort)
+		}
+	}
+	for id, links := range n.inLinks {
+		for _, l := range links {
+			if l != nil {
+				l.to = node(packet.NodeID(id))
+			}
+		}
+	}
 }
 
 // switchPorts lists every switch output port for shard i's monitors, which

@@ -54,7 +54,7 @@ type shardCtx struct {
 // holding values because no pooled node exists until delivery).
 type inLink struct {
 	dst      *shardCtx
-	to       portRef
+	to       switching.Handler // set by Network.connect
 	peerPort int
 	pending  wireRing
 	deliver  func()
@@ -89,7 +89,7 @@ func (n *Network) inLinkOf(pri int64) *inLink {
 // packet into src's arena; the snapshot travels by value in the message,
 // so a hand-off allocates nothing.
 func (n *Network) makeEmit(src, dst *shardCtx, peer packet.NodeID, peerPort int) func(at eventq.Time, pri int64, w packet.Wire) {
-	l := &inLink{dst: dst, to: portRef{n, peer}, peerPort: peerPort}
+	l := &inLink{dst: dst, peerPort: peerPort}
 	l.deliver = l.onDeliver
 	if n.inLinks == nil {
 		n.inLinks = make([][]*inLink, n.Topo.NumNodes())

@@ -29,11 +29,11 @@
 // shard per window cost more in wake-up latency than the window itself.
 //
 // This package is the one place below the run boundary where goroutines
-// are allowed: dibslint's nondet-goroutine rule allowlists it next to
-// internal/runner. Run's callback contract is the whole isolation
-// argument — runWindow(i, ...) is called on exactly one worker per window,
-// flush and inject only on the coordinator between windows, and the gate
-// epochs are the only happens-before edges. Nothing static checks what
+// are allowed (internal/runner is the one above it). Run's callback
+// contract is the whole isolation argument — runWindow(i, ...) is called
+// on exactly one worker per window, flush and inject only on the
+// coordinator between windows, and the gate epochs are the only
+// happens-before edges. Nothing static checks what
 // the callbacks capture; the proof is at runtime: the lookahead panic
 // below, pdes_test.go, and TestShardCountInvariance under -race, which
 // scripts/check.sh and CI run by name.

@@ -4,8 +4,8 @@
 // the entire simulation and adding a new consumer cannot perturb existing
 // streams (no shared counters, no ad-hoc XOR constants scattered around).
 //
-// The dibslint rule nondet-randnew enforces that rand.New/rand.NewSource
-// appear nowhere else in simulation packages.
+// TestEveryStreamFollowsSeed (internal/netsim) holds each named stream of a
+// run to the seed: a stream seeded from anything but Config.Seed fails it.
 package rng
 
 import "math/rand"

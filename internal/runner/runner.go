@@ -2,16 +2,17 @@
 // changing their results.
 //
 // A discrete-event run is a pure function of its Config (including the
-// seed): internal/rng derives every stream from Config.Seed, and dibslint
-// keeps goroutines and wall-clock time out of the simulation packages. That
+// seed): internal/rng derives every stream from Config.Seed, and the
+// run-twice tests and the race detector keep goroutines and wall-clock time
+// out of the simulation packages. That
 // makes sweep points and repeat seeds embarrassingly parallel — the only
 // thing parallelism could perturb is the *order* results are observed in,
 // so Map collects results by index and callers consume them exactly as the
 // serial loop would have. Output is byte-identical for any worker count.
 //
 // This package is the single sanctioned home for goroutines in the
-// simulator (the dibslint rule nondet-goroutine allowlists it); everything
-// below whole runs stays single-threaded.
+// simulator above the run boundary; everything below whole runs stays
+// single-threaded.
 package runner
 
 import (

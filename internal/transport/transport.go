@@ -213,8 +213,6 @@ type Sender struct {
 	Retransmits  int
 	Timeouts     int
 	FastRecovers int
-	PacketsSent  int
-	StartedAt    eventq.Time
 }
 
 // NewSender creates a sender for a flow of total bytes.
@@ -257,7 +255,6 @@ func (s *Sender) Start() {
 		return
 	}
 	s.started = true
-	s.StartedAt = s.env.Sched.Now()
 	s.windowEnd = 0
 	s.trySend()
 }
@@ -328,7 +325,6 @@ func (s *Sender) emitSegment(seq int64, payload int) {
 	if p.Rexmit {
 		s.Retransmits++
 	}
-	s.PacketsSent++
 	s.env.Emit(p)
 }
 
@@ -603,7 +599,6 @@ func (s *Sender) StartFluid() {
 		return
 	}
 	s.started = true
-	s.StartedAt = s.env.Sched.Now()
 	s.fluid = true
 }
 

@@ -74,8 +74,9 @@ else
 
     # Plant each bug of the seeded-mutation corpus and require the named
     # check to fail: the score sheet for the packet-ownership and
-    # shard-isolation backstops, which no lint rule covers, and for the
-    # dibslint rules that are the only catch of a recorded bug.
+    # shard-isolation backstops, which no lint rule covers, for the three
+    # dibslint rules whose bug no test but a golden constant sees, and for
+    # the tests that replaced the deleted rules.
     step "seeded-mutation corpus"
     scripts/mutants.sh
 

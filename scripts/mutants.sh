@@ -1,12 +1,12 @@
 #!/usr/bin/env bash
 # mutants.sh — seeded-mutation corpus. M1-M11 score the runtime backstops on
-# packet ownership and shard isolation (no lint rule covers either). M12-M14
-# score dibslint rules: M12 and M13 pass go test, so rng-taint is their only
-# catch; M14 (also failed by TestNICDropCounting) pins sched-droppederr's
-# queue.Result arm. M15 scores the race test that replaced the
-# mutable-globals rule. M16-M17 score the Validate error contract: a bare
-# cfg.Validate() compiles and accepts every config. M18-M19 score the
-# delivery-clocked transmitter: a queue view that reads the port without
+# packet ownership and shard isolation (no lint rule covers either). M12-M13
+# score rng-taint: both historical seed bugs pass go test. M14 and M16 are
+# the two plants of the deleted sched-droppederr rule, each caught by an
+# ordinary test: a NIC enqueue whose refusal goes unhandled, and Build
+# dropping Validate's error. M15 scores the race test that replaced the
+# mutable-globals rule. M17 drops Validate's error in dibsim. M18-M19 score
+# the delivery-clocked transmitter: a queue view that reads the port without
 # catching it up, and a completion tie ordered after its own instant. M20
 # scores the one forwarding engine: a CIOQ switch that skips the shared
 # spray decision, caught by the architecture parity test. M21-M22 score the
@@ -21,12 +21,12 @@
 # retired config-file key at any but its dumped value. M27-M28 score the
 # set-up shortcuts against their references: routing tables keyed by
 # attachment switch that lose the last hop to the host, and a lazily seeded
-# RNG source that seeds from the wrong value. M29-M34 score the other six
-# dibslint rules, one row each: the planted code passes go test (only the
-# lint package's own lint of internal/fluid sees M30), so the rule's finding
-# is its only catch. A rule whose bug a run-twice check, a runtime panic or
-# the race detector already catches has no row and no rule: DESIGN.md §8
-# lists the five deleted that way.
+# RNG source that seeds from the wrong value. M30 and M33 score the other
+# two dibslint rules: each plant changes a value that no go test but a
+# golden constant sees, so the rule's finding is its only catch. M35-M37
+# are the behaviour plants of the deleted nondet-randnew and float-eq
+# rules, each caught by an ordinary test. DESIGN.md §8 states the scoring
+# rule and lists every rule deleted by it.
 # Each row plants one bug in a temp copy of the tree and names the check
 # that must catch it, with the output that proves it failed for the right
 # reason. A row whose source text no longer matches exactly once is an error
@@ -103,9 +103,10 @@ mutant M10 internal/pdes/pdes.go $'\tfor w := 1; w < e.workers; w++ {\n\t\te.don
 mutant M11 internal/pdes/pdes.go $'\treturn cmp.Compare(x.Seq, y.Seq)\n' $'\treturn cmp.Compare(y.Seq, x.Seq)\n' \
     'diverged from Shards=1|cross-shard delivery|panic:' "${shards[@]}"
 
-# Lint rules. The two historical seed bugs, which pass go test: fig06's
+# rng-taint: the two historical seed bugs, which pass go test: fig06's
 # per-run seed (the `_ = rng.Derive` keeps the import used) and jellyfish's
-# retry seed. Then a NIC enqueue whose refusal goes unhandled.
+# retry seed. Then a NIC enqueue whose refusal goes unhandled, which the
+# host's drop count sees.
 mutant M12 internal/experiments/figures_click.go \
     'cfg.Seed = int64(rng.Derive(uint64(o.Seed), fmt.Sprintf("experiments/fig06/run%d", run)))' \
     $'cfg.Seed = o.Seed + int64(run)*7919\n\t\t\t_ = rng.Derive' \
@@ -113,17 +114,18 @@ mutant M12 internal/experiments/figures_click.go \
 mutant M13 internal/topology/topology.go 'spec, seed, attempt)' 'spec, seed+int64(attempt)*0x9E37, attempt)' \
     'topology.go:[0-9]+:[0-9]+: rng-taint: ad-hoc seed arithmetic' go run ./cmd/dibslint ./internal/topology
 mutant M14 internal/host/host.go $'\tif r := h.NIC.Enqueue(p); !r.Accepted {\n\t\th.NICDrops++\n\t\tpacket.Free(p)\n\t}\n' \
-    $'\th.NIC.Enqueue(p)\n' 'sched-droppederr: queue.Result discarded' go run ./cmd/dibslint ./internal/host
+    $'\th.NIC.Enqueue(p)\n' 'NIC drops = 0, want 3' go test -count=1 ./internal/host
 # Per-run state in a package variable: concurrent runs race on it.
 mutant M15 $sw $'func (s *Switch) drop(p *packet.Packet, reason DropReason) {\n' \
     $'var dropCount uint64\n\nfunc (s *Switch) drop(p *packet.Packet, reason DropReason) {\n\tdropCount++\n' \
     'DATA RACE' env GORACE=halt_on_error=1 go test -race -count=1 ./internal/runner
 
 # Validate returns an error; dropping it lets any config through: Build
-# would run it, and dibsim would hand it to Build's panic.
+# would run it (the CIOQ and PFC refusal tables see that), and dibsim would
+# hand it to Build's panic.
 check=$'if err := cfg.Validate(); err != nil {\n\t\t'
 mutant M16 internal/netsim/network.go "$check"$'panic(err)\n\t}\n' $'cfg.Validate()\n' \
-    'network.go:[0-9]+:[0-9]+: sched-droppederr: Validate returns an error that is dropped' go run ./cmd/dibslint ./internal/netsim
+    'case 0 should panic' go test -count=1 -run 'TestCIOQValidation|TestPFCValidation' ./internal/netsim
 mutant M17 cmd/dibsim/main.go "$check"$'fmt.Fprintln(os.Stderr, err)\n\t\tos.Exit(2)\n\t}\n' $'cfg.Validate()\n' \
     'stderr is not 1 netsim: line' go test -count=1 -run TestCLI ./cmd/dibsim
 
@@ -177,25 +179,25 @@ mutant M27 internal/topology/topology.go $'\tif node == r.attach {\n\t\treturn r
 mutant M28 internal/rng/rng.go 'rand.NewSource(s.seed)' 'rand.NewSource(s.seed + 1)' \
     'FAIL: TestNewMatchesEagerSource' go test -count=1 -run TestNewMatchesEagerSource ./internal/rng
 
-# The rest of the lint rules. Each plant moves nothing go test can see
-# today: a PRNG built outside internal/rng that still draws the plumbed
-# stream, a promotion order taken from a map that no repeated run happens
-# to expose, the boundary conversion spelled as a cast, a raw-nanosecond
-# default, a count dressed as eventq.Time in a product, and an exact float
-# compare that is exact on these inputs.
+# The other two lint rules. Each plant changes a value that only a golden
+# constant sees: a promotion order taken from a map that no repeated run
+# happens to expose, and a squared RTT deviation that moves a timeout.
 lint=(go run ./cmd/dibslint)
-mutant M29 internal/workload/workload.go 'return &Queries{sched: sched, rng: rng,' 'return &Queries{sched: sched, rng: rand.New(rng),' \
-    'workload.go:[0-9]+:[0-9]+: nondet-randnew: rand.New outside internal/rng' "${lint[@]}" ./internal/workload
 mutant M30 internal/fluid/fluid.go $'\tfor _, f := range e.flows {\n\t\tfor _, l := range f.Path {\n\t\t\tif l.Hot() {\n\t\t\t\tvictims = append(victims, f)\n\t\t\t\tbreak\n\t\t\t}\n\t\t}\n\t}\n' \
     $'\thotFlows := make(map[*Flow]bool)\n\tfor _, f := range e.flows {\n\t\tfor _, l := range f.Path {\n\t\t\tif l.Hot() {\n\t\t\t\thotFlows[f] = true\n\t\t\t}\n\t\t}\n\t}\n\tfor f := range hotFlows {\n\t\tvictims = append(victims, f)\n\t}\n' \
     'fluid.go:[0-9]+:[0-9]+: nondet-maprange: append to outer state' "${lint[@]}" ./internal/fluid
-mutant M31 internal/eventq/eventq.go 'return Time(d.Nanoseconds())' 'return Time(d)' \
-    'eventq.go:[0-9]+:[0-9]+: vtime-duration: direct cast of time.Duration' "${lint[@]}" ./internal/eventq
-mutant M32 internal/transport/transport.go $'\t\t\t\ttimeout = 500 * eventq.Microsecond\n' $'\t\t\t\ttimeout = 500_000\n' \
-    'transport.go:[0-9]+:[0-9]+: vtime-rawns: raw nanosecond literal 500_000' "${lint[@]}" ./internal/transport
-mutant M33 internal/model/model.go 'return eventq.Time(int64(hops) * int64(data+ack))' 'return eventq.Time(hops) * (data + ack)' \
-    'model.go:[0-9]+:[0-9]+: vtime-overflow: Time × Time product' "${lint[@]}" ./internal/model
-mutant M34 internal/stats/stats.go 's.vals[i+1] <= s.vals[i]' 's.vals[i+1] == s.vals[i]' \
-    'stats.go:[0-9]+:[0-9]+: float-eq: floating-point == comparison' "${lint[@]}" ./internal/stats
+mutant M33 internal/transport/transport.go 's.rttvar = (3*s.rttvar + d) / 4' 's.rttvar = (3*s.rttvar + d*d/s.srtt) / 4' \
+    'transport.go:[0-9]+:[0-9]+: vtime-overflow: Time × Time product' "${lint[@]}" ./internal/transport
+
+# The deleted rules' bugs, caught by ordinary tests: a switch stream seeded
+# from its own ID instead of Config.Seed (nondet-randnew), the window clamp
+# and the solver's freeze test spelled as exact float compares (float-eq).
+# testing/quick draws fresh inputs per run and one run misses M36 about one
+# time in twenty, so its row runs the property five times.
+mutant M35 $sw $'\t\trng:    rng,\n' $'\t\trng:    rand.New(rand.NewSource(int64(id))),\n' \
+    'FAIL: TestEveryStreamFollowsSeed/switch/N' go test -count=1 -run TestEveryStreamFollowsSeed ./internal/netsim
+mutant M36 internal/transport/transport.go 's.cwnd > s.cfg.MaxCwnd {' 's.cwnd == s.cfg.MaxCwnd {' \
+    'FAIL: TestQuickSenderInvariants' go test -count=5 -run TestQuickSenderInvariants ./internal/transport
+mutant M37 $solve 'if s.links[l].share <= at {' 'if s.links[l].share == min {' 'rate .*, reference' "${solvetest[@]}"
 
 exit $failed
