@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"dibs/internal/packet"
+	"dibs/internal/quicktest"
 )
 
 // fakeView is a scriptable SwitchView.
@@ -276,7 +277,7 @@ func TestQuickPoliciesReturnEligible(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+	if err := quick.Check(f, quicktest.Config(t, 500)); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -6,6 +6,8 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+
+	"dibs/internal/quicktest"
 )
 
 func TestTimeString(t *testing.T) {
@@ -212,7 +214,7 @@ func TestQuickTimeOrdering(t *testing.T) {
 		}
 		return sort.SliceIsSorted(fired, func(i, j int) bool { return fired[i] < fired[j] })
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+	if err := quick.Check(f, quicktest.Config(t, 200)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -243,7 +245,7 @@ func TestQuickCancelSubset(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+	if err := quick.Check(f, quicktest.Config(t, 100)); err != nil {
 		t.Fatal(err)
 	}
 }

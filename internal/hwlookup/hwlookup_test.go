@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"dibs/internal/quicktest"
 )
 
 func TestForwardWhenDesiredAvailable(t *testing.T) {
@@ -99,7 +101,7 @@ func TestQuickDecide(t *testing.T) {
 		}
 		return d.Detoured && d.Port >= 0 && elig&(1<<uint(d.Port)) != 0
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
+	if err := quick.Check(f, quicktest.Config(t, 2000)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -113,7 +115,7 @@ func TestQuickPickBit(t *testing.T) {
 		b := pickBit(mask, rnd)
 		return mask&(1<<uint(b)) != 0 && b < 64 && b >= bits.TrailingZeros64(mask)
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
+	if err := quick.Check(f, quicktest.Config(t, 2000)); err != nil {
 		t.Fatal(err)
 	}
 }

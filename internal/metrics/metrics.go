@@ -51,6 +51,8 @@ type FlowInfo struct {
 	QueryID int // -1 for non-query flows
 	Start   eventq.Time
 	End     eventq.Time // 0 while in flight
+
+	known bool // registered; false in a gap of the collector's table
 }
 
 // Done reports whether the flow completed.
@@ -71,11 +73,10 @@ type queryState struct {
 type Collector struct {
 	sched *eventq.Scheduler
 
-	flows   map[packet.FlowID]*FlowInfo
-	queries map[int]*queryState
-	// flowBlock is the spare tail of the current FlowInfo block (see
+	// flows is indexed by FlowID, which runs dense from 0 (see
 	// FlowStartedAt).
-	flowBlock []FlowInfo
+	flows   []FlowInfo
+	queries map[int]*queryState
 
 	// QCTs holds completed query completion times in milliseconds.
 	QCTs stats.Sample
@@ -125,7 +126,6 @@ type Collector struct {
 func NewCollector(sched *eventq.Scheduler) *Collector {
 	return &Collector{
 		sched:   sched,
-		flows:   make(map[packet.FlowID]*FlowInfo),
 		queries: make(map[int]*queryState),
 	}
 }
@@ -141,7 +141,7 @@ func (c *Collector) Hooks() *switching.Hooks {
 func (c *Collector) onDrop(node packet.NodeID, p *packet.Packet, reason switching.DropReason) {
 	c.Drops[reason]++
 	if p.Kind == packet.Data {
-		if f, ok := c.flows[p.Flow]; ok {
+		if f := c.Flow(p.Flow); f != nil {
 			c.DropsByClass[f.Class]++
 		}
 	}
@@ -150,7 +150,7 @@ func (c *Collector) onDrop(node packet.NodeID, p *packet.Packet, reason switchin
 
 func (c *Collector) onDetour(node packet.NodeID, p *packet.Packet, desired, chosen int) {
 	c.Detours++
-	if f, ok := c.flows[p.Flow]; ok {
+	if f := c.Flow(p.Flow); f != nil {
 		c.DetoursByClass[f.Class]++
 	}
 	if c.Events != nil { // the Sprintf is not free
@@ -194,30 +194,36 @@ func (c *Collector) FlowStarted(id packet.FlowID, class FlowClass, bytes int64, 
 // engine uses it to register the full precomputed flow table in every
 // shard's collector before the run begins, so drop/detour class attribution
 // works in whichever shard a packet happens to be when the hook fires.
+//
+// The record lives at index id of a table that grows to fit it, so IDs
+// should be dense from 0, as the recorded schedule and StartFlow assign
+// them; ReserveFlows sizes the table up front.
 func (c *Collector) FlowStartedAt(id packet.FlowID, class FlowClass, bytes int64, queryID int, at eventq.Time) {
-	// Carve FlowInfos from a block: one allocation per 64 flows instead of
-	// one each. Earlier pointers stay valid across refills — only the spare
-	// capacity is re-sliced away, never the handed-out prefix.
-	if len(c.flowBlock) == 0 {
-		c.flowBlock = make([]FlowInfo, 64)
-	}
-	f := &c.flowBlock[0]
-	c.flowBlock = c.flowBlock[1:]
-	*f = FlowInfo{
+	c.ReserveFlows(int(id) + 1)
+	c.flows[id] = FlowInfo{
 		ID:      id,
 		Class:   class,
 		Bytes:   bytes,
 		QueryID: queryID,
 		Start:   at,
+		known:   true,
 	}
-	c.flows[id] = f
+}
+
+// ReserveFlows extends the flow table to at least n entries, the new ones
+// gaps until registered: registering flows 0..n-1 then allocates nothing
+// more and moves no *FlowInfo handed out.
+func (c *Collector) ReserveFlows(n int) {
+	if n > len(c.flows) {
+		c.flows = append(c.flows, make([]FlowInfo, n-len(c.flows))...)
+	}
 }
 
 // FlowDone marks a flow complete, updating FCT samples and any parent
 // query.
 func (c *Collector) FlowDone(id packet.FlowID) {
-	f, ok := c.flows[id]
-	if !ok || f.Done() {
+	f := c.Flow(id)
+	if f == nil || f.Done() {
 		return
 	}
 	f.End = c.sched.Now()
@@ -258,11 +264,12 @@ func (c *Collector) QueryStartedAt(queryID, nFlows int, at eventq.Time) {
 // values (percentiles sort internally), and per-flow/per-query state is
 // keyed so exactly one shard ever contributes the completion (a flow
 // finishes at its destination host's shard; all of a query's flows share
-// one destination). Iteration is over sorted keys so the merged in-memory
-// layout is itself deterministic. The instruments merge into what one
-// shard would have recorded — the best trace by (detours, delivery key),
-// the event log by each record's (time, same-instant key), the monitors
-// by port — and c must have every instrument o has.
+// one destination). Flows merge by index, queries over sorted keys, so
+// the merged in-memory layout is itself deterministic. The instruments
+// merge into what one shard would have recorded — the best trace by
+// (detours, delivery key), the event log by each record's (time,
+// same-instant key), the monitors by port — and c must have every
+// instrument o has.
 func (c *Collector) MergeFrom(o *Collector) {
 	c.QCTs.AddAll(o.QCTs.Values())
 	c.ShortBGFCTs.AddAll(o.ShortBGFCTs.Values())
@@ -294,30 +301,22 @@ func (c *Collector) MergeFrom(o *Collector) {
 		c.Buf.MergeFrom(o.Buf)
 	}
 
-	// Indexed fill + sort: the iteration order of the source map never
-	// reaches the merged state.
-	flowIDs := make([]packet.FlowID, len(o.flows))
-	i := 0
-	for id := range o.flows {
-		flowIDs[i] = id
-		i++
-	}
-	sortFlowIDs(flowIDs)
-	for _, id := range flowIDs {
-		of := o.flows[id]
-		f, ok := c.flows[id]
-		if !ok {
-			cp := *of
-			c.flows[id] = &cp
-			continue
-		}
-		if of.End > f.End {
+	c.ReserveFlows(len(o.flows))
+	for i := range o.flows {
+		of, f := &o.flows[i], &c.flows[i]
+		switch {
+		case !of.known:
+		case !f.known:
+			*f = *of
+		case of.End > f.End:
 			f.End = of.End
 		}
 	}
 
+	// Indexed fill + sort: the iteration order of the source map never
+	// reaches the merged state.
 	queryIDs := make([]int, len(o.queries))
-	i = 0
+	i := 0
 	for id := range o.queries {
 		queryIDs[i] = id
 		i++
@@ -340,19 +339,23 @@ func (c *Collector) MergeFrom(o *Collector) {
 	}
 }
 
-func sortFlowIDs(ids []packet.FlowID) {
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-}
-
 func sortInts(ids []int) { sort.Ints(ids) }
 
-// Flow returns the record for id (nil when unknown).
-func (c *Collector) Flow(id packet.FlowID) *FlowInfo { return c.flows[id] }
+// Flow returns the record for id (nil when unknown). The pointer stays
+// valid until a FlowStarted beyond the reserved table moves it.
+func (c *Collector) Flow(id packet.FlowID) *FlowInfo {
+	if uint64(id) >= uint64(len(c.flows)) || !c.flows[id].known {
+		return nil
+	}
+	return &c.flows[id]
+}
 
-// EachFlow visits every registered flow (order unspecified).
+// EachFlow visits every registered flow in ascending FlowID order.
 func (c *Collector) EachFlow(fn func(*FlowInfo)) {
-	for _, f := range c.flows {
-		fn(f)
+	for i := range c.flows {
+		if c.flows[i].known {
+			fn(&c.flows[i])
+		}
 	}
 }
 
@@ -373,8 +376,8 @@ func (c *Collector) StartedQueries() int { return len(c.queries) }
 // CompletedFlows returns the number of completed flows of a class.
 func (c *Collector) CompletedFlows(class FlowClass) int {
 	n := 0
-	for _, f := range c.flows {
-		if f.Class == class && f.Done() {
+	for i := range c.flows {
+		if f := &c.flows[i]; f.Class == class && f.Done() {
 			n++
 		}
 	}

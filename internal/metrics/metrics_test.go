@@ -311,3 +311,89 @@ func TestFlowClassString(t *testing.T) {
 		t.Fatal("class strings")
 	}
 }
+
+// shardOf registers flows [base, base+n) with c, query-less, and finishes
+// the even ones at 1 ms + their ID in ns.
+func shardOf(base, n int) *Collector {
+	sched := eventq.NewScheduler()
+	c := NewCollector(sched)
+	for i := 0; i < n; i++ {
+		c.FlowStarted(packet.FlowID(base+i), ClassBackground, 5_000, -1)
+	}
+	for i := 0; i < n; i += 2 {
+		id := packet.FlowID(base + i)
+		sched.At(eventq.Millisecond+eventq.Time(id), func() { c.FlowDone(id) })
+	}
+	sched.Run()
+	return c
+}
+
+// Two shards owning disjoint ID ranges merge into one table holding every
+// flow once, in ID order, with each shard's completions.
+func TestMergeFromDisjointRanges(t *testing.T) {
+	const half = 20_000
+	m := NewCollector(eventq.NewScheduler())
+	m.MergeFrom(shardOf(0, half))
+	m.MergeFrom(shardOf(half, half))
+	if got := m.CompletedFlows(ClassBackground); got != half {
+		t.Fatalf("%d flows completed after the merge, want %d", got, half)
+	}
+	if m.BGFCTs.N() != half {
+		t.Fatalf("%d FCT samples, want %d", m.BGFCTs.N(), half)
+	}
+	next := packet.FlowID(0)
+	m.EachFlow(func(f *FlowInfo) {
+		if f.ID != next {
+			t.Fatalf("EachFlow visited flow %d, want %d", f.ID, next)
+		}
+		if done := f.ID%2 == 0; f.Done() != done || done && f.End != eventq.Millisecond+eventq.Time(f.ID) {
+			t.Fatalf("flow %d: %+v", f.ID, *f)
+		}
+		next++
+	})
+	if next != 2*half {
+		t.Fatalf("EachFlow visited %d flows, want %d", next, 2*half)
+	}
+	if m.Flow(2*half) != nil || m.Flow(-1) != nil {
+		t.Fatal("Flow found an unregistered ID")
+	}
+}
+
+// An empty collector is the identity of the merge, on either side.
+func TestMergeFromEmptyCollector(t *testing.T) {
+	full := shardOf(0, 100)
+	into := shardOf(0, 100)
+	into.MergeFrom(NewCollector(eventq.NewScheduler()))
+	from := NewCollector(eventq.NewScheduler())
+	from.MergeFrom(full)
+	for _, c := range []*Collector{into, from} {
+		var got []FlowInfo
+		c.EachFlow(func(f *FlowInfo) { got = append(got, *f) })
+		var want []FlowInfo
+		full.EachFlow(func(f *FlowInfo) { want = append(want, *f) })
+		if len(got) != len(want) {
+			t.Fatalf("%d flows after merging with an empty collector, want %d", len(got), len(want))
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("flow %d: %+v, want %+v", i, got[i], want[i])
+			}
+		}
+	}
+}
+
+// A gap in the IDs is no flow: it is neither visited nor found, and a merge
+// leaves it a gap.
+func TestFlowTableGaps(t *testing.T) {
+	c := NewCollector(eventq.NewScheduler())
+	c.FlowStarted(3, ClassQuery, 1, 0)
+	m := NewCollector(eventq.NewScheduler())
+	m.MergeFrom(c)
+	for _, x := range []*Collector{c, m} {
+		n := 0
+		x.EachFlow(func(*FlowInfo) { n++ })
+		if n != 1 || x.Flow(0) != nil || x.Flow(3) == nil {
+			t.Fatalf("%d flows visited, Flow(0) = %v, Flow(3) = %v", n, x.Flow(0), x.Flow(3))
+		}
+	}
+}

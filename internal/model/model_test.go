@@ -5,6 +5,7 @@ import (
 	"testing/quick"
 
 	"dibs/internal/eventq"
+	"dibs/internal/quicktest"
 )
 
 func TestWireBytes(t *testing.T) {
@@ -95,7 +96,7 @@ func TestQuickWireBytesMonotone(t *testing.T) {
 		overhead := w.WireBytes(y) - y
 		return overhead <= (w.Segments(y))*int64(w.HeaderBytes)+int64(w.HeaderBytes)
 	}
-	if err := quick.Check(f, nil); err != nil {
+	if err := quick.Check(f, quicktest.Config(t, 0)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -110,7 +111,7 @@ func TestQuickIncastLinearity(t *testing.T) {
 		ratio := float64(double) / float64(base)
 		return ratio > 1.99 && ratio < 2.01
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+	if err := quick.Check(f, quicktest.Config(t, 200)); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"dibs/internal/eventq"
+	"dibs/internal/metrics"
 )
 
 // TestAllocationCeilings pins the absolute allocation budget of whole runs,
@@ -13,17 +14,23 @@ import (
 // flows and set-up, not packets: a pool that stopped recycling, or a
 // per-packet closure, puts the first row above one allocation per packet.
 // The one-shot 100-way incast is the cost of a single query absorbed by
-// DIBS end to end; its ceiling is the last recorded 6,013 mallocs plus 20%.
+// DIBS end to end. The storm is the benchmark's incast_storm shape, short:
+// a flow costs its sender's RTO binding and, once reordered, its receiver's
+// first island (DESIGN §9 "Per-flow state"), so a closure per flow open or
+// completion puts it well past its ceiling. Both ceilings are the last
+// recorded value plus 20%: 3,404 mallocs in the worst one-shot run, and
+// 2.88 mallocs per flow in the storm.
 func TestAllocationCeilings(t *testing.T) {
 	if testing.Short() {
-		t.Skip("six whole runs")
+		t.Skip("nine whole runs")
 	}
 	for _, tc := range []struct {
 		name string
 		cfg  func() Config
 		// Each row sets one ceiling, over seeds 1-3.
-		maxPerPkt float64 // total mallocs / total Results.PoolBorrowed
-		maxPerRun uint64  // mallocs of the worst run
+		maxPerPkt  float64 // total mallocs / total Results.PoolBorrowed
+		maxPerRun  uint64  // mallocs of the worst run
+		maxPerFlow float64 // total mallocs / total flows started
 	}{
 		{
 			name: "default workload",
@@ -46,11 +53,23 @@ func TestAllocationCeilings(t *testing.T) {
 				cfg.Drain = 300 * eventq.Millisecond
 				return cfg
 			},
-			maxPerRun: 7200,
+			maxPerRun: 4085,
+		},
+		{
+			name: "incast storm",
+			cfg: func() Config {
+				cfg := DefaultConfig()
+				cfg.BGInterarrival = 0
+				cfg.Query.QPS = 2000
+				cfg.Duration = 100 * eventq.Millisecond
+				cfg.Drain = 100 * eventq.Millisecond
+				return cfg
+			},
+			maxPerFlow: 3.45,
 		},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			var mallocs, pkts, worst uint64
+			var mallocs, pkts, flows, worst uint64
 			for seed := int64(1); seed <= 3; seed++ {
 				cfg := tc.cfg()
 				cfg.Seed = seed
@@ -62,9 +81,12 @@ func TestAllocationCeilings(t *testing.T) {
 				if r.QueriesDone == 0 {
 					t.Fatalf("seed %d: no query completed: %s", seed, r)
 				}
-				t.Logf("seed %d: %d mallocs, %d packets", seed, m, r.PoolBorrowed)
+				nFlows := 0
+				r.Collector.EachFlow(func(*metrics.FlowInfo) { nFlows++ })
+				t.Logf("seed %d: %d mallocs, %d packets, %d flows", seed, m, r.PoolBorrowed, nFlows)
 				mallocs += m
 				pkts += r.PoolBorrowed
+				flows += uint64(nFlows)
 				worst = max(worst, m)
 			}
 			if perPkt := float64(mallocs) / float64(pkts); tc.maxPerPkt > 0 && perPkt > tc.maxPerPkt {
@@ -73,6 +95,10 @@ func TestAllocationCeilings(t *testing.T) {
 			}
 			if tc.maxPerRun > 0 && worst > tc.maxPerRun {
 				t.Errorf("%d mallocs in one run, ceiling %d", worst, tc.maxPerRun)
+			}
+			if perFlow := float64(mallocs) / float64(flows); tc.maxPerFlow > 0 && perFlow > tc.maxPerFlow {
+				t.Errorf("%d mallocs for %d flows over seeds 1-3: %.2f per flow, ceiling %.2f",
+					mallocs, flows, perFlow, tc.maxPerFlow)
 			}
 		})
 	}

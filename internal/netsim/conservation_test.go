@@ -6,6 +6,7 @@ import (
 
 	"dibs/internal/eventq"
 	"dibs/internal/metrics"
+	"dibs/internal/quicktest"
 	"dibs/internal/switching"
 	"dibs/internal/transport"
 	"dibs/internal/workload"
@@ -102,7 +103,7 @@ func TestQuickDrainedRunConservation(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 12}); err != nil {
+	if err := quick.Check(f, quicktest.Config(t, 12)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -145,7 +146,7 @@ func TestQuickNoPacketLeaks(t *testing.T) {
 		}
 		return terminalsAccountForReturns(t, r)
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 15}); err != nil {
+	if err := quick.Check(f, quicktest.Config(t, 15)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -171,7 +172,7 @@ func TestQuickInfiniteBufferNeverDrops(t *testing.T) {
 		r := n.Run()
 		return r.TotalDrops == 0 && r.Detours == 0 && poolConserved(t, n)
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 10}); err != nil {
+	if err := quick.Check(f, quicktest.Config(t, 10)); err != nil {
 		t.Fatal(err)
 	}
 }

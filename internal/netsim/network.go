@@ -50,7 +50,13 @@ type Network struct {
 	// fluid is non-nil in fluid/hybrid mode (see fluid.go).
 	fluid *fluidState
 
-	nextFlow packet.FlowID
+	// flows is the run's endpoint table, shared by every host and shard,
+	// and tc the transport settings every flow gets; bindFlows sets both
+	// up on the run's first flow.
+	flows      host.Flows
+	tc         transport.Config
+	flowsBound bool
+	nextFlow   packet.FlowID
 }
 
 // Build constructs the network described by cfg. It panics with
@@ -349,53 +355,42 @@ func (n *Network) StartFlow(src, dst packet.NodeID, bytes int64,
 	}
 	f := &flowStart{id: n.nextFlow, at: n.Sched.Now(), src: src, dst: dst, bytes: bytes, class: class, queryID: queryID}
 	n.nextFlow++
+	n.bindFlows()
 	n.Collector.FlowStarted(f.id, class, bytes, queryID)
-	tc := n.transportConfig()
-	n.openReceiver(n.shards[0], f, tc)
-	return n.openSender(n.shards[0], f, tc)
+	n.openReceiver(n.shards[0], f)
+	return n.openSender(n.shards[0], f)
 }
 
 // openReceiver creates flow f's receiving endpoint at its destination
-// host, which lives in shard sh. In fluid modes it leaves the receiver for
-// openSender's hand-off: a flow's receiver is always created first.
-func (n *Network) openReceiver(sh *shardCtx, f *flowStart, tc transport.Config) {
+// host, which lives in shard sh. A flow's receiver is always created
+// first, so in fluid modes openSender finds it in the endpoint table.
+func (n *Network) openReceiver(sh *shardCtx, f *flowStart) {
 	dstHost := n.HostsByID[f.dst]
-	rcv := transport.NewReceiver(transport.Env{Sched: sh.sched, Pool: sh.pool, Emit: dstHost.SendFn()},
-		tc, f.id, f.dst, f.bytes)
-	rcv.OnComplete = func() {
-		sh.coll.FlowDone(f.id)
-		dstHost.RemoveReceiver(f.id)
-		sh.coll.Events.Record(trace.Event{Kind: trace.KindFlowDone, Node: f.dst, Flow: f.id, Seq: -1})
-	}
+	rcv := transport.InitReceiver(carve(&sh.rcvBlock), transport.Env{Sched: sh.sched, Pool: sh.pool, Emit: dstHost.SendFn()},
+		n.tc, f.id, f.dst, f.bytes)
+	rcv.OnComplete = sh.rcvDone
 	dstHost.AddReceiver(rcv)
 	if f.class == metrics.ClassLong {
 		sh.longRx = append(sh.longRx, rcv)
-	}
-	if n.fluid != nil {
-		n.fluid.pendingRcv[f.id] = rcv
 	}
 }
 
 // openSender creates flow f's sending endpoint at its source host, which
 // lives in shard sh, and starts it: as packets, or — when the fluid layer
 // takes the flow — under rate custody.
-func (n *Network) openSender(sh *shardCtx, f *flowStart, tc transport.Config) *transport.Sender {
+func (n *Network) openSender(sh *shardCtx, f *flowStart) *transport.Sender {
 	srcHost := n.HostsByID[f.src]
-	snd := transport.NewSender(transport.Env{Sched: sh.sched, Pool: sh.pool, Emit: srcHost.SendFn()},
-		tc, f.id, f.src, f.dst, f.bytes)
-	snd.OnComplete = func() { srcHost.RemoveSender(f.id) }
+	snd := transport.InitSender(carve(&sh.sndBlock), transport.Env{Sched: sh.sched, Pool: sh.pool, Emit: srcHost.SendFn()},
+		n.tc, f.id, f.src, f.dst, f.bytes)
+	snd.OnComplete = sh.sndDone
 	srcHost.AddSender(snd)
 	sh.senders = append(sh.senders, snd)
 	if ev := sh.coll.Events; ev != nil {
 		ev.Record(trace.Event{Kind: trace.KindFlowStart, Node: f.src, Flow: f.id, Seq: -1,
 			Detail: fmt.Sprintf("%s %dB -> %d", f.class, f.bytes, f.dst)})
 	}
-	if n.fluid != nil {
-		rcv := n.fluid.pendingRcv[f.id]
-		delete(n.fluid.pendingRcv, f.id)
-		if n.fluid.registerFlow(snd, rcv) {
-			return snd
-		}
+	if n.fluid != nil && n.fluid.registerFlow(snd, n.flows.Receiver(f.id)) {
+		return snd
 	}
 	snd.Start()
 	return snd

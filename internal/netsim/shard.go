@@ -6,6 +6,7 @@ import (
 	"dibs/internal/packet"
 	"dibs/internal/pdes"
 	"dibs/internal/switching"
+	"dibs/internal/trace"
 	"dibs/internal/transport"
 )
 
@@ -39,6 +40,22 @@ type shardCtx struct {
 	// end-of-run stats aggregation (sums and Flow-sorted merges).
 	senders []*transport.Sender
 	longRx  []*transport.Receiver
+
+	// The per-flow path (DESIGN §9 "Per-flow state"), set up by
+	// Network.bindFlows on a run's first flow, never by Build. opens is
+	// the FIFO of the endpoint creations installed on this shard and
+	// nextOpen its head; every creation event runs openFn, open bound
+	// once. rcvDone and sndDone are receiverDone and senderDone bound
+	// once: every endpoint the shard creates shares them. sndBlock and
+	// rcvBlock are the spare tails of the blocks endpoints are carved
+	// from.
+	n                *Network
+	opens            []flowOpen
+	nextOpen         int
+	openFn           func()
+	rcvDone, sndDone func(packet.FlowID)
+	sndBlock         []transport.Sender
+	rcvBlock         []transport.Receiver
 
 	// remote lists the shard's transmitters on cross-shard links. No local
 	// delivery clocks them, so each window ends by syncing them: every
@@ -195,16 +212,50 @@ func (n *Network) Executed() uint64 {
 	return total
 }
 
+// flowOpen is one installed endpoint creation: flow f's sender, or its
+// receiver.
+type flowOpen struct {
+	f      *flowStart
+	sender bool
+}
+
+// bindFlows sets up the per-flow path on a run's first flow (the first
+// installSchedule or StartFlow): the transport settings every flow shares,
+// the endpoint table every host demultiplexes through, and each shard's
+// opener and completion callbacks. Build leaves it all to the run.
+func (n *Network) bindFlows() {
+	if n.flowsBound {
+		return
+	}
+	n.flowsBound = true
+	n.tc = n.transportConfig()
+	for _, h := range n.HostsByID {
+		if h != nil {
+			h.UseFlows(&n.flows)
+		}
+	}
+	for _, sh := range n.shards {
+		sh.n = n
+		sh.openFn = sh.open
+		sh.rcvDone = sh.receiverDone
+		sh.sndDone = sh.senderDone
+	}
+}
+
 // installSchedule pre-registers the recorded workload with every shard's
 // collector and schedules the creation of each flow's endpoints. Flow and
 // query tables go to every collector eagerly: a packet may be dropped or
 // detoured in any shard along its path, and class attribution must work
 // wherever the hook fires. Completion state stays exclusive — only the
 // destination shard's collector ever marks a flow done — so the merge
-// cannot double-count.
+// cannot double-count. The flow-indexed tables are sized here, once, for
+// the whole schedule: shard workers share the endpoint table, and only a
+// table that never grows mid-run keeps each slot's one writer alone.
 func (n *Network) installSchedule(s *flowSchedule) {
-	tc := n.transportConfig()
+	n.bindFlows()
+	n.flows.Reserve(len(s.flows))
 	for _, sh := range n.shards {
+		sh.coll.ReserveFlows(len(s.flows))
 		for _, q := range s.queries {
 			sh.coll.QueryStartedAt(q.id, q.nFlows, q.at)
 		}
@@ -212,8 +263,18 @@ func (n *Network) installSchedule(s *flowSchedule) {
 			sh.coll.FlowStartedAt(f.id, f.class, f.bytes, f.queryID, f.at)
 		}
 	}
+	// Size each shard's opener FIFO exactly: grown by append, it would
+	// leave ~0.15 kB of garbage per flow behind.
+	opens := make([]int, len(n.shards))
+	for _, f := range s.flows {
+		opens[n.part[f.src]]++
+		opens[n.part[f.dst]]++
+	}
+	for i, sh := range n.shards {
+		sh.opens = make([]flowOpen, 0, opens[i])
+	}
 	for i := range s.flows {
-		n.installFlow(&s.flows[i], tc)
+		n.installFlow(&s.flows[i])
 	}
 }
 
@@ -223,9 +284,56 @@ func (n *Network) installSchedule(s *flowSchedule) {
 // first gives it the smaller sequence number, so in a shared shard it
 // exists before the sender's first segment can possibly matter (and, in
 // the one-shard fluid modes, before the sender's hand-off reads it).
-func (n *Network) installFlow(f *flowStart, tc transport.Config) {
+//
+// Every event runs its shard's one opener, which takes the next entry of
+// the shard's FIFO. Flows are recorded in start order and a shard runs its
+// same-(time, pri) events in insertion order, so the k-th opener event to
+// fire is the k-th creation installed: the events, their (at, pri, seq)
+// keys and their count are those of one closure per creation.
+func (n *Network) installFlow(f *flowStart) {
 	ss := n.shards[n.part[f.src]]
 	ds := n.shards[n.part[f.dst]]
-	ds.sched.At(f.at, func() { n.openReceiver(ds, f, tc) })
-	ss.sched.At(f.at, func() { n.openSender(ss, f, tc) })
+	ds.opens = append(ds.opens, flowOpen{f: f})
+	ds.sched.At(f.at, ds.openFn)
+	ss.opens = append(ss.opens, flowOpen{f: f, sender: true})
+	ss.sched.At(f.at, ss.openFn)
+}
+
+// open creates the endpoint at the head of the shard's FIFO.
+func (sh *shardCtx) open() {
+	o := sh.opens[sh.nextOpen]
+	sh.nextOpen++
+	if o.f.at != sh.sched.Now() {
+		panic("netsim: flow opener fired out of installation order")
+	}
+	if o.sender {
+		sh.n.openSender(sh, o.f)
+	} else {
+		sh.n.openReceiver(sh, o.f)
+	}
+}
+
+// receiverDone completes flow id at its destination, the shard's host.
+func (sh *shardCtx) receiverDone(id packet.FlowID) {
+	dst := sh.n.flows.Receiver(id).Host
+	sh.coll.FlowDone(id)
+	sh.n.HostsByID[dst].RemoveReceiver(id)
+	sh.coll.Events.Record(trace.Event{Kind: trace.KindFlowDone, Node: dst, Flow: id, Seq: -1})
+}
+
+// senderDone unregisters flow id's finished sender at its source host.
+func (sh *shardCtx) senderDone(id packet.FlowID) {
+	sh.n.HostsByID[sh.n.flows.Sender(id).Src].RemoveSender(id)
+}
+
+// carve hands out the next element of *block, refilling it 64 at a time:
+// one allocation per 64 endpoints instead of one each. Handed-out elements
+// never move; only the spare tail is re-sliced.
+func carve[T any](block *[]T) *T {
+	if len(*block) == 0 {
+		*block = make([]T, 64)
+	}
+	p := &(*block)[0]
+	*block = (*block)[1:]
+	return p
 }

@@ -3,6 +3,8 @@ package packet
 import (
 	"testing"
 	"testing/quick"
+
+	"dibs/internal/quicktest"
 )
 
 func TestSizes(t *testing.T) {
@@ -76,7 +78,7 @@ func TestQuickSizeInvariants(t *testing.T) {
 		}
 		return p.Size() == HeaderBytes+int(payload)
 	}
-	if err := quick.Check(f, nil); err != nil {
+	if err := quick.Check(f, quicktest.Config(t, 0)); err != nil {
 		t.Fatal(err)
 	}
 }

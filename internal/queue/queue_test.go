@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"dibs/internal/packet"
+	"dibs/internal/quicktest"
 )
 
 func mkpkt(seq int64) *packet.Packet {
@@ -330,7 +331,7 @@ func TestQuickDropTailInvariants(t *testing.T) {
 		}
 		return accepted-drained == q.Len()
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
+	if err := quick.Check(f, quicktest.Config(t, 50)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -362,7 +363,7 @@ func TestQuickSharedPoolConservation(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
+	if err := quick.Check(f, quicktest.Config(t, 50)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -388,7 +389,7 @@ func TestQuickPFabricOrder(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+	if err := quick.Check(f, quicktest.Config(t, 200)); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -6,6 +6,8 @@ import (
 	"sort"
 	"testing"
 	"testing/quick"
+
+	"dibs/internal/quicktest"
 )
 
 func TestPercentileBasics(t *testing.T) {
@@ -127,7 +129,7 @@ func TestQuickPercentileMonotone(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+	if err := quick.Check(f, quicktest.Config(t, 300)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -153,7 +155,7 @@ func TestQuickCDFConsistency(t *testing.T) {
 		}
 		return cdf[len(cdf)-1].F == 1
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+	if err := quick.Check(f, quicktest.Config(t, 300)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -170,7 +172,7 @@ func TestQuickJainBounds(t *testing.T) {
 		j := Jain(xs)
 		return j >= 1/float64(m)-1e-9 && j <= 1+1e-9
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+	if err := quick.Check(f, quicktest.Config(t, 300)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -198,7 +200,7 @@ func TestQuickValuesSorted(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+	if err := quick.Check(f, quicktest.Config(t, 200)); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"dibs/internal/eventq"
 	"dibs/internal/packet"
 	"dibs/internal/queue"
+	"dibs/internal/quicktest"
 )
 
 // Property: delivery jitter never reorders a link — arrivals are
@@ -45,7 +46,7 @@ func TestQuickJitterPreservesFIFO(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
+	if err := quick.Check(f, quicktest.Config(t, 150)); err != nil {
 		t.Fatal(err)
 	}
 }

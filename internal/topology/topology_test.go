@@ -8,6 +8,7 @@ import (
 	"testing/quick"
 
 	"dibs/internal/packet"
+	"dibs/internal/quicktest"
 )
 
 func TestFatTreeCounts(t *testing.T) {
@@ -322,7 +323,7 @@ func TestQuickPortSymmetry(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
+	if err := quick.Check(f, quicktest.Config(t, 25)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -359,7 +360,7 @@ func TestQuickDistanceConsistency(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
+	if err := quick.Check(f, quicktest.Config(t, 25)); err != nil {
 		t.Fatal(err)
 	}
 }

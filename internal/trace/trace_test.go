@@ -9,6 +9,7 @@ import (
 
 	"dibs/internal/eventq"
 	"dibs/internal/packet"
+	"dibs/internal/quicktest"
 )
 
 func TestKindStrings(t *testing.T) {
@@ -177,7 +178,7 @@ func TestQuickJSONLRoundTrip(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+	if err := quick.Check(f, quicktest.Config(t, 100)); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -7,6 +7,7 @@ import (
 
 	"dibs/internal/eventq"
 	"dibs/internal/packet"
+	"dibs/internal/quicktest"
 )
 
 func delAckConfig() Config {
@@ -143,7 +144,7 @@ func TestQuickDelayedAckChaos(t *testing.T) {
 		w.sched.RunUntil(60 * eventq.Second)
 		return s.Done() && r.Done() && r.RcvNxt() == size
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
+	if err := quick.Check(f, quicktest.Config(t, 60)); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -206,8 +206,9 @@ type Sender struct {
 
 	started bool
 	done    bool
-	// OnComplete fires once, when every byte has been cumulatively acked.
-	OnComplete func()
+	// OnComplete fires once, when every byte has been cumulatively acked,
+	// with the sender's Flow: one callback can serve every flow.
+	OnComplete func(packet.FlowID)
 
 	// Stats.
 	Retransmits  int
@@ -217,6 +218,12 @@ type Sender struct {
 
 // NewSender creates a sender for a flow of total bytes.
 func NewSender(env Env, cfg Config, flow packet.FlowID, src, dst packet.NodeID, total int64) *Sender {
+	return InitSender(new(Sender), env, cfg, flow, src, dst, total)
+}
+
+// InitSender prepares s — allocated by the caller, typically carved from a
+// block of many — as NewSender's sender, and returns it.
+func InitSender(s *Sender, env Env, cfg Config, flow packet.FlowID, src, dst packet.NodeID, total int64) *Sender {
 	cfg.validate()
 	if total <= 0 {
 		panic("transport: flow size must be positive")
@@ -224,7 +231,7 @@ func NewSender(env Env, cfg Config, flow packet.FlowID, src, dst packet.NodeID, 
 	if env.Pool == nil {
 		env.Pool = packet.NewPool()
 	}
-	s := &Sender{
+	*s = Sender{
 		env:      env,
 		cfg:      cfg,
 		Flow:     flow,
@@ -508,7 +515,7 @@ func (s *Sender) complete() {
 	s.done = true
 	s.cancelRTO()
 	if s.OnComplete != nil {
-		s.OnComplete()
+		s.OnComplete(s.Flow)
 	}
 }
 
@@ -668,8 +675,9 @@ type Receiver struct {
 	rcvNxt int64
 	ranges rangeSet
 	done   bool
-	// OnComplete fires once, when all Total bytes have arrived.
-	OnComplete func()
+	// OnComplete fires once, when all Total bytes have arrived, with the
+	// receiver's Flow: one callback can serve every flow.
+	OnComplete func(packet.FlowID)
 
 	// Delayed-ACK state (DCTCP ECN-echo state machine).
 	pendingCnt int
@@ -677,9 +685,11 @@ type Receiver struct {
 	lastSentAt int64
 	lastRexmit bool
 	ackTimer   eventq.Timer
-	flushFn    func() // flushAck method value, bound once (no per-arm alloc)
-	peerSrc    packet.NodeID
-	peerFlow   packet.FlowID
+	// flushFn is the flushAck method value, bound on the first timer arm
+	// and reused by every later one; without delayed ACKs it stays nil.
+	flushFn  func()
+	peerSrc  packet.NodeID
+	peerFlow packet.FlowID
 
 	// AcksSent counts emitted ACKs (delayed acking roughly halves it).
 	AcksSent int
@@ -697,6 +707,12 @@ type Receiver struct {
 
 // NewReceiver creates a receiver expecting total bytes on flow.
 func NewReceiver(env Env, cfg Config, flow packet.FlowID, host packet.NodeID, total int64) *Receiver {
+	return InitReceiver(new(Receiver), env, cfg, flow, host, total)
+}
+
+// InitReceiver prepares r — allocated by the caller, typically carved from
+// a block of many — as NewReceiver's receiver, and returns it.
+func InitReceiver(r *Receiver, env Env, cfg Config, flow packet.FlowID, host packet.NodeID, total int64) *Receiver {
 	cfg.validate()
 	if total <= 0 {
 		panic("transport: flow size must be positive")
@@ -704,8 +720,7 @@ func NewReceiver(env Env, cfg Config, flow packet.FlowID, host packet.NodeID, to
 	if env.Pool == nil {
 		env.Pool = packet.NewPool()
 	}
-	r := &Receiver{env: env, cfg: cfg, Flow: flow, Host: host, Total: total}
-	r.flushFn = r.flushAck
+	*r = Receiver{env: env, cfg: cfg, Flow: flow, Host: host, Total: total}
 	return r
 }
 
@@ -764,6 +779,9 @@ func (r *Receiver) OnData(p *packet.Packet) {
 			if timeout <= 0 {
 				timeout = 500 * eventq.Microsecond
 			}
+			if r.flushFn == nil {
+				r.flushFn = r.flushAck
+			}
 			r.ackTimer = r.env.Sched.After(timeout, r.flushFn)
 		}
 	}
@@ -771,7 +789,7 @@ func (r *Receiver) OnData(p *packet.Packet) {
 	if complete {
 		r.done = true
 		if r.OnComplete != nil {
-			r.OnComplete()
+			r.OnComplete(r.Flow)
 		}
 	}
 }
@@ -802,7 +820,7 @@ func (r *Receiver) FluidDeliver(n int64) {
 	if !r.done && r.rcvNxt >= r.Total {
 		r.done = true
 		if r.OnComplete != nil {
-			r.OnComplete()
+			r.OnComplete(r.Flow)
 		}
 	}
 }

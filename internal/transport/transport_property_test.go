@@ -7,6 +7,7 @@ import (
 
 	"dibs/internal/eventq"
 	"dibs/internal/packet"
+	"dibs/internal/quicktest"
 )
 
 // Property: a flow completes correctly under ANY pattern of random data
@@ -43,7 +44,7 @@ func TestQuickTransferSurvivesChaos(t *testing.T) {
 		w.sched.RunUntil(60 * eventq.Second)
 		return s.Done() && r.Done() && r.RcvNxt() == size
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
+	if err := quick.Check(f, quicktest.Config(t, 60)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -86,7 +87,7 @@ func TestQuickSenderInvariants(t *testing.T) {
 		check()
 		return ok && s.Done()
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
+	if err := quick.Check(f, quicktest.Config(t, 40)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -125,7 +126,7 @@ func TestQuickReceiverAckMonotone(t *testing.T) {
 		}
 		return ok && rcv.Done() && rcv.RcvNxt() == int64(n)*mss
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+	if err := quick.Check(f, quicktest.Config(t, 200)); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -65,8 +65,8 @@ func TestBasicTransferCompletes(t *testing.T) {
 	cfg := DefaultConfig(DCTCP)
 	s, r := w.connect(cfg, 100_000)
 	var senderDone, receiverDone bool
-	s.OnComplete = func() { senderDone = true }
-	r.OnComplete = func() { receiverDone = true }
+	s.OnComplete = func(packet.FlowID) { senderDone = true }
+	r.OnComplete = func(packet.FlowID) { receiverDone = true }
 	s.Start()
 	w.sched.Run()
 	if !senderDone || !receiverDone {
@@ -399,7 +399,7 @@ func TestCompletionFiresExactlyOnce(t *testing.T) {
 	w := newWire(20 * eventq.Microsecond)
 	s, r := w.connect(DefaultConfig(DCTCP), 10_000)
 	n := 0
-	r.OnComplete = func() { n++ }
+	r.OnComplete = func(packet.FlowID) { n++ }
 	s.Start()
 	w.sched.Run()
 	if n != 1 {

@@ -9,6 +9,7 @@ import (
 	"dibs/internal/eventq"
 	"dibs/internal/metrics"
 	"dibs/internal/packet"
+	"dibs/internal/quicktest"
 )
 
 func hosts(n int) []packet.NodeID {
@@ -287,7 +288,7 @@ func TestQuickSizeDistSupport(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+	if err := quick.Check(f, quicktest.Config(t, 100)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -321,7 +322,7 @@ func TestQuickPickResponders(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+	if err := quick.Check(f, quicktest.Config(t, 300)); err != nil {
 		t.Fatal(err)
 	}
 }
