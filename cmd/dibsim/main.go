@@ -37,7 +37,7 @@ func main() {
 	flag.StringVar((*string)(&cfg.Buffer), "bufmode", string(cfg.Buffer), "buffer mode: droptail|infinite|shared|pfabric")
 	flag.IntVar(&cfg.MarkAtPkts, "markat", cfg.MarkAtPkts, "DCTCP ECN marking threshold (packets, 0=off)")
 	flag.BoolVar(&cfg.DIBS, "dibs", cfg.DIBS, "enable DIBS detouring")
-	flag.StringVar((*string)(&cfg.Policy), "policy", string(cfg.Policy), "detour policy: random|load-aware|flow-based|probabilistic (probabilistic needs -transport pfabric, whose packets carry priorities)")
+	flag.StringVar((*string)(&cfg.Policy), "policy", string(cfg.Policy), "detour policy: random|load-aware|flow-based")
 	flag.IntVar(&cfg.TTL, "ttl", cfg.TTL, "initial packet TTL")
 	flag.IntVar(&cfg.DupAckThresh, "dupack", cfg.DupAckThresh, "dup-ack threshold (0 disables fast retransmit)")
 	flag.Int64Var(&cfg.Seed, "seed", cfg.Seed, "RNG seed")

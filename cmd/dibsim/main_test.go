@@ -74,6 +74,7 @@ func testInvalidConfigExitsWithReason(t *testing.T, run runFunc) {
 		{[]string{"-k", "4"}, 1, "exceeds responder capacity 15"},
 		{[]string{"-config", file("two.json", `{"TTL": 1, "Duration": 0}`)}, 2, "duration"},
 		{[]string{"-bufmode", "foo"}, 1, `"foo"`},
+		{[]string{"-policy", "probabilistic"}, 1, `unknown detour policy "probabilistic"`},
 		{[]string{"-markat", "-1"}, 1, "MarkAtPkts must be >= 0"},
 		{[]string{"-markat", "-1", "-dupack", "-3"}, 2, "DupAckThresh must be >= 0"},
 	} {

@@ -47,7 +47,7 @@ type Config = netsim.Config
 // Results carries the paper's metrics for one run (times in ms).
 type Results = netsim.Results
 
-// Network is a built simulation; use it directly to start custom flows.
+// Network is a built simulation; Run replays its configured workloads.
 type Network = netsim.Network
 
 // QueryConfig parameterizes the partition-aggregate (incast) workload.
@@ -114,10 +114,9 @@ const (
 
 // Detour policies (§2 default and the §7 variants).
 const (
-	PolicyRandom        = netsim.PolicyRandom
-	PolicyLoadAware     = netsim.PolicyLoadAware
-	PolicyFlowBased     = netsim.PolicyFlowBased
-	PolicyProbabilistic = netsim.PolicyProbabilistic
+	PolicyRandom    = netsim.PolicyRandom
+	PolicyLoadAware = netsim.PolicyLoadAware
+	PolicyFlowBased = netsim.PolicyFlowBased
 )
 
 // Transport variants.

@@ -6,8 +6,8 @@
 // The paper's default policy is Random (§2): pick uniformly among ports that
 // (a) do not face an end host and (b) whose queues are not full. It has no
 // tunable parameters and requires no coordination between switches. §7
-// sketches richer policies — load-aware, flow-based, and probabilistic —
-// which are implemented here as well for the ablation experiments.
+// sketches richer policies; the load-aware and flow-based ones are
+// implemented here as well for the ablation experiments.
 package core
 
 import (
@@ -30,30 +30,16 @@ type SwitchView interface {
 	QueueFull(port int) bool
 	// QueueLen returns the port's current queue length in packets.
 	QueueLen(port int) int
-	// QueueCap returns the port's queue capacity in packets; 0 when
-	// unbounded or governed by a shared pool.
-	QueueCap(port int) int
 }
 
 // Policy decides where to detour a packet whose desired output queue is
 // full.
 type Policy interface {
-	// Name identifies the policy in results and configs.
-	Name() string
 	// SelectDetour returns the port to detour p on, or -1 to drop.
 	// desired is the (full) port the FIB chose. rng is the switch-local
 	// PRNG; policies must use it rather than global randomness so runs
 	// are reproducible.
 	SelectDetour(sw SwitchView, p *packet.Packet, desired int, rng *rand.Rand) int
-}
-
-// EarlyDetourer is an optional extension: policies that sometimes detour
-// before the queue is strictly full (the paper's §7 "probabilistic
-// detouring"). The switch consults it on every enqueue.
-type EarlyDetourer interface {
-	// ShouldDetourEarly reports whether p should be detoured even though
-	// the desired queue still has room.
-	ShouldDetourEarly(sw SwitchView, p *packet.Packet, desired int, rng *rand.Rand) bool
 }
 
 // eligible appends to dst the detour-eligible ports: switch-facing, not
@@ -76,9 +62,6 @@ type Random struct {
 // NewRandom returns the random detour policy.
 func NewRandom() *Random { return &Random{} }
 
-// Name implements Policy.
-func (*Random) Name() string { return "random" }
-
 // SelectDetour implements Policy: uniform choice among eligible ports.
 func (r *Random) SelectDetour(sw SwitchView, p *packet.Packet, desired int, rng *rand.Rand) int {
 	r.scratch = eligible(sw, desired, r.scratch[:0])
@@ -96,9 +79,6 @@ type LoadAware struct {
 
 // NewLoadAware returns the load-aware detour policy.
 func NewLoadAware() *LoadAware { return &LoadAware{} }
-
-// Name implements Policy.
-func (*LoadAware) Name() string { return "load-aware" }
 
 // SelectDetour implements Policy.
 func (l *LoadAware) SelectDetour(sw SwitchView, p *packet.Packet, desired int, rng *rand.Rand) int {
@@ -136,9 +116,6 @@ type FlowBased struct {
 // NewFlowBased returns the flow-based detour policy.
 func NewFlowBased() *FlowBased { return &FlowBased{} }
 
-// Name implements Policy.
-func (*FlowBased) Name() string { return "flow-based" }
-
 // SelectDetour implements Policy.
 func (f *FlowBased) SelectDetour(sw SwitchView, p *packet.Packet, desired int, rng *rand.Rand) int {
 	f.scratch = eligible(sw, desired, f.scratch[:0])
@@ -147,50 +124,6 @@ func (f *FlowBased) SelectDetour(sw SwitchView, p *packet.Packet, desired int, r
 	}
 	h := FlowHash(p.Flow, 0x9e3779b97f4a7c15)
 	return f.scratch[int(h%uint64(len(f.scratch)))]
-}
-
-// Probabilistic implements §7 "Probabilistic detouring": as a queue fills,
-// lower-priority packets are detoured with increasing probability before
-// the queue is strictly full, reserving headroom for higher-priority
-// traffic. Packets with Priority 0 are treated as highest priority and are
-// only detoured when the queue is actually full.
-type Probabilistic struct {
-	// Start is the occupancy fraction at which early detouring begins.
-	Start float64
-	inner Random
-}
-
-// NewProbabilistic returns a probabilistic policy beginning early detours
-// at the given occupancy fraction (e.g. 0.8).
-func NewProbabilistic(start float64) *Probabilistic {
-	if start <= 0 || start > 1 {
-		panic("core: Probabilistic start must be in (0,1]")
-	}
-	return &Probabilistic{Start: start}
-}
-
-// Name implements Policy.
-func (*Probabilistic) Name() string { return "probabilistic" }
-
-// SelectDetour implements Policy: same as Random once the queue is full.
-func (pr *Probabilistic) SelectDetour(sw SwitchView, p *packet.Packet, desired int, rng *rand.Rand) int {
-	return pr.inner.SelectDetour(sw, p, desired, rng)
-}
-
-// ShouldDetourEarly implements EarlyDetourer. The detour probability rises
-// linearly from 0 at Start occupancy to 1 at full occupancy, scaled down
-// for high-priority (low Priority value) packets.
-func (pr *Probabilistic) ShouldDetourEarly(sw SwitchView, p *packet.Packet, desired int, rng *rand.Rand) bool {
-	capPkts := sw.QueueCap(desired)
-	if capPkts <= 0 || p.Priority == 0 {
-		return false
-	}
-	occ := float64(sw.QueueLen(desired)) / float64(capPkts)
-	if occ < pr.Start {
-		return false
-	}
-	prob := (occ - pr.Start) / (1 - pr.Start)
-	return rng.Float64() < prob
 }
 
 // FlowHash mixes a flow ID with a per-switch seed into a well-distributed

@@ -14,7 +14,6 @@ type fakeView struct {
 	hostPorts map[int]bool
 	full      map[int]bool
 	lens      map[int]int
-	caps      map[int]int
 	n         int
 }
 
@@ -22,12 +21,6 @@ func (v *fakeView) NumPorts() int         { return v.n }
 func (v *fakeView) IsHostPort(p int) bool { return v.hostPorts[p] }
 func (v *fakeView) QueueFull(p int) bool  { return v.full[p] }
 func (v *fakeView) QueueLen(p int) int    { return v.lens[p] }
-func (v *fakeView) QueueCap(p int) int {
-	if c, ok := v.caps[p]; ok {
-		return c
-	}
-	return 100
-}
 
 func newView(n int) *fakeView {
 	return &fakeView{
@@ -35,7 +28,6 @@ func newView(n int) *fakeView {
 		hostPorts: map[int]bool{},
 		full:      map[int]bool{},
 		lens:      map[int]int{},
-		caps:      map[int]int{},
 	}
 }
 
@@ -152,70 +144,6 @@ func TestFlowBasedConsistency(t *testing.T) {
 	}
 }
 
-func TestProbabilisticEarlyDetour(t *testing.T) {
-	v := newView(4)
-	v.caps[0] = 100
-	pol := NewProbabilistic(0.8)
-	rng := rand.New(rand.NewSource(1))
-	lowPri := &packet.Packet{Flow: 1, Priority: 1 << 20}
-
-	v.lens[0] = 50 // below start: never detour early
-	for i := 0; i < 100; i++ {
-		if pol.ShouldDetourEarly(v, lowPri, 0, rng) {
-			t.Fatal("early detour below start occupancy")
-		}
-	}
-	v.lens[0] = 99 // nearly full: almost always detour low priority
-	hits := 0
-	for i := 0; i < 1000; i++ {
-		if pol.ShouldDetourEarly(v, lowPri, 0, rng) {
-			hits++
-		}
-	}
-	if hits < 900 {
-		t.Fatalf("early detour rate at 99%% occupancy = %d/1000", hits)
-	}
-	// Highest priority (0) packets are never early-detoured.
-	hiPri := &packet.Packet{Flow: 2, Priority: 0}
-	for i := 0; i < 100; i++ {
-		if pol.ShouldDetourEarly(v, hiPri, 0, rng) {
-			t.Fatal("high-priority packet early-detoured")
-		}
-	}
-}
-
-func TestProbabilisticFullFallsBackToRandom(t *testing.T) {
-	v := newView(3)
-	v.full[0] = true
-	rng := rand.New(rand.NewSource(1))
-	got := NewProbabilistic(0.8).SelectDetour(v, pkt(), 0, rng)
-	if got != 1 && got != 2 {
-		t.Fatalf("probabilistic full-queue detour = %d", got)
-	}
-}
-
-func TestProbabilisticBadStartPanics(t *testing.T) {
-	for _, s := range []float64{0, -1, 1.5} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("start=%v should panic", s)
-				}
-			}()
-			NewProbabilistic(s)
-		}()
-	}
-}
-
-func TestPolicyNames(t *testing.T) {
-	if NewRandom().Name() != "random" ||
-		NewLoadAware().Name() != "load-aware" ||
-		NewFlowBased().Name() != "flow-based" ||
-		NewProbabilistic(0.5).Name() != "probabilistic" {
-		t.Fatal("policy name mismatch")
-	}
-}
-
 func TestFlowHashDistribution(t *testing.T) {
 	buckets := make([]int, 4)
 	for f := packet.FlowID(0); f < 4000; f++ {
@@ -244,7 +172,7 @@ func TestFlowHashSeedIndependence(t *testing.T) {
 // Property: every policy returns either -1 or an eligible port, for random
 // switch states.
 func TestQuickPoliciesReturnEligible(t *testing.T) {
-	policies := []Policy{NewRandom(), NewLoadAware(), NewFlowBased(), NewProbabilistic(0.8)}
+	policies := []Policy{NewRandom(), NewLoadAware(), NewFlowBased()}
 	f := func(seed int64, hostMask, fullMask uint8, desired uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
 		v := newView(8)

@@ -298,10 +298,9 @@ var sweeps = []sweep{{
 			{"drops-ecmp", 0, totalDrops}, {"drops-spray", 1, totalDrops}, {"drops-dibs", 2, netDrops},
 		}}},
 }, {
-	// policies leaves out §7's probabilistic detouring: it detours early
-	// only priority-tagged packets, which this DCTCP workload has none of,
-	// so it would repeat the random row (netsim.Config.Validate refuses it
-	// without pFabric).
+	// policies leaves out §7's probabilistic detouring, which is not
+	// implemented: it would detour early only priority-tagged packets,
+	// which this DCTCP workload has none of, and so repeat the random row.
 	id: "policies", title: "Detour-policy ablation (paper §7)",
 	base:   300 * eventq.Millisecond,
 	common: func(c *netsim.Config) { c.Query = query(1000, 40, 20_000) },

@@ -106,8 +106,9 @@ type Collector struct {
 	BestDetours int
 	bestAt      eventq.Time
 	bestPri     int64
-	// DetourCounts samples the per-delivered-packet detour count.
-	DetourCounts stats.Sample
+	// DetourCounts counts delivered detoured packets by their detour
+	// count.
+	DetourCounts stats.Histogram
 
 	// DeliveredData counts data packets delivered to hosts; DeliveredAcks
 	// counts delivered ACKs. Together with the drop counters they account
@@ -170,7 +171,7 @@ func (c *Collector) OnDeliver(p *packet.Packet) {
 	}
 	c.DeliveredData++
 	if p.Detours > 0 {
-		c.DetourCounts.Add(float64(p.Detours))
+		c.DetourCounts.Add(p.Detours)
 	}
 	if p.Detours > c.MaxDetours {
 		c.MaxDetours = p.Detours
@@ -196,8 +197,8 @@ func (c *Collector) FlowStarted(id packet.FlowID, class FlowClass, bytes int64, 
 // works in whichever shard a packet happens to be when the hook fires.
 //
 // The record lives at index id of a table that grows to fit it, so IDs
-// should be dense from 0, as the recorded schedule and StartFlow assign
-// them; ReserveFlows sizes the table up front.
+// should be dense from 0, as the recorded schedule assigns them;
+// ReserveFlows sizes the table up front.
 func (c *Collector) FlowStartedAt(id packet.FlowID, class FlowClass, bytes int64, queryID int, at eventq.Time) {
 	c.ReserveFlows(int(id) + 1)
 	c.flows[id] = FlowInfo{
@@ -260,21 +261,21 @@ func (c *Collector) QueryStartedAt(queryID, nFlows int, at eventq.Time) {
 
 // MergeFrom folds another collector's measurements into c, the reduction
 // step after a sharded run. Every aggregate it touches is order-independent
-// across shards: counters sum, maxima take the max, samples append raw
-// values (percentiles sort internally), and per-flow/per-query state is
-// keyed so exactly one shard ever contributes the completion (a flow
-// finishes at its destination host's shard; all of a query's flows share
-// one destination). Flows merge by index, queries over sorted keys, so
-// the merged in-memory layout is itself deterministic. The instruments
-// merge into what one shard would have recorded — the best trace by
-// (detours, delivery key), the event log by each record's (time,
-// same-instant key), the monitors by port — and c must have every
-// instrument o has.
+// across shards: counters and histograms sum, maxima take the max,
+// samples append raw values (percentiles sort internally), and
+// per-flow/per-query state is keyed so exactly one shard ever contributes
+// the completion (a flow finishes at its destination host's shard; all of
+// a query's flows share one destination). Flows merge by index, queries
+// over sorted keys, so the merged in-memory layout is itself
+// deterministic. The instruments merge into what one shard would have
+// recorded — the best trace by (detours, delivery key), the event log by
+// each record's (time, same-instant key), the monitors by port — and c
+// must have every instrument o has.
 func (c *Collector) MergeFrom(o *Collector) {
 	c.QCTs.AddAll(o.QCTs.Values())
 	c.ShortBGFCTs.AddAll(o.ShortBGFCTs.Values())
 	c.BGFCTs.AddAll(o.BGFCTs.Values())
-	c.DetourCounts.AddAll(o.DetourCounts.Values())
+	c.DetourCounts.MergeFrom(&o.DetourCounts)
 	for i := range c.Drops {
 		c.Drops[i] += o.Drops[i]
 	}

@@ -83,9 +83,6 @@ const (
 	PolicyLoadAware DetourPolicy = "load-aware"
 	// PolicyFlowBased pins each flow's detours to one port (§7).
 	PolicyFlowBased DetourPolicy = "flow-based"
-	// PolicyProbabilistic detours low-priority packets early (§7). It needs
-	// priority-tagged traffic, i.e. Transport=pfabric.
-	PolicyProbabilistic DetourPolicy = "probabilistic"
 )
 
 // OneShot describes a single synchronized incast (the §5.2 Click
@@ -337,8 +334,6 @@ func (c *Config) Validate() error {
 	if c.DIBS || c.Policy != "" {
 		switch c.Policy {
 		case PolicyRandom, PolicyLoadAware, PolicyFlowBased:
-		case PolicyProbabilistic:
-			reject(c.Transport != transport.PFabric, "Policy=probabilistic needs Transport=pfabric: it detours early only packets with a nonzero priority, which only pFabric tags, so on any other transport it runs as plain random")
 		default:
 			reject(true, "unknown detour policy %q", c.Policy)
 		}

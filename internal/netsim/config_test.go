@@ -48,8 +48,7 @@ func TestValidateRejectsWhatBuildCannotBuild(t *testing.T) {
 		{"unknown buffer", func(c *Config) { c.Buffer = "foo" }, `unknown buffer mode "foo"`},
 		{"unknown transport", func(c *Config) { c.Transport = 7 }, "unknown transport variant 7"},
 		{"zero min RTO", func(c *Config) { c.MinRTO = 0 }, "MinRTO must be positive"},
-		{"probabilistic without priorities", func(c *Config) { c.Policy = PolicyProbabilistic },
-			"Policy=probabilistic needs Transport=pfabric"},
+		{"deleted probabilistic policy", func(c *Config) { c.Policy = "probabilistic" }, `unknown detour policy "probabilistic"`},
 		{"unknown policy without DIBS", func(c *Config) { c.DIBS = false; c.Policy = "psychic" }, `unknown detour policy "psychic"`},
 		{"odd fat-tree", func(c *Config) { c.FatTreeK = 3 }, "fat-tree K must be even and >= 2, got 3"},
 		{"zero oversub", func(c *Config) { c.Oversub = 0 }, "Oversub must be >= 1"},

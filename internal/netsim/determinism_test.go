@@ -62,7 +62,7 @@ func fingerprint(t *testing.T, n *Network, r *Results) []byte {
 		{"qct", c.QCTs.Values()},
 		{"shortbg", c.ShortBGFCTs.Values()},
 		{"bg", c.BGFCTs.Values()},
-		{"detours", c.DetourCounts.Values()},
+		{"detours", detourValues(c)},
 	} {
 		fmt.Fprintf(&buf, "%s %v\n", s.name, s.vals)
 	}
@@ -84,6 +84,19 @@ func fingerprint(t *testing.T, n *Network, r *Results) []byte {
 		t.Fatalf("encoding trace: %v", err)
 	}
 	return buf.Bytes()
+}
+
+// detourValues lists the delivered packets' detour counts in ascending
+// order, one per detoured packet: the sorted sample the golden
+// fingerprints were recorded with.
+func detourValues(c *metrics.Collector) []float64 {
+	var vals []float64
+	for v, n := range c.DetourCounts.Counts() {
+		for ; n > 0; n-- {
+			vals = append(vals, float64(v))
+		}
+	}
+	return vals
 }
 
 // serializations counts the serializations every transmitter completed.

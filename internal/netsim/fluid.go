@@ -82,8 +82,8 @@ type fluidState struct {
 }
 
 // buildFluid assembles the fluid engine over the finished network. Every
-// port gets a fluid link view; ticking starts immediately so ad-hoc
-// (StartFlow) traffic participates without calling Run.
+// port gets a fluid link view. Ticking starts here, not in Run, so the
+// first tick's event sorts ahead of the run's same-instant flow opens.
 func (n *Network) buildFluid() {
 	cfg := &n.Cfg
 	fs := &fluidState{

@@ -149,9 +149,8 @@ func TestHybridByteConservationAcrossBoundary(t *testing.T) {
 	n := Build(cfg)
 	hosts := n.Topo.Hosts()
 	const total = 40 << 20 // 40 MB: demotes after the stable-cwnd threshold
-	snd := n.StartFlow(hosts[0], hosts[15], total, metrics.ClassLong, -1)
-	r := n.Run()
-	if !snd.Done() {
+	r := runFlows(n, flowStart{src: hosts[0], dst: hosts[15], bytes: total, class: metrics.ClassLong})
+	if !n.shards[0].senders[0].Done() {
 		t.Fatalf("flow incomplete: %s", r)
 	}
 	if r.FluidDemotions != 1 {

@@ -6,6 +6,7 @@ import (
 
 	"dibs/internal/eventq"
 	"dibs/internal/metrics"
+	"dibs/internal/packet"
 	"dibs/internal/switching"
 	"dibs/internal/trace"
 	"dibs/internal/transport"
@@ -22,6 +23,16 @@ func smallConfig() Config {
 	cfg.BGInterarrival = 0
 	cfg.Query = nil
 	return cfg
+}
+
+// runFlows runs n on a hand-written schedule in place of the configured
+// workloads: flows, numbered in the order given, none part of a query.
+func runFlows(n *Network, flows ...flowStart) *Results {
+	for i := range flows {
+		flows[i].id = packet.FlowID(i)
+		flows[i].queryID = -1
+	}
+	return n.run(&flowSchedule{flows: flows})
 }
 
 func incastQuery(qps float64, degree int, bytes int64) *workload.QueryConfig {
@@ -73,8 +84,7 @@ func TestSingleFlowDelivers(t *testing.T) {
 	cfg := smallConfig()
 	n := Build(cfg)
 	hosts := n.Topo.Hosts()
-	n.StartFlow(hosts[0], hosts[15], 100_000, metrics.ClassBackground, -1)
-	r := n.Run()
+	r := runFlows(n, flowStart{src: hosts[0], dst: hosts[15], bytes: 100_000, class: metrics.ClassBackground})
 	if r.Collector.CompletedFlows(metrics.ClassBackground) != 1 {
 		t.Fatalf("flow did not complete: %s", r)
 	}
@@ -365,12 +375,9 @@ func TestConfigValidationPanics(t *testing.T) {
 }
 
 func TestDetourPoliciesAllRun(t *testing.T) {
-	for _, pol := range []DetourPolicy{PolicyRandom, PolicyLoadAware, PolicyFlowBased, PolicyProbabilistic} {
+	for _, pol := range []DetourPolicy{PolicyRandom, PolicyLoadAware, PolicyFlowBased} {
 		cfg := smallConfig()
 		cfg.Policy = pol
-		if pol == PolicyProbabilistic {
-			cfg.Transport = transport.PFabric // the only priority-tagged traffic
-		}
 		cfg.OneShot = &OneShot{At: eventq.Millisecond, Senders: 12, FlowsPerSender: 2, Bytes: 20_000}
 		cfg.Duration = 30 * eventq.Millisecond
 		cfg.Drain = 300 * eventq.Millisecond
@@ -391,25 +398,4 @@ func TestResultsString(t *testing.T) {
 	if s := r.String(); s == "" {
 		t.Fatal("empty results string")
 	}
-}
-
-func TestStartFlowPanics(t *testing.T) {
-	n := Build(smallConfig())
-	hosts := n.Topo.Hosts()
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("self-flow should panic")
-			}
-		}()
-		n.StartFlow(hosts[0], hosts[0], 100, metrics.ClassBackground, -1)
-	}()
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("switch endpoint should panic")
-			}
-		}()
-		n.StartFlow(n.Topo.Switches()[0], hosts[0], 100, metrics.ClassBackground, -1)
-	}()
 }

@@ -51,12 +51,10 @@ type Network struct {
 	fluid *fluidState
 
 	// flows is the run's endpoint table, shared by every host and shard,
-	// and tc the transport settings every flow gets; bindFlows sets both
-	// up on the run's first flow.
-	flows      host.Flows
-	tc         transport.Config
-	flowsBound bool
-	nextFlow   packet.FlowID
+	// and tc the transport settings every flow gets; installSchedule sets
+	// both up.
+	flows host.Flows
+	tc    transport.Config
 }
 
 // Build constructs the network described by cfg. It panics with
@@ -314,51 +312,9 @@ func (n *Network) makePolicy() core.Policy {
 		return core.NewLoadAware()
 	case PolicyFlowBased:
 		return core.NewFlowBased()
-	case PolicyProbabilistic:
-		return core.NewProbabilistic(0.8) // detour low priorities from 80% full
 	default:
 		panic("netsim: unreachable policy")
 	}
-}
-
-// transportConfig derives the per-flow transport settings from the run
-// config.
-func (n *Network) transportConfig() transport.Config {
-	cfg := &n.Cfg
-	tc := transport.DefaultConfig(cfg.Transport)
-	tc.DupAckThresh = cfg.DupAckThresh
-	tc.TTL = cfg.TTL
-	tc.DelayedAck = cfg.DelayedAck
-	if cfg.Transport != transport.PFabric {
-		tc.MinRTO = cfg.MinRTO
-	}
-	return tc
-}
-
-// StartFlow launches a flow of bytes from src to dst immediately,
-// registering it with the collector. queryID is -1 for non-query flows.
-// Returns the sender. It drives ad-hoc (test and tool) traffic on the
-// sequential engine; Run's configured workloads instead replay a recorded
-// schedule (see recordSchedule), which is also why StartFlow refuses
-// sharded networks — a synchronous start has no single shard clock to be
-// "immediate" on.
-func (n *Network) StartFlow(src, dst packet.NodeID, bytes int64,
-	class metrics.FlowClass, queryID int) *transport.Sender {
-	if len(n.shards) > 1 {
-		panic("netsim: StartFlow requires Shards <= 1")
-	}
-	if src == dst {
-		panic("netsim: flow to self")
-	}
-	if n.HostsByID[src] == nil || n.HostsByID[dst] == nil {
-		panic(fmt.Sprintf("netsim: flow endpoints %d->%d are not hosts", src, dst))
-	}
-	f := &flowStart{id: n.nextFlow, at: n.Sched.Now(), src: src, dst: dst, bytes: bytes, class: class, queryID: queryID}
-	n.nextFlow++
-	n.bindFlows()
-	n.Collector.FlowStarted(f.id, class, bytes, queryID)
-	n.openReceiver(n.shards[0], f)
-	return n.openSender(n.shards[0], f)
 }
 
 // openReceiver creates flow f's receiving endpoint at its destination
@@ -378,7 +334,7 @@ func (n *Network) openReceiver(sh *shardCtx, f *flowStart) {
 // openSender creates flow f's sending endpoint at its source host, which
 // lives in shard sh, and starts it: as packets, or — when the fluid layer
 // takes the flow — under rate custody.
-func (n *Network) openSender(sh *shardCtx, f *flowStart) *transport.Sender {
+func (n *Network) openSender(sh *shardCtx, f *flowStart) {
 	srcHost := n.HostsByID[f.src]
 	snd := transport.InitSender(carve(&sh.sndBlock), transport.Env{Sched: sh.sched, Pool: sh.pool, Emit: srcHost.SendFn()},
 		n.tc, f.id, f.src, f.dst, f.bytes)
@@ -390,18 +346,23 @@ func (n *Network) openSender(sh *shardCtx, f *flowStart) *transport.Sender {
 			Detail: fmt.Sprintf("%s %dB -> %d", f.class, f.bytes, f.dst)})
 	}
 	if n.fluid != nil && n.fluid.registerFlow(snd, n.flows.Receiver(f.id)) {
-		return snd
+		return
 	}
 	snd.Start()
-	return snd
 }
 
 // Run records the configured workloads' arrival schedule, replays it on the
 // network for Duration+Drain — sequentially with one shard, under the
 // conservative window protocol otherwise — and returns the results.
 func (n *Network) Run() *Results {
+	return n.run(recordSchedule(&n.Cfg, n.Topo.Hosts()))
+}
+
+// run replays schedule s on the network for Duration+Drain and returns the
+// results.
+func (n *Network) run(s *flowSchedule) *Results {
 	cfg := &n.Cfg
-	n.installSchedule(recordSchedule(cfg, n.Topo.Hosts()))
+	n.installSchedule(s)
 	for _, sh := range n.shards {
 		sh.coll.Util.Start()
 		sh.coll.Buf.Start()

@@ -1,6 +1,8 @@
 package netsim
 
 import (
+	"math"
+
 	"dibs/internal/eventq"
 	"dibs/internal/metrics"
 	"dibs/internal/packet"
@@ -41,7 +43,7 @@ type flowSchedule struct {
 // sharded engines then replay this schedule, which is what pins "flow N" to
 // the same (time, endpoints, size) everywhere.
 func recordSchedule(cfg *Config, hosts []packet.NodeID) *flowSchedule {
-	s := &flowSchedule{}
+	s := &flowSchedule{flows: make([]flowStart, 0, expectedFlows(cfg, len(hosts)))}
 	scratch := eventq.NewScheduler()
 	next := packet.FlowID(0)
 	rec := func(src, dst packet.NodeID, bytes int64, class metrics.FlowClass, queryID int) {
@@ -98,6 +100,32 @@ func recordSchedule(cfg *Config, hosts []packet.NodeID) *flowSchedule {
 	}
 	scratch.RunUntil(horizon)
 	return s
+}
+
+// expectedFlows sizes the recorded flow table, which stays live for the
+// whole run: the mean number of flows cfg's workloads start, plus two
+// standard deviations of the Poisson arrivals (background flows one at a
+// time, query responses Degree at a time), which about one run in forty
+// outgrows once.
+func expectedFlows(cfg *Config, nHosts int) int {
+	var mean, variance float64
+	if cfg.Long != nil {
+		mean += float64(2 * cfg.Long.PerPair * (nHosts / 2))
+	}
+	if cfg.BGInterarrival > 0 {
+		bg := float64(nHosts) * float64(cfg.Duration) / float64(cfg.BGInterarrival)
+		mean += bg
+		variance += bg
+	}
+	if q := cfg.Query; q != nil {
+		queries, degree := q.QPS*cfg.Duration.Seconds(), float64(q.Degree)
+		mean += float64(queries * degree)
+		variance += float64(queries * degree * degree)
+	}
+	if os := cfg.OneShot; os != nil {
+		mean += float64(os.Senders * os.FlowsPerSender)
+	}
+	return int(mean + float64(2*math.Sqrt(variance)))
 }
 
 // oneShotQueryID is the synthetic query ID of the single-incast workload,

@@ -42,7 +42,7 @@ type shardCtx struct {
 	longRx  []*transport.Receiver
 
 	// The per-flow path (DESIGN §9 "Per-flow state"), set up by
-	// Network.bindFlows on a run's first flow, never by Build. opens is
+	// Network.installSchedule, never by Build. opens is
 	// the FIFO of the endpoint creations installed on this shard and
 	// nextOpen its head; every creation event runs openFn, open bound
 	// once. rcvDone and sndDone are receiverDone and senderDone bound
@@ -219,42 +219,37 @@ type flowOpen struct {
 	sender bool
 }
 
-// bindFlows sets up the per-flow path on a run's first flow (the first
-// installSchedule or StartFlow): the transport settings every flow shares,
-// the endpoint table every host demultiplexes through, and each shard's
-// opener and completion callbacks. Build leaves it all to the run.
-func (n *Network) bindFlows() {
-	if n.flowsBound {
-		return
+// installSchedule binds the per-flow path (the shared transport settings,
+// the hosts' endpoint table, each shard's opener and completion callbacks),
+// pre-registers s with every shard's collector and schedules the creation
+// of each flow's endpoints. Flow and query tables go to every collector
+// eagerly: a packet may be dropped or detoured in any shard along its
+// path, and class attribution must work wherever the hook fires.
+// Completion state stays exclusive — only the destination shard's
+// collector ever marks a flow done — so the merge cannot double-count. The
+// flow-indexed tables are sized here, once, for the whole schedule: shard
+// workers share the endpoint table, and only a table that never grows
+// mid-run keeps each slot's one writer alone.
+func (n *Network) installSchedule(s *flowSchedule) {
+	cfg := &n.Cfg
+	n.tc = transport.DefaultConfig(cfg.Transport)
+	n.tc.DupAckThresh = cfg.DupAckThresh
+	n.tc.TTL = cfg.TTL
+	n.tc.DelayedAck = cfg.DelayedAck
+	if cfg.Transport != transport.PFabric { // pFabric's RTO is fixed
+		n.tc.MinRTO = cfg.MinRTO
 	}
-	n.flowsBound = true
-	n.tc = n.transportConfig()
 	for _, h := range n.HostsByID {
 		if h != nil {
 			h.UseFlows(&n.flows)
 		}
 	}
+	n.flows.Reserve(len(s.flows))
 	for _, sh := range n.shards {
 		sh.n = n
 		sh.openFn = sh.open
 		sh.rcvDone = sh.receiverDone
 		sh.sndDone = sh.senderDone
-	}
-}
-
-// installSchedule pre-registers the recorded workload with every shard's
-// collector and schedules the creation of each flow's endpoints. Flow and
-// query tables go to every collector eagerly: a packet may be dropped or
-// detoured in any shard along its path, and class attribution must work
-// wherever the hook fires. Completion state stays exclusive — only the
-// destination shard's collector ever marks a flow done — so the merge
-// cannot double-count. The flow-indexed tables are sized here, once, for
-// the whole schedule: shard workers share the endpoint table, and only a
-// table that never grows mid-run keeps each slot's one writer alone.
-func (n *Network) installSchedule(s *flowSchedule) {
-	n.bindFlows()
-	n.flows.Reserve(len(s.flows))
-	for _, sh := range n.shards {
 		sh.coll.ReserveFlows(len(s.flows))
 		for _, q := range s.queries {
 			sh.coll.QueryStartedAt(q.id, q.nFlows, q.at)

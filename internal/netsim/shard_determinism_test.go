@@ -82,7 +82,7 @@ func shardFingerprint(t *testing.T, n *Network, r *Results) []byte {
 		{"qct", c.QCTs.Values()},
 		{"shortbg", c.ShortBGFCTs.Values()},
 		{"bg", c.BGFCTs.Values()},
-		{"detours", c.DetourCounts.Values()},
+		{"detours", detourValues(c)},
 	} {
 		fmt.Fprintf(&buf, "%s %v\n", s.name, s.vals)
 	}

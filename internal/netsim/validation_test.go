@@ -56,14 +56,13 @@ func TestSingleFlowMatchesSlowStartModel(t *testing.T) {
 	hosts := n.Topo.Hosts()
 	src, dst := hosts[0], hosts[len(hosts)-1] // cross-pod: 6 hops
 	const bytes = 500_000
-	n.StartFlow(src, dst, bytes, metrics.ClassBackground, -1)
-	r := n.Run()
+	r := runFlows(n, flowStart{src: src, dst: dst, bytes: bytes, class: metrics.ClassBackground})
 	f := r.Collector.Flow(0)
 	if f == nil || !f.Done() {
 		t.Fatal("flow did not complete")
 	}
 	rtt := model.BaseRTT(6, cfg.LinkRate, cfg.LinkDelay, model.DefaultWire)
-	ideal := model.SlowStartIdealFCT(bytes, cfg.LinkRate, rtt, n.transportConfig().InitCwnd, model.DefaultWire)
+	ideal := model.SlowStartIdealFCT(bytes, cfg.LinkRate, rtt, n.tc.InitCwnd, model.DefaultWire)
 	got := f.FCT()
 	if float64(got) < 0.9*float64(ideal) {
 		t.Fatalf("FCT %v beats the slow-start estimate %v by >10%%", got, ideal)
@@ -81,8 +80,7 @@ func TestLongFlowReachesLineRate(t *testing.T) {
 	cfg.Drain = 0
 	n := Build(cfg)
 	hosts := n.Topo.Hosts()
-	n.StartFlow(hosts[0], hosts[15], 1<<40, metrics.ClassLong, -1)
-	r := n.Run()
+	r := runFlows(n, flowStart{src: hosts[0], dst: hosts[15], bytes: 1 << 40, class: metrics.ClassLong})
 	if len(r.LongGoodputs) != 1 {
 		t.Fatal("missing goodput sample")
 	}
@@ -106,9 +104,9 @@ func TestTwoFlowsSplitFairShare(t *testing.T) {
 	hosts := n.Topo.Hosts()
 	// Two flows into the same destination host: its access link is the
 	// bottleneck.
-	n.StartFlow(hosts[0], hosts[15], 1<<40, metrics.ClassLong, -1)
-	n.StartFlow(hosts[1], hosts[15], 1<<40, metrics.ClassLong, -1)
-	r := n.Run()
+	r := runFlows(n,
+		flowStart{src: hosts[0], dst: hosts[15], bytes: 1 << 40, class: metrics.ClassLong},
+		flowStart{src: hosts[1], dst: hosts[15], bytes: 1 << 40, class: metrics.ClassLong})
 	share := model.FairShare(cfg.LinkRate, 2)
 	for i, g := range r.LongGoodputs {
 		if g < 0.6*share || g > 1.4*share {

@@ -47,26 +47,85 @@ func (s *Sample) sort() {
 // Percentile returns the p-th percentile (0 < p <= 100) using linear
 // interpolation between closest ranks. Returns NaN for an empty sample.
 func (s *Sample) Percentile(p float64) float64 {
-	if len(s.vals) == 0 {
+	s.sort()
+	return percentile(p, len(s.vals), func(k int) float64 { return s.vals[k] })
+}
+
+// percentile is the p-th percentile of n observations, at(k) being the
+// k-th smallest: linear interpolation between the closest ranks, NaN when
+// n is 0.
+func percentile(p float64, n int, at func(k int) float64) float64 {
+	if n == 0 {
 		return math.NaN()
 	}
 	if p <= 0 || p > 100 {
 		panic(fmt.Sprintf("stats: percentile %v out of (0,100]", p))
 	}
-	s.sort()
-	if len(s.vals) == 1 {
-		return s.vals[0]
+	if n == 1 {
+		return at(0)
 	}
 	// Each float64(...) rounds a product on its own, so no platform fuses
 	// it into the following add or subtract (the goldens are unfused).
-	rank := float64(p / 100 * float64(len(s.vals)-1))
+	rank := float64(p / 100 * float64(n-1))
 	lo := int(math.Floor(rank))
 	hi := int(math.Ceil(rank))
 	if lo == hi {
-		return s.vals[lo]
+		return at(lo)
 	}
 	frac := rank - float64(lo)
-	return float64(s.vals[lo]*(1-frac)) + float64(s.vals[hi]*frac)
+	return float64(at(lo)*(1-frac)) + float64(at(hi)*frac)
+}
+
+// Histogram accumulates small non-negative integer observations as one
+// count per value, where a Sample keeps every observation. Its percentiles
+// equal those of a Sample holding the same observations, bit for bit.
+type Histogram struct {
+	counts []int
+	n      int
+}
+
+// Add records one observation of v (v >= 0).
+func (h *Histogram) Add(v int) {
+	for len(h.counts) <= v {
+		h.counts = append(h.counts, 0)
+	}
+	h.counts[v]++
+	h.n++
+}
+
+// N returns the number of observations.
+func (h *Histogram) N() int { return h.n }
+
+// Counts returns the number of observations of each value, indexed by
+// value; the slice must not be modified.
+func (h *Histogram) Counts() []int { return h.counts }
+
+// MergeFrom adds o's observations to h.
+func (h *Histogram) MergeFrom(o *Histogram) {
+	for len(h.counts) < len(o.counts) {
+		h.counts = append(h.counts, 0)
+	}
+	for v, c := range o.counts {
+		h.counts[v] += c
+	}
+	h.n += o.n
+}
+
+// Percentile returns the p-th percentile (0 < p <= 100) as Sample does.
+// Returns NaN for an empty histogram.
+func (h *Histogram) Percentile(p float64) float64 {
+	return percentile(p, h.n, h.at)
+}
+
+// at returns the k-th smallest observation.
+func (h *Histogram) at(k int) float64 {
+	for v, c := range h.counts {
+		if k < c {
+			return float64(v)
+		}
+		k -= c
+	}
+	panic(fmt.Sprintf("stats: rank %d of %d observations", k, h.n))
 }
 
 // Mean returns the arithmetic mean (NaN when empty).

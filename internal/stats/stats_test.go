@@ -204,3 +204,54 @@ func TestQuickValuesSorted(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// Property: a Histogram, filled directly or merged from two halves, reports
+// the bit-identical percentiles of a Sample holding the same observations,
+// and its counts list that Sample's sorted values.
+func TestQuickHistogramMatchesSample(t *testing.T) {
+	check := func(obs []uint8, split uint8, p float64) bool {
+		var s Sample
+		var whole, a, b Histogram
+		for i, v := range obs {
+			v %= 20 // detour counts: small, with repeats
+			s.Add(float64(v))
+			whole.Add(int(v))
+			if i < int(split) {
+				a.Add(int(v))
+			} else {
+				b.Add(int(v))
+			}
+		}
+		a.MergeFrom(&b)
+		var vals []float64
+		for v, c := range a.Counts() {
+			for ; c > 0; c-- {
+				vals = append(vals, float64(v))
+			}
+		}
+		if a.N() != s.N() || whole.N() != s.N() || len(vals) != s.N() {
+			return false
+		}
+		for i, v := range s.Values() {
+			if vals[i] != v {
+				return false
+			}
+		}
+		for _, p := range []float64{p, 1, 50, 90, 99, 99.9, 100} {
+			want := math.Float64bits(s.Percentile(p))
+			if math.Float64bits(whole.Percentile(p)) != want || math.Float64bits(a.Percentile(p)) != want {
+				return false
+			}
+		}
+		return true
+	}
+	if !check(nil, 0, 99) || !check([]uint8{7}, 0, 99) || !check([]uint8{7}, 1, 99) {
+		t.Fatal("empty or one-value histogram differs from its Sample")
+	}
+	f := func(obs []uint8, split uint8, p uint16) bool {
+		return check(obs, split, float64(p%1000+1)/10) // p in [0.1, 100]
+	}
+	if err := quick.Check(f, quicktest.Config(t, 500)); err != nil {
+		t.Fatal(err)
+	}
+}

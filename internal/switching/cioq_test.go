@@ -196,8 +196,8 @@ func TestCIOQSpeedupMatters(t *testing.T) {
 
 // TestForwardingParity runs each forwarding case through an output-queued
 // switch and a CIOQ switch. Both are the same forwarding engine with a
-// different queueing stage behind it, so TTL, routing, spraying and both
-// kinds of detour must behave alike on either.
+// different queueing stage behind it, so TTL, routing, spraying and the
+// detour at a full egress queue must behave alike on either.
 func TestForwardingParity(t *testing.T) {
 	edge := func(topo *topology.Topology) packet.NodeID { return topo.Switches()[2] }
 	type rig struct {
@@ -258,22 +258,19 @@ func TestForwardingParity(t *testing.T) {
 				t.Fatalf("spray sent one flow %d + %d over the uplinks, want both used, 64 in all", up0, up1)
 			}
 		}},
-		{"early detour", edge, func() core.Policy { return core.NewProbabilistic(0.25) }, 8, func(t *testing.T, r rig) {
-			early := 0
-			r.hooks.OnDetour = func(_ packet.NodeID, p *packet.Packet, desired, _ int) {
-				if !r.s.QueueFull(desired) {
-					early++
-				}
-			}
-			offer(r, 40, func(p *packet.Packet) { p.Priority = 1 << 20 })
-			if early == 0 {
-				t.Fatalf("no early detour of low-priority packets in %d detours", r.s.Detours)
-			}
-		}},
-		{"full-egress detour", edge, func() core.Policy { return core.NewRandom() }, 1, func(t *testing.T, r rig) {
+		// Capacity 2, so that a queue holding one packet still has a slot.
+		{"full-egress detour", edge, func() core.Policy { return core.NewRandom() }, 2, func(t *testing.T, r rig) {
 			r.s.MarkDetours = true
 			hooked := 0
-			r.hooks.OnDetour = func(packet.NodeID, *packet.Packet, int, int) { hooked++ }
+			// The DIBS rule (§2): detour only off a full queue, onto a
+			// switch-facing port whose queue has room.
+			r.hooks.OnDetour = func(_ packet.NodeID, p *packet.Packet, desired, d int) {
+				hooked++
+				if !r.s.QueueFull(desired) || r.s.QueueFull(d) || r.s.IsHostPort(d) {
+					t.Errorf("flow %d detoured %d -> %d: desired full %v, chosen full %v, chosen faces a host %v",
+						p.Flow, desired, d, r.s.QueueFull(desired), r.s.QueueFull(d), r.s.IsHostPort(d))
+				}
+			}
 			sent := offer(r, 40, func(p *packet.Packet) { p.Trace = make([]packet.TraceHop, 0, 1) })
 			if r.s.Detours == 0 || uint64(hooked) != r.s.Detours || r.s.TotalDrops() != 0 {
 				t.Fatalf("%d detours, %d OnDetour calls, %d drops", r.s.Detours, hooked, r.s.TotalDrops())

@@ -11,11 +11,11 @@
 // plane: FIB lookup with flow-level ECMP (§3) or packet spraying (§6),
 // DCTCP ECN marking in the queue discipline, TTL handling (§5.5.3), and —
 // when a DIBS policy is installed — detouring instead of dropping when the
-// desired output queue is full (§2), or earlier under a §7 probabilistic
-// policy. Behind the decision a switch is output-queued by default; two
-// optional stages change how it queues, not how it forwards: Ethernet flow
-// control (EnablePFC, pfc.go) and a combined input/output queued ingress
-// with VOQs and a crossbar (EnableCIOQ, cioq.go, §4).
+// desired output queue is full (§2). Behind the decision a switch is
+// output-queued by default; two optional stages change how it queues, not
+// how it forwards: Ethernet flow control (EnablePFC, pfc.go) and a
+// combined input/output queued ingress with VOQs and a crossbar
+// (EnableCIOQ, cioq.go, §4).
 package switching
 
 import (
@@ -458,7 +458,6 @@ type Switch struct {
 	ports []*OutPort
 
 	policy core.Policy
-	early  core.EarlyDetourer // non-nil when policy supports early detours
 	// MarkDetours sets CE on detoured packets (paper §5.3: detoured
 	// packets are also marked). Enabled for ECN transports.
 	MarkDetours bool
@@ -501,9 +500,6 @@ func NewSwitch(id packet.NodeID, topo *topology.Topology, ports []*OutPort, poli
 		seed:   core.FlowHash(packet.FlowID(id), 0xD1B5) | 1,
 		hooks:  hooks,
 	}
-	if ed, ok := policy.(core.EarlyDetourer); ok {
-		s.early = ed
-	}
 	return s
 }
 
@@ -523,14 +519,6 @@ func (s *Switch) QueueFull(port int) bool { return s.ports[port].QueueFull() }
 
 // QueueLen implements core.SwitchView.
 func (s *Switch) QueueLen(port int) int { return s.ports[port].QueueLen() }
-
-// QueueCap implements core.SwitchView.
-func (s *Switch) QueueCap(port int) int {
-	if c, ok := s.ports[port].Q.(interface{ Capacity() int }); ok {
-		return c.Capacity()
-	}
-	return 0
-}
 
 // Receive implements Handler: the forwarding engine. It decides the output
 // port — TTL, FIB lookup, ECMP or spray, and any detour taken before
@@ -558,20 +546,16 @@ func (s *Switch) Receive(p *packet.Packet, inPort int) {
 		desired = int(nhs[core.FlowHash(p.Flow, s.seed)%uint64(len(nhs))])
 	}
 
-	// Detours decided before queueing: a §7 probabilistic policy's early
-	// detour while the desired queue still has room, and on CIOQ §4's
-	// detour at a full egress queue, before the packet enters a VOQ. With
-	// no eligible port the packet keeps its desired port.
-	detoured := false
-	if s.early != nil && !s.ports[desired].QueueFull() && s.early.ShouldDetourEarly(s, p, desired, s.rng) ||
-		s.cioq != nil && s.policy != nil && s.ports[desired].QueueFull() {
-		if d := s.policy.SelectDetour(s, p, desired, s.rng); d >= 0 {
-			s.detour(p, desired, d)
-			desired, detoured = d, true
-		}
-	}
-
 	if c := s.cioq; c != nil {
+		// §4's detour at a full egress queue is decided before the packet
+		// enters a VOQ. With no eligible port it keeps its desired port.
+		detoured := false
+		if s.policy != nil && s.ports[desired].QueueFull() {
+			if d := s.policy.SelectDetour(s, p, desired, s.rng); d >= 0 {
+				s.detour(p, desired, d)
+				desired, detoured = d, true
+			}
+		}
 		if c.ingressUsed[inPort] >= c.cfg.IngressCap {
 			s.drop(p, DropOverflow) // the input's ingress buffer is full
 			return
@@ -586,9 +570,9 @@ func (s *Switch) Receive(p *packet.Packet, inPort int) {
 	}
 	// The hop is recorded before Enqueue: an accepting port on an idle
 	// cross-shard link hands p off (and frees it) inside Enqueue.
-	s.trace(p, desired, detoured)
+	s.trace(p, desired, false)
 	r := s.ports[desired].Enqueue(p)
-	if !r.Accepted && !detoured {
+	if !r.Accepted {
 		if s.policy == nil {
 			s.drop(p, DropOverflow)
 			return
@@ -600,7 +584,7 @@ func (s *Switch) Receive(p *packet.Packet, inPort int) {
 			return
 		}
 		s.detour(p, desired, d)
-		desired, detoured = d, true
+		desired = d
 		if p.Trace != nil {
 			p.Trace[len(p.Trace)-1] = packet.TraceHop{Node: s.ID, Port: d, Detoured: true}
 		}

@@ -330,11 +330,8 @@ func TestSwitchNoRouteDrop(t *testing.T) {
 	}
 }
 
-func TestSwitchQueueCapReporting(t *testing.T) {
+func TestSwitchNumPorts(t *testing.T) {
 	s, _, _, _, _ := buildSwitch(t, nil, 17)
-	if s.QueueCap(0) != 17 {
-		t.Fatalf("QueueCap = %d, want 17", s.QueueCap(0))
-	}
 	if s.NumPorts() != 4 {
 		t.Fatalf("NumPorts = %d", s.NumPorts())
 	}

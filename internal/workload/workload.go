@@ -26,9 +26,9 @@ import (
 	"dibs/internal/packet"
 )
 
-// StartFlow is the callback generators use to launch a flow. queryID is -1
+// Launch is the callback generators use to start a flow. queryID is -1
 // for non-query flows.
-type StartFlow func(src, dst packet.NodeID, bytes int64, class metrics.FlowClass, queryID int)
+type Launch func(src, dst packet.NodeID, bytes int64, class metrics.FlowClass, queryID int)
 
 // SizeDist is an empirical flow-size distribution: a piecewise CDF sampled
 // with log-linear interpolation between knots.
@@ -124,7 +124,7 @@ type Background struct {
 	// MeanInterarrival is the per-host mean time between flow starts.
 	MeanInterarrival eventq.Time
 	Sizes            *SizeDist
-	start            StartFlow
+	start            Launch
 	stopAt           eventq.Time
 
 	// Started counts generated flows.
@@ -134,7 +134,7 @@ type Background struct {
 // NewBackground creates a background generator over hosts. Flows start
 // until stopAt.
 func NewBackground(sched *eventq.Scheduler, rng *rand.Rand, hosts []packet.NodeID,
-	meanInterarrival eventq.Time, sizes *SizeDist, stopAt eventq.Time, start StartFlow) *Background {
+	meanInterarrival eventq.Time, sizes *SizeDist, stopAt eventq.Time, start Launch) *Background {
 	if meanInterarrival <= 0 {
 		panic("workload: mean interarrival must be positive")
 	}
@@ -198,7 +198,7 @@ type Queries struct {
 	rng    *rand.Rand
 	hosts  []packet.NodeID
 	cfg    QueryConfig
-	start  StartFlow
+	start  Launch
 	stopAt eventq.Time
 	// OnQuery is invoked before a query's flows start (to register it
 	// with the metrics collector).
@@ -211,7 +211,7 @@ type Queries struct {
 
 // NewQueries creates a query generator.
 func NewQueries(sched *eventq.Scheduler, rng *rand.Rand, hosts []packet.NodeID,
-	cfg QueryConfig, stopAt eventq.Time, start StartFlow) *Queries {
+	cfg QueryConfig, stopAt eventq.Time, start Launch) *Queries {
 	if cfg.QPS <= 0 {
 		panic("workload: qps must be positive")
 	}

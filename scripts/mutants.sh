@@ -26,8 +26,10 @@
 # golden constant sees, so the rule's finding is its only catch. M35-M37
 # are the behaviour plants of the deleted nondet-randnew and float-eq
 # rules, each caught by an ordinary test. M38 puts back a closure per flow
-# open, which only the incast storm's allocation ceiling sees. DESIGN.md §8
-# states the scoring rule and lists every rule deleted by it.
+# open, which only the incast storm's allocation ceiling sees. M39 lets a
+# CIOQ switch detour before the VOQ while the desired egress queue still has
+# a slot, which the DIBS-rule assertion in the forwarding parity test sees.
+# DESIGN.md §8 states the scoring rule and lists every rule deleted by it.
 # Each row plants one bug in a temp copy of the tree and names the check
 # that must catch it, with the output that proves it failed for the right
 # reason. A row whose source text no longer matches exactly once is an error
@@ -160,8 +162,8 @@ mutant M22 $solve $'if ls.hpos >= 0 {\n\t\t\t\t\t\ts.heapFix(ls.hpos)\n' $'if ls
 burst=(go test -count=1 -run 'TestShardCountInvariance/burst' ./internal/netsim)
 mutant M23 internal/trace/trace.go $'\tif a.pri != b.pri {\n\t\treturn a.pri < b.pri\n\t}\n' '' \
     'Shards=[0-9]+ diverged' "${burst[@]}"
-mutant M24 $sw $'\ts.trace(p, desired, detoured)\n\tr := s.ports[desired].Enqueue(p)\n' \
-    $'\tr := s.ports[desired].Enqueue(p)\n\ts.trace(p, desired, detoured)\n' \
+mutant M24 $sw $'\ts.trace(p, desired, false)\n\tr := s.ports[desired].Enqueue(p)\n' \
+    $'\tr := s.ports[desired].Enqueue(p)\n\ts.trace(p, desired, false)\n' \
     'Shards=[0-9]+ diverged' "${burst[@]}"
 
 # Inputs Build cannot honor are refused by name: Validate names a one-shot
@@ -209,5 +211,12 @@ mutant M37 $solve 'if s.links[l].share <= at {' 'if s.links[l].share == min {' '
 mutant M38 internal/netsim/shard.go $'\tds.sched.At(f.at, ds.openFn)\n\tss.opens = append(ss.opens, flowOpen{f: f, sender: true})\n\tss.sched.At(f.at, ss.openFn)\n' \
     $'\tds.sched.At(f.at, func() { ds.open() })\n\tss.opens = append(ss.opens, flowOpen{f: f, sender: true})\n\tss.sched.At(f.at, func() { ss.open() })\n' \
     'FAIL: TestAllocationCeilings/incast_storm' go test -count=1 -run TestAllocationCeilings ./internal/netsim
+
+# The DIBS rule (§2): a packet is detoured only off a full queue. A CIOQ
+# pre-VOQ check that fires while the desired egress queue has a slot left
+# detours a packet the queue would have taken.
+mutant M39 $sw 'if s.policy != nil && s.ports[desired].QueueFull() {' \
+    'if s.policy != nil && s.ports[desired].QueueLen() > 0 {' \
+    'desired full false' go test -count=1 -run 'TestForwardingParity/full-egress_detour' ./internal/switching
 
 exit $failed
