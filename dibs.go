@@ -134,10 +134,11 @@ const (
 func DefaultConfig() Config { return netsim.DefaultConfig() }
 
 // Build assembles the network described by cfg without running it, for
-// callers that start flows manually. Like Run, it panics with the error
-// cfg.Validate returns, which joins one "netsim: ..." error per violation;
-// callers handling outside input (a config file, flags) should call
-// cfg.Validate first and report its error instead.
+// callers that inspect the network or time its construction before calling
+// Network.Run, which runs the configured workloads. Like Run, it panics
+// with the error cfg.Validate returns, which joins one "netsim: ..." error
+// per violation; callers handling outside input (a config file, flags)
+// should call cfg.Validate first and report its error instead.
 func Build(cfg Config) *Network { return netsim.Build(cfg) }
 
 // Run builds the network, runs the configured workloads for

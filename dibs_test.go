@@ -19,7 +19,7 @@ func TestDefaultConfigMatchesPaperTable1(t *testing.T) {
 	if cfg.MinRTO != 10*dibs.Millisecond {
 		t.Errorf("minRTO = %v, Table 1 says 10ms", cfg.MinRTO)
 	}
-	if w := transport.DefaultConfig(cfg.Transport).InitCwnd; w != 10 {
+	if w := transport.NewSender(transport.Env{}, transport.DefaultConfig(cfg.Transport), 1, 1, 2, 1).Cwnd(); w != 10 {
 		t.Errorf("initial cwnd = %v, Table 1 says 10", w)
 	}
 	if cfg.DupAckThresh != 0 {

@@ -3,7 +3,6 @@ package experiments
 import (
 	"encoding/csv"
 	"encoding/json"
-	"fmt"
 	"io"
 	"math"
 	"strconv"
@@ -68,29 +67,4 @@ func (t *Table) WriteCSV(w io.Writer) error {
 	}
 	cw.Flush()
 	return cw.Error()
-}
-
-// ParseTableJSON reads back a table written by WriteJSON.
-func ParseTableJSON(r io.Reader) (*Table, error) {
-	var jt jsonTable
-	if err := json.NewDecoder(r).Decode(&jt); err != nil {
-		return nil, err
-	}
-	t := &Table{ID: jt.ID, Title: jt.Title, XLabel: jt.XLabel, Columns: jt.Columns, Notes: jt.Notes}
-	for _, jr := range jt.Rows {
-		if len(jr.Vals) != len(jt.Columns) {
-			return nil, fmt.Errorf("experiments: row %q has %d vals for %d columns",
-				jr.X, len(jr.Vals), len(jt.Columns))
-		}
-		vals := make([]float64, len(jr.Vals))
-		for i, v := range jr.Vals {
-			if v == nil {
-				vals[i] = math.NaN()
-			} else {
-				vals[i] = *v
-			}
-		}
-		t.AddRow(jr.X, vals...)
-	}
-	return t, nil
 }

@@ -248,13 +248,9 @@ func (c *Collector) FlowDone(id packet.FlowID) {
 	}
 }
 
-// QueryStarted registers a query of nFlows responses.
-func (c *Collector) QueryStarted(queryID, nFlows int) {
-	c.QueryStartedAt(queryID, nFlows, c.sched.Now())
-}
-
-// QueryStartedAt is QueryStarted with an explicit start time, for
-// pre-registering the precomputed query table in every shard's collector.
+// QueryStartedAt registers a query of nFlows responses that starts at at,
+// for pre-registering the precomputed query table in every shard's
+// collector.
 func (c *Collector) QueryStartedAt(queryID, nFlows int, at eventq.Time) {
 	c.queries[queryID] = &queryState{remaining: nFlows, start: at}
 }

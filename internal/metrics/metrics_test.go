@@ -50,7 +50,7 @@ func TestShortFlowBand(t *testing.T) {
 func TestQueryCompletion(t *testing.T) {
 	sched := eventq.NewScheduler()
 	c := NewCollector(sched)
-	c.QueryStarted(0, 3)
+	c.QueryStartedAt(0, 3, 0)
 	for i := packet.FlowID(1); i <= 3; i++ {
 		c.FlowStarted(i, ClassQuery, 20_000, 0)
 	}
@@ -70,7 +70,7 @@ func TestQueryCompletion(t *testing.T) {
 func TestQueryIncompleteWithoutAllFlows(t *testing.T) {
 	sched := eventq.NewScheduler()
 	c := NewCollector(sched)
-	c.QueryStarted(7, 2)
+	c.QueryStartedAt(7, 2, 0)
 	c.FlowStarted(1, ClassQuery, 1000, 7)
 	c.FlowStarted(2, ClassQuery, 1000, 7)
 	sched.At(1, func() { c.FlowDone(1) })

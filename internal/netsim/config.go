@@ -122,9 +122,10 @@ type Config struct {
 
 	// --- switch architecture ---
 	// Arch selects output-queued (default) or combined input/output
-	// queued switches (§4): "cioq" adds per-input VOQ buffers and a
-	// crossbar (switching.DefaultCIOQ); DIBS detours at the forwarding
-	// engine against the egress queues.
+	// queued switches (§4): "cioq" adds per-input VOQ buffers of 100
+	// packets and a crossbar of speedup 2 (the constants in
+	// switching/cioq.go); DIBS detours at the forwarding engine against
+	// the egress queues.
 	Arch SwitchArch
 
 	// --- switch buffers ---
@@ -142,8 +143,8 @@ type Config struct {
 	// PFC enables hop-by-hop pause. Requires BufferShared (real PFC
 	// switches do per-ingress accounting over shared memory) and DIBS
 	// off. A switch pauses an upstream link when the packets buffered from
-	// that ingress cross enablePFC's Xoff threshold, and resumes below
-	// its Xon.
+	// that ingress reach 100 and resumes it below 80 (the xoff and xon
+	// constants in switching/pfc.go).
 	PFC bool
 
 	// --- transport (Table 1) ---
@@ -300,6 +301,16 @@ func (c *Config) geometry() (hosts, radix int) {
 	return 0, 0
 }
 
+// maxPFabricPkts bounds a pFabric queue's capacity: the paper's queue holds
+// 24 packets, and each queue is allocated to its capacity at Build.
+const maxPFabricPkts = 1 << 16
+
+// maxSwitches bounds the switch count of the geometries whose size is not
+// already bounded by the port limit (linear, jellyfish): with at most 64
+// ports a switch, every node ID then fits a packet.NodeID and the host
+// count in geometry cannot overflow.
+const maxSwitches = 1 << 20
+
 // option is a Config setting named the way a rejection reports it.
 type option struct {
 	name string
@@ -321,6 +332,10 @@ func (c *Config) Validate() error {
 	switch c.Buffer {
 	case BufferDropTail, BufferPFabric:
 		reject(c.BufferPkts < 1, "%s needs BufferPkts >= 1", c.Buffer)
+		// A pFabric queue allocates its whole capacity up front, so a huge
+		// one would kill the process with an out-of-memory fatal error.
+		reject(c.Buffer == BufferPFabric && c.BufferPkts > maxPFabricPkts,
+			"pfabric queues hold at most %d packets, got BufferPkts %d", maxPFabricPkts, c.BufferPkts)
 	case BufferShared, BufferInfinite:
 	default:
 		reject(true, "unknown buffer mode %q", c.Buffer)
@@ -418,12 +433,17 @@ func (c *Config) Validate() error {
 	case TopoClick:
 	case TopoLinear:
 		reject(c.LinearSwitches < 1, "linear topology needs LinearSwitches >= 1")
+		reject(c.LinearSwitches > maxSwitches, "linear topology of %d switches exceeds %d", c.LinearSwitches, maxSwitches)
+		reject(c.LinearHostsPer < 0, "LinearHostsPer must be >= 0, got %d", c.LinearHostsPer)
 	case TopoJellyfish:
 		reject(c.JellyfishDegree >= c.JellyfishSwitches,
 			"jellyfish degree %d must be below its %d switches", c.JellyfishDegree, c.JellyfishSwitches)
 		reject(c.JellyfishSwitches*c.JellyfishDegree%2 != 0, "jellyfish needs an even JellyfishSwitches*JellyfishDegree")
+		reject(c.JellyfishSwitches > maxSwitches, "jellyfish of %d switches exceeds %d", c.JellyfishSwitches, maxSwitches)
+		reject(c.JellyfishHostsPer < 0, "JellyfishHostsPer must be >= 0, got %d", c.JellyfishHostsPer)
 	case TopoHyperX:
 		reject(c.HyperXX < 1 || c.HyperXY < 1, "hyperx dimensions must be >= 1, got %dx%d", c.HyperXX, c.HyperXY)
+		reject(c.HyperXHostsPer < 0, "HyperXHostsPer must be >= 0, got %d", c.HyperXHostsPer)
 	default:
 		reject(true, "unknown topology %q", c.Topo)
 	}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"dibs/internal/eventq"
+	"dibs/internal/transport"
 	"dibs/internal/workload"
 )
 
@@ -47,6 +48,9 @@ func TestValidateRejectsWhatBuildCannotBuild(t *testing.T) {
 	}{
 		{"unknown buffer", func(c *Config) { c.Buffer = "foo" }, `unknown buffer mode "foo"`},
 		{"unknown transport", func(c *Config) { c.Transport = 7 }, "unknown transport variant 7"},
+		{"pfabric queue beyond memory", func(c *Config) {
+			c.DIBS, c.Buffer, c.Transport, c.BufferPkts = false, BufferPFabric, transport.PFabric, 1<<40
+		}, "pfabric queues hold at most 65536 packets, got BufferPkts 1099511627776"},
 		{"zero min RTO", func(c *Config) { c.MinRTO = 0 }, "MinRTO must be positive"},
 		{"deleted probabilistic policy", func(c *Config) { c.Policy = "probabilistic" }, `unknown detour policy "probabilistic"`},
 		{"unknown policy without DIBS", func(c *Config) { c.DIBS = false; c.Policy = "psychic" }, `unknown detour policy "psychic"`},
@@ -75,6 +79,14 @@ func TestValidateRejectsWhatBuildCannotBuild(t *testing.T) {
 		}, "OneShot.FlowsPerSender must be >= 1"},
 		{"long pairs without flows", func(c *Config) { c.Long = &LongFlows{PerPair: 0} }, "Long.PerPair must be >= 1"},
 		{"empty linear", func(c *Config) { c.Topo = TopoLinear }, "LinearSwitches >= 1"},
+		{"linear past node IDs", func(c *Config) {
+			c.Topo = TopoLinear
+			c.LinearSwitches, c.LinearHostsPer = 1<<62, 4
+		}, "linear topology of 4611686018427387904 switches exceeds 1048576"},
+		{"negative hosts per switch", func(c *Config) {
+			c.Topo = TopoLinear
+			c.LinearSwitches, c.LinearHostsPer = 3, -1
+		}, "LinearHostsPer must be >= 0, got -1"},
 		{"flat hyperx", func(c *Config) { c.Topo = TopoHyperX }, "hyperx dimensions must be >= 1, got 0x0"},
 		{"dense jellyfish", func(c *Config) {
 			c.Topo = TopoJellyfish

@@ -83,7 +83,7 @@ func Build(cfg Config) *Network {
 		sc := &shardCtx{id: i, sched: eventq.NewScheduler(), pool: packet.NewPool()}
 		sc.coll = metrics.NewCollector(sc.sched)
 		if cfg.TraceEvents {
-			sc.coll.Events = trace.NewRecorder(0, sc.sched)
+			sc.coll.Events = trace.NewRecorder(sc.sched)
 		}
 		n.shards[i] = sc
 	}
@@ -165,7 +165,7 @@ func Build(cfg Config) *Network {
 		sw.MarkDetours = cfg.MarkAtPkts > 0
 		sw.PacketSpray = cfg.PacketSpray
 		if cfg.Arch == ArchCIOQ {
-			sw.EnableCIOQ(sh.sched, switching.DefaultCIOQ)
+			sw.EnableCIOQ(sh.sched)
 		}
 		n.Switches[sid] = sw
 	}
@@ -234,25 +234,20 @@ func (n *Network) switchPorts(i int) []metrics.PortRef {
 
 // enablePFC turns on Ethernet flow control everywhere: each switch pauses
 // the upstream transmitter (switch port or host NIC) of an ingress whose
-// buffered packets cross Xoff, and resumes it below Xon. Control frames
-// take one link delay.
+// buffered packets reach switching's xoff threshold, and resumes it below
+// xon. Control frames take one link delay.
 func (n *Network) enablePFC() {
-	const xoff, xon = 100, 80 // packets buffered per ingress
 	for _, sid := range n.Topo.Switches() {
 		sid := sid
-		n.Switches[sid].EnablePFC(switching.PFCConfig{
-			Xoff: xoff,
-			Xon:  xon,
-			Pause: func(inPort int, paused bool) {
-				p := n.Topo.Ports(sid)[inPort]
-				n.Sched.After(p.Delay, func() {
-					if h := n.HostsByID[p.Peer]; h != nil {
-						h.NIC.SetPaused(paused)
-						return
-					}
-					n.Switches[p.Peer].Ports()[p.PeerPort].SetPaused(paused)
-				})
-			},
+		n.Switches[sid].EnablePFC(func(inPort int, paused bool) {
+			p := n.Topo.Ports(sid)[inPort]
+			n.Sched.After(p.Delay, func() {
+				if h := n.HostsByID[p.Peer]; h != nil {
+					h.NIC.SetPaused(paused)
+					return
+				}
+				n.Switches[p.Peer].Ports()[p.PeerPort].SetPaused(paused)
+			})
 		})
 	}
 }

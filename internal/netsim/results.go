@@ -2,7 +2,6 @@ package netsim
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"strings"
 
@@ -175,12 +174,4 @@ func (r *Results) String() string {
 		fmt.Fprintf(&b, "; Jain %.3f over %d long flows", r.JainIndex, len(r.LongGoodputs))
 	}
 	return b.String()
-}
-
-// FiniteOr returns v, or def when v is NaN (for rendering).
-func FiniteOr(v, def float64) float64 {
-	if math.IsNaN(v) {
-		return def
-	}
-	return v
 }

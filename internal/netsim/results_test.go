@@ -1,22 +1,12 @@
 package netsim
 
 import (
-	"math"
 	"strings"
 	"testing"
 
 	"dibs/internal/eventq"
 	"dibs/internal/switching"
 )
-
-func TestFiniteOr(t *testing.T) {
-	if FiniteOr(math.NaN(), 7) != 7 {
-		t.Fatal("NaN should map to default")
-	}
-	if FiniteOr(3.5, 7) != 3.5 {
-		t.Fatal("finite value should pass through")
-	}
-}
 
 func TestNetworkDropsExcludesEvictions(t *testing.T) {
 	r := &Results{}

@@ -71,7 +71,7 @@ func recordSchedule(cfg *Config, hosts []packet.NodeID) *flowSchedule {
 	}
 	if cfg.BGInterarrival > 0 {
 		bg := workload.NewBackground(scratch, rng.New(cfg.Seed, "workload/background"),
-			hosts, cfg.BGInterarrival, workload.WebSearchBackground(), cfg.Duration, rec)
+			hosts, cfg.BGInterarrival, cfg.Duration, rec)
 		bg.Start()
 	}
 	if cfg.Query != nil {

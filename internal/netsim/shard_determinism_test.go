@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"runtime"
 	"sort"
 	"testing"
@@ -67,7 +68,9 @@ func shardFingerprint(t *testing.T, n *Network, r *Results) []byte {
 		&flat.QCT50, &flat.QCT99, &flat.QCTMax,
 		&flat.ShortFCT50, &flat.ShortFCT99, &flat.BGFCT99, &flat.DetourP99,
 	} {
-		*p = FiniteOr(*p, -1)
+		if math.IsNaN(*p) {
+			*p = -1
+		}
 	}
 	if err := json.NewEncoder(&buf).Encode(flat); err != nil {
 		t.Fatalf("encoding results: %v", err)

@@ -6,6 +6,7 @@ import (
 	"dibs/internal/eventq"
 	"dibs/internal/metrics"
 	"dibs/internal/model"
+	"dibs/internal/transport"
 )
 
 // TestIncastMatchesAnalyticBound checks the simulator against the
@@ -62,7 +63,8 @@ func TestSingleFlowMatchesSlowStartModel(t *testing.T) {
 		t.Fatal("flow did not complete")
 	}
 	rtt := model.BaseRTT(6, cfg.LinkRate, cfg.LinkDelay, model.DefaultWire)
-	ideal := model.SlowStartIdealFCT(bytes, cfg.LinkRate, rtt, n.tc.InitCwnd, model.DefaultWire)
+	initCwnd := transport.NewSender(transport.Env{}, n.tc, 0, src, dst, bytes).Cwnd()
+	ideal := model.SlowStartIdealFCT(bytes, cfg.LinkRate, rtt, initCwnd, model.DefaultWire)
 	got := f.FCT()
 	if float64(got) < 0.9*float64(ideal) {
 		t.Fatalf("FCT %v beats the slow-start estimate %v by >10%%", got, ideal)

@@ -155,17 +155,3 @@ func (p *Packet) String() string {
 	return fmt.Sprintf("%s flow=%d %d->%d seq=%d len=%d ttl=%d ce=%v det=%d",
 		p.Kind, p.Flow, p.Src, p.Dst, p.Seq, p.PayloadBytes, p.TTL, p.CE, p.Detours)
 }
-
-// Clone returns a deep copy of the packet (trace excluded). The copy is
-// not pool-managed — it carries no pool bookkeeping, so freeing it is a
-// no-op and it cannot shadow the original in leak accounting. Used by
-// tests and by retransmission paths that must not alias the original.
-func (p *Packet) Clone() *Packet {
-	q := *p
-	q.Trace = nil
-	q.pool = nil
-	q.gen = 0
-	q.pooled = false
-	q.traceBuf = nil
-	return &q
-}

@@ -46,22 +46,6 @@ func TestString(t *testing.T) {
 	}
 }
 
-func TestClone(t *testing.T) {
-	p := &Packet{Kind: Data, Flow: 5, Seq: 10, PayloadBytes: 20, TTL: 64,
-		Trace: []TraceHop{{Node: 1, Port: 2}}}
-	q := p.Clone()
-	if q.Trace != nil {
-		t.Fatal("Clone should drop trace")
-	}
-	q.Seq = 99
-	if p.Seq != 10 {
-		t.Fatal("Clone aliases original")
-	}
-	if q.Flow != p.Flow || q.PayloadBytes != p.PayloadBytes || q.TTL != p.TTL {
-		t.Fatal("Clone lost fields")
-	}
-}
-
 // Property: Size is always header-bounded and End-Seq equals payload.
 func TestQuickSizeInvariants(t *testing.T) {
 	f := func(payload uint16, seq uint32, isAck bool) bool {

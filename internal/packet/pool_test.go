@@ -145,22 +145,3 @@ func TestPoolSteadyStateAllocFree(t *testing.T) {
 		t.Fatalf("steady-state borrow/return allocates %v per op, want 0", n)
 	}
 }
-
-func TestCloneIsNotPoolManaged(t *testing.T) {
-	pl := NewPool()
-	p := pl.Get()
-	p.Flow = 5
-	c := p.Clone()
-	if c.pool != nil || c.Pooled() || c.Gen() != 0 {
-		t.Fatalf("clone carries pool bookkeeping: %+v", c)
-	}
-	// Clones are deliberately outside pool custody; with StrictFree
-	// relaxed, freeing one must not return the original's node.
-	StrictFree = false
-	Free(c)
-	StrictFree = true
-	if pl.Returned() != 0 {
-		t.Fatal("freeing a clone returned the original's node")
-	}
-	pl.Put(p)
-}

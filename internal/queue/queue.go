@@ -230,9 +230,6 @@ func (q *DropTail) Full() bool { return q.f.n+q.fluid.Pkts() >= q.capacity }
 // Bytes implements Queue.
 func (q *DropTail) Bytes() int { return q.f.bytes }
 
-// Capacity returns the configured packet capacity.
-func (q *DropTail) Capacity() int { return q.capacity }
-
 // Infinite is an unbounded FIFO with optional ECN marking; the paper's
 // "infinite buffer" baseline.
 type Infinite struct {

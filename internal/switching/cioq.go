@@ -3,8 +3,8 @@ package switching
 // Combined input/output queued (CIOQ) ingress stage, the §4 alternative
 // architecture: forwarded packets wait in per-(input,output) virtual output
 // queues (VOQs) drawn from a per-input ingress buffer; a crossbar with
-// configurable speedup transfers them to the switch's egress ports, which
-// become small dedicated output queues. The forwarding decision stays the
+// speedup 2 transfers them to the switch's egress ports, which become small
+// dedicated output queues. The forwarding decision stays the
 // Switch's own, as §4 describes: "when a packet arrives at an input port,
 // the forwarding engine determines its output port; if the desired output
 // queue is full, [it] can detour the packet to another output port."
@@ -15,27 +15,15 @@ import (
 	"dibs/internal/packet"
 )
 
-// CIOQConfig sizes the CIOQ data path.
-type CIOQConfig struct {
-	// IngressCap is the per-input buffer shared by that input's VOQs.
-	IngressCap int
-	// Speedup is the crossbar speedup relative to the line rate
-	// (2 is the classical value that makes CIOQ emulate output queueing).
-	Speedup int
-}
-
-// DefaultCIOQ matches common practice: 100-packet ingress per port,
-// speedup 2.
-var DefaultCIOQ = CIOQConfig{IngressCap: 100, Speedup: 2}
-
-func (c *CIOQConfig) validate() {
-	if c.IngressCap < 1 {
-		panic("switching: CIOQ ingress capacity must be >= 1")
-	}
-	if c.Speedup < 1 {
-		panic("switching: CIOQ speedup must be >= 1")
-	}
-}
+// The CIOQ data path's size, as common practice builds it.
+const (
+	// ingressCap is the per-input buffer, in packets, shared by that
+	// input's VOQs.
+	ingressCap = 100
+	// speedup is the crossbar speedup relative to the line rate: 2 is the
+	// classical value that makes CIOQ emulate output queueing.
+	speedup = 2
+)
 
 // voq is a minimal packet FIFO (slice-backed; VOQ occupancy is bounded by
 // the ingress buffer so growth is fine).
@@ -62,7 +50,6 @@ func (q *voq) pop() *packet.Packet {
 // forwarding engine and its egress ports.
 type cioqStage struct {
 	sched *eventq.Scheduler
-	cfg   CIOQConfig
 	ports []*OutPort // the egress queues the crossbar feeds
 
 	voqs        [][]voq // voqs[input][output]
@@ -79,15 +66,13 @@ type cioqStage struct {
 // traffic. The forwarding decision is unchanged except that the switch
 // hashes flows with its own ECMP seed and detours at a full egress queue
 // before the packet enters a VOQ (see Receive).
-func (s *Switch) EnableCIOQ(sched *eventq.Scheduler, cfg CIOQConfig) {
-	cfg.validate()
+func (s *Switch) EnableCIOQ(sched *eventq.Scheduler) {
 	if s.pfc != nil {
 		panic("switching: PFC is implemented for output-queued switches only")
 	}
 	n := len(s.ports)
 	c := &cioqStage{
 		sched:       sched,
-		cfg:         cfg,
 		ports:       s.ports,
 		voqs:        make([][]voq, n),
 		ingressUsed: make([]int, n),
@@ -159,7 +144,7 @@ func (c *cioqStage) pickInput(out int) int {
 
 // cellTime is the crossbar occupancy for a packet of the given wire size.
 func (c *cioqStage) cellTime(bytes int) eventq.Time {
-	t := c.ports[0].SerializationTime(bytes) / eventq.Time(c.cfg.Speedup)
+	t := c.ports[0].SerializationTime(bytes) / speedup
 	if t < 1 {
 		t = 1
 	}

@@ -9,17 +9,17 @@ import (
 	"dibs/internal/topology"
 )
 
-// buildCIOQ is buildSwitch with a CIOQ ingress stage of the given config
-// in front of its small egress queues.
-func buildCIOQ(t *testing.T, cfg CIOQConfig, policy core.Policy, egressCap int) (*Switch, *topology.Topology, map[int]*capture, *eventq.Scheduler, *Hooks) {
+// buildCIOQ is buildSwitch with a CIOQ ingress stage in front of its small
+// egress queues.
+func buildCIOQ(t *testing.T, policy core.Policy, egressCap int) (*Switch, *topology.Topology, map[int]*capture, *eventq.Scheduler, *Hooks) {
 	t.Helper()
 	s, topo, caps, sched, hooks := buildSwitch(t, policy, egressCap)
-	s.EnableCIOQ(sched, cfg)
+	s.EnableCIOQ(sched)
 	return s, topo, caps, sched, hooks
 }
 
 func TestCIOQForwardsSinglePacket(t *testing.T) {
-	s, topo, caps, sched, _ := buildCIOQ(t, DefaultCIOQ, nil, 10)
+	s, topo, caps, sched, _ := buildCIOQ(t, nil, 10)
 	host := topo.Hosts()[0]
 	hp := hostPortOf(t, topo, s.ID, host)
 	p := dataPkt(1, host, 64)
@@ -39,7 +39,7 @@ func TestCIOQForwardsSinglePacket(t *testing.T) {
 func TestCIOQCrossbarContention(t *testing.T) {
 	// Two inputs feed the same output: the crossbar serializes transfers,
 	// FIFO per input, and everything arrives.
-	s, topo, caps, sched, _ := buildCIOQ(t, DefaultCIOQ, nil, 100)
+	s, topo, caps, sched, _ := buildCIOQ(t, nil, 100)
 	host := topo.Hosts()[0]
 	hp := hostPortOf(t, topo, s.ID, host)
 	for i := 0; i < 10; i++ {
@@ -68,7 +68,7 @@ func TestCIOQVOQPreventsHeadOfLineBlocking(t *testing.T) {
 	// Input 0 queues traffic to a congested output (host port with tiny
 	// egress) and to an idle output; the idle output's traffic must not
 	// wait behind the congested one.
-	s, topo, caps, sched, _ := buildCIOQ(t, CIOQConfig{IngressCap: 1000, Speedup: 2}, nil, 2)
+	s, topo, caps, sched, _ := buildCIOQ(t, nil, 2)
 	hostA := topo.Hosts()[0]
 	hostB := topo.Hosts()[1]
 	hpA := hostPortOf(t, topo, s.ID, hostA)
@@ -90,7 +90,7 @@ func TestCIOQVOQPreventsHeadOfLineBlocking(t *testing.T) {
 }
 
 func TestCIOQIngressOverflow(t *testing.T) {
-	s, topo, _, sched, hooks := buildCIOQ(t, CIOQConfig{IngressCap: 5, Speedup: 1}, nil, 1)
+	s, topo, _, sched, hooks := buildCIOQ(t, nil, 1)
 	drops := 0
 	hooks.OnDrop = func(n packet.NodeID, p *packet.Packet, r DropReason) {
 		if r == DropOverflow {
@@ -99,11 +99,14 @@ func TestCIOQIngressOverflow(t *testing.T) {
 	}
 	host := topo.Hosts()[0]
 	pl := packet.NewPool()
-	for i := 0; i < 20; i++ {
+	// Every arrival lands at one instant, so at most one packet leaves the
+	// VOQ before the input's buffer fills and the rest of the burst drops.
+	const burst = ingressCap + 20
+	for i := 0; i < burst; i++ {
 		s.Receive(pooledPkt(pl, packet.FlowID(i), host, 64), 0)
 	}
-	if drops == 0 || s.Drops[DropOverflow] == 0 {
-		t.Fatal("ingress overflow not recorded")
+	if drops < burst-ingressCap-1 || s.Drops[DropOverflow] != uint64(drops) {
+		t.Fatalf("ingress overflow: %d drops recorded (%d counted), want at least %d", drops, s.Drops[DropOverflow], burst-ingressCap-1)
 	}
 	if int(pl.Returned()) != drops {
 		t.Fatalf("overflow drops freed %d packets, want %d", pl.Returned(), drops)
@@ -112,7 +115,7 @@ func TestCIOQIngressOverflow(t *testing.T) {
 }
 
 func TestCIOQDIBSDetoursAtEgressFull(t *testing.T) {
-	s, topo, caps, sched, hooks := buildCIOQ(t, DefaultCIOQ, core.NewRandom(), 1)
+	s, topo, caps, sched, hooks := buildCIOQ(t, core.NewRandom(), 1)
 	s.MarkDetours = true
 	detours := 0
 	hooks.OnDetour = func(n packet.NodeID, p *packet.Packet, desired, chosen int) {
@@ -153,44 +156,32 @@ func TestCIOQDIBSDetoursAtEgressFull(t *testing.T) {
 	}
 }
 
-func TestCIOQConfigValidation(t *testing.T) {
-	for i, cfg := range []CIOQConfig{
-		{IngressCap: 0, Speedup: 2},
-		{IngressCap: 10, Speedup: 0},
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("case %d should panic", i)
-				}
-			}()
-			buildCIOQ(t, cfg, nil, 10)
-		}()
-	}
-}
-
+// TestCIOQSpeedupMatters checks the crossbar's speedup of 2 under
+// two-input contention: it moves two packets into the egress queue per
+// serialization time while the link sends one, so the egress backlog grows
+// by one packet per serialization time, and the link never idles until the
+// last of the 40 packets arrives 40 serialization times and one link delay
+// after the first started.
 func TestCIOQSpeedupMatters(t *testing.T) {
-	// With speedup 1 the crossbar is the bottleneck under 2-input
-	// contention; speedup 2 keeps the egress link saturated, finishing
-	// no slower.
-	run := func(speedup int) eventq.Time {
-		s, topo, caps, sched, _ := buildCIOQ(t, CIOQConfig{IngressCap: 1000, Speedup: speedup}, nil, 100)
-		host := topo.Hosts()[0]
-		hp := hostPortOf(t, topo, s.ID, host)
-		for i := 0; i < 20; i++ {
-			s.Receive(dataPkt(packet.FlowID(i), host, 64), 0)
-			s.Receive(dataPkt(packet.FlowID(100+i), host, 64), 1)
-		}
-		sched.Run()
-		if len(caps[hp].pkts) != 40 {
-			t.Fatalf("speedup %d: delivered %d", speedup, len(caps[hp].pkts))
-		}
-		return sched.Now()
+	s, topo, caps, sched, _ := buildCIOQ(t, nil, 100)
+	host := topo.Hosts()[0]
+	hp := hostPortOf(t, topo, s.ID, host)
+	for i := 0; i < 20; i++ {
+		s.Receive(dataPkt(packet.FlowID(i), host, 64), 0)
+		s.Receive(dataPkt(packet.FlowID(100+i), host, 64), 1)
 	}
-	t1 := run(1)
-	t2 := run(2)
-	if t2 > t1 {
-		t.Fatalf("speedup 2 finished later (%v) than speedup 1 (%v)", t2, t1)
+	op := s.Ports()[hp]
+	ser := op.SerializationTime(dataPkt(0, host, 64).Size())
+	sched.RunUntil(10 * ser)
+	if n := op.QueueLen(); n != 10 {
+		t.Fatalf("egress backlog %d after 10 serialization times, want 10", n)
+	}
+	sched.Run()
+	if len(caps[hp].pkts) != 40 {
+		t.Fatalf("delivered %d of 40", len(caps[hp].pkts))
+	}
+	if want := 40*ser + topo.Ports(s.ID)[hp].Delay; sched.Now() != want {
+		t.Fatalf("last delivery at %v, want %v: the egress link idled", sched.Now(), want)
 	}
 }
 
@@ -294,7 +285,7 @@ func TestForwardingParity(t *testing.T) {
 				}
 				s, topo, caps, sched, hooks := buildSwitchAt(t, tc.at, policy, tc.qcap)
 				if arch == "cioq" {
-					s.EnableCIOQ(sched, DefaultCIOQ)
+					s.EnableCIOQ(sched)
 				}
 				tc.check(t, rig{s, topo, caps, sched, hooks, packet.NewPool()})
 			})

@@ -15,34 +15,25 @@ import "dibs/internal/packet"
 // a dequeue hook on every output port, and a pause function wired by the
 // network builder that flips the upstream OutPort after one link delay.
 
-// PFCConfig enables Ethernet flow control on a switch.
-type PFCConfig struct {
-	// Xoff pauses the upstream link when this many packets from one
-	// ingress are buffered; Xon resumes below it. 0 < Xon < Xoff.
-	Xoff, Xon int
-	// Pause is invoked to pause/resume the upstream transmitter of input
-	// port inPort. The builder wires it (with link-delay latency).
-	Pause func(inPort int, paused bool)
-}
+// The pause thresholds, in packets buffered per ingress: a switch pauses
+// the upstream link when xoff packets from one ingress are buffered, and
+// resumes it when they drain below xon.
+const xoff, xon = 100, 80
 
 // pfcState is the per-switch flow-control state.
 type pfcState struct {
-	cfg        PFCConfig
+	pause      func(inPort int, paused bool)
 	ingress    []int  // buffered packets per input port
 	pausedUp   []bool // whether we have paused each upstream
 	PausesSent uint64
 }
 
-// EnablePFC activates Ethernet flow control on the switch. Must be called
-// before any traffic; incompatible with DIBS (they are alternative
-// mechanisms) and the builder enforces that.
-func (s *Switch) EnablePFC(cfg PFCConfig) {
-	if cfg.Xoff <= 0 || cfg.Xon <= 0 || cfg.Xon >= cfg.Xoff {
-		panic("switching: PFC requires 0 < Xon < Xoff")
-	}
-	if cfg.Pause == nil {
-		panic("switching: PFC requires a Pause function")
-	}
+// EnablePFC activates Ethernet flow control on the switch. pause is
+// invoked to pause/resume the upstream transmitter of input port inPort;
+// the builder wires it (with link-delay latency). Must be called before any
+// traffic; incompatible with DIBS (they are alternative mechanisms) and the
+// builder enforces that.
+func (s *Switch) EnablePFC(pause func(inPort int, paused bool)) {
 	if s.policy != nil {
 		panic("switching: PFC and DIBS are mutually exclusive")
 	}
@@ -50,7 +41,7 @@ func (s *Switch) EnablePFC(cfg PFCConfig) {
 		panic("switching: PFC is implemented for output-queued switches only")
 	}
 	s.pfc = &pfcState{
-		cfg:      cfg,
+		pause:    pause,
 		ingress:  make([]int, len(s.ports)),
 		pausedUp: make([]bool, len(s.ports)),
 	}
@@ -73,10 +64,10 @@ func (s *Switch) PFCPausesSent() uint64 {
 func (s *Switch) pfcOnEnqueue(inPort int) {
 	st := s.pfc
 	st.ingress[inPort]++
-	if !st.pausedUp[inPort] && st.ingress[inPort] >= st.cfg.Xoff {
+	if !st.pausedUp[inPort] && st.ingress[inPort] >= xoff {
 		st.pausedUp[inPort] = true
 		st.PausesSent++
-		st.cfg.Pause(inPort, true)
+		st.pause(inPort, true)
 	}
 }
 
@@ -89,8 +80,8 @@ func (s *Switch) pfcOnDequeue(p *packet.Packet) {
 		return
 	}
 	st.ingress[in]--
-	if st.pausedUp[in] && st.ingress[in] < st.cfg.Xon {
+	if st.pausedUp[in] && st.ingress[in] < xon {
 		st.pausedUp[in] = false
-		st.cfg.Pause(in, false)
+		st.pause(in, false)
 	}
 }

@@ -21,9 +21,6 @@ func TestOutPortPauseResume(t *testing.T) {
 	if len(sink.pkts) != 0 {
 		t.Fatal("paused port transmitted")
 	}
-	if !op.Paused() {
-		t.Fatal("Paused() should report true")
-	}
 	op.SetPaused(false)
 	sched.Run()
 	if len(sink.pkts) != 1 {
@@ -77,7 +74,7 @@ func TestOnEnqueueDequeueHooks(t *testing.T) {
 
 // buildPFCSwitch wires a PFC-enabled switch over the Click topology with a
 // recording pause function.
-func buildPFCSwitch(t *testing.T, xoff, xon int) (*Switch, *topology.Topology, map[int]*capture, *eventq.Scheduler, *[]string) {
+func buildPFCSwitch(t *testing.T) (*Switch, *topology.Topology, map[int]*capture, *eventq.Scheduler, *[]string) {
 	t.Helper()
 	topo := topology.ClickTestbed(topology.DefaultLink)
 	sched := eventq.NewScheduler()
@@ -91,26 +88,22 @@ func buildPFCSwitch(t *testing.T, xoff, xon int) (*Switch, *topology.Topology, m
 	}
 	s := NewSwitch(sw, topo, ports, nil, rand.New(rand.NewSource(7)), nil)
 	var events []string
-	s.EnablePFC(PFCConfig{
-		Xoff: xoff,
-		Xon:  xon,
-		Pause: func(inPort int, paused bool) {
-			if paused {
-				events = append(events, "pause")
-			} else {
-				events = append(events, "resume")
-			}
-		},
+	s.EnablePFC(func(inPort int, paused bool) {
+		if paused {
+			events = append(events, "pause")
+		} else {
+			events = append(events, "resume")
+		}
 	})
 	return s, topo, caps, sched, &events
 }
 
 func TestPFCPausesAtXoffResumesAtXon(t *testing.T) {
-	s, topo, _, sched, events := buildPFCSwitch(t, 5, 3)
+	s, topo, _, sched, events := buildPFCSwitch(t)
 	host := topo.Hosts()[0]
-	// 8 packets arrive back-to-back at t=0 via input port 0 toward the
-	// host; queue builds (transmitter drains 1 per 12us).
-	for i := 0; i < 8; i++ {
+	// xoff+8 packets arrive back-to-back at t=0 via input port 0 toward
+	// the host; queue builds (transmitter drains 1 per 12us).
+	for i := 0; i < xoff+8; i++ {
 		s.Receive(dataPkt(packet.FlowID(i), host, 64), 0)
 	}
 	if len(*events) == 0 || (*events)[0] != "pause" {
@@ -128,12 +121,13 @@ func TestPFCPausesAtXoffResumesAtXon(t *testing.T) {
 }
 
 func TestPFCPerIngressAccounting(t *testing.T) {
-	s, topo, _, sched, events := buildPFCSwitch(t, 5, 3)
+	s, topo, _, sched, events := buildPFCSwitch(t)
 	host := topo.Hosts()[0]
-	// 4 packets from ingress 0, 4 from ingress 1: neither crosses Xoff=5.
-	for i := 0; i < 4; i++ {
+	// xoff-1 packets from ingress 0 and xoff-1 from ingress 1: together
+	// they exceed xoff, but neither ingress crosses it.
+	for i := 0; i < xoff-1; i++ {
 		s.Receive(dataPkt(packet.FlowID(i), host, 64), 0)
-		s.Receive(dataPkt(packet.FlowID(100+i), host, 64), 1)
+		s.Receive(dataPkt(packet.FlowID(1000+i), host, 64), 1)
 	}
 	if len(*events) != 0 {
 		t.Fatalf("pause despite per-ingress counts below Xoff: %v", *events)
@@ -152,22 +146,6 @@ func TestPFCConfigValidation(t *testing.T) {
 		}
 		return NewSwitch(sw, topo, ports, nil, rand.New(rand.NewSource(1)), nil)
 	}
-	cases := []PFCConfig{
-		{Xoff: 0, Xon: 0, Pause: func(int, bool) {}},
-		{Xoff: 5, Xon: 5, Pause: func(int, bool) {}},
-		{Xoff: 5, Xon: 6, Pause: func(int, bool) {}},
-		{Xoff: 5, Xon: 3, Pause: nil},
-	}
-	for i, cfg := range cases {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("case %d should panic", i)
-				}
-			}()
-			mk().EnablePFC(cfg)
-		}()
-	}
 	// PFC + DIBS is rejected.
 	func() {
 		defer func() {
@@ -181,13 +159,13 @@ func TestPFCConfigValidation(t *testing.T) {
 			ports = append(ports, NewOutPort(sched, queue.NewDropTail(10, 0), p.RateBps, p.Delay, &capture{sched: sched}, p.PeerPort))
 		}
 		s := NewSwitch(sw, topo, ports, &fakePolicy{}, rand.New(rand.NewSource(1)), nil)
-		s.EnablePFC(PFCConfig{Xoff: 5, Xon: 3, Pause: func(int, bool) {}})
+		s.EnablePFC(func(int, bool) {})
 	}()
 	// PFC and a CIOQ ingress stage are rejected in either order.
-	good := PFCConfig{Xoff: 5, Xon: 3, Pause: func(int, bool) {}}
+	pause := func(int, bool) {}
 	for name, enable := range map[string]func(*Switch){
-		"PFC on a CIOQ switch": func(s *Switch) { s.EnableCIOQ(sched, DefaultCIOQ); s.EnablePFC(good) },
-		"CIOQ on a PFC switch": func(s *Switch) { s.EnablePFC(good); s.EnableCIOQ(sched, DefaultCIOQ) },
+		"PFC on a CIOQ switch": func(s *Switch) { s.EnableCIOQ(sched); s.EnablePFC(pause) },
+		"CIOQ on a PFC switch": func(s *Switch) { s.EnablePFC(pause); s.EnableCIOQ(sched) },
 	} {
 		func() {
 			defer func() {

@@ -315,9 +315,6 @@ func (o *OutPort) SetPaused(paused bool) {
 	}
 }
 
-// Paused reports whether the transmitter is flow-control paused.
-func (o *OutPort) Paused() bool { return o.paused }
-
 // QueueLen returns the number of packets waiting behind the transmitter.
 func (o *OutPort) QueueLen() int {
 	o.advance()
@@ -556,7 +553,7 @@ func (s *Switch) Receive(p *packet.Packet, inPort int) {
 				desired, detoured = d, true
 			}
 		}
-		if c.ingressUsed[inPort] >= c.cfg.IngressCap {
+		if c.ingressUsed[inPort] >= ingressCap {
 			s.drop(p, DropOverflow) // the input's ingress buffer is full
 			return
 		}

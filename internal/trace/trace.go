@@ -77,24 +77,22 @@ type Event struct {
 	pri int64
 }
 
-// Recorder accumulates the events one scheduler's run records, up to a cap;
-// further events are counted but discarded, so a detour storm cannot
-// exhaust memory.
+// maxEvents caps the events a Recorder keeps; further events are counted
+// but discarded, so a detour storm cannot exhaust memory.
+const maxEvents = 1 << 20
+
+// Recorder accumulates the events one scheduler's run records, up to
+// maxEvents.
 type Recorder struct {
 	clock   *eventq.Scheduler
-	max     int
 	events  []Event
 	Dropped int // events discarded after the cap
 	counts  [numKinds]uint64
 }
 
-// NewRecorder creates a recorder on clock holding at most max events (<=0
-// means a generous default of 1M).
-func NewRecorder(max int, clock *eventq.Scheduler) *Recorder {
-	if max <= 0 {
-		max = 1 << 20
-	}
-	return &Recorder{clock: clock, max: max}
+// NewRecorder creates a recorder on clock.
+func NewRecorder(clock *eventq.Scheduler) *Recorder {
+	return &Recorder{clock: clock}
 }
 
 // Record appends an event, stamped with the clock's time and the running
@@ -104,7 +102,7 @@ func (r *Recorder) Record(e Event) {
 		return
 	}
 	r.counts[e.Kind]++
-	if len(r.events) >= r.max {
+	if len(r.events) >= maxEvents {
 		r.Dropped++
 		return
 	}
@@ -130,11 +128,11 @@ func before(a, b *Event) bool {
 // on before restores the one-shard order: drops, detours and deliveries
 // are recorded in link delivery events, whose key is unique to a link that
 // delivers in one shard only. Each shard kept a prefix of its own stream,
-// so the merged prefix of r.max events is exact.
+// so the merged prefix of maxEvents events is exact.
 func (r *Recorder) MergeFrom(o *Recorder) {
-	merged := make([]Event, 0, min(len(r.events)+len(o.events), r.max))
+	merged := make([]Event, 0, min(len(r.events)+len(o.events), maxEvents))
 	a, b := r.events, o.events
-	for len(merged) < r.max && (len(a) > 0 || len(b) > 0) {
+	for len(merged) < maxEvents && (len(a) > 0 || len(b) > 0) {
 		if len(b) == 0 || len(a) > 0 && !before(&b[0], &a[0]) {
 			merged, a = append(merged, a[0]), a[1:]
 		} else {

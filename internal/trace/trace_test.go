@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -32,23 +33,54 @@ func TestKindStrings(t *testing.T) {
 	}
 }
 
+// TestRecorderCap fills a recorder past its cap, then merges into it a
+// second shard's recorder whose events all come first: each step keeps the
+// first maxEvents events of the one-shard order and counts every event.
+// The full recorder and its merge hold about 250 MB, so -short skips it.
 func TestRecorderCap(t *testing.T) {
-	r := NewRecorder(3, eventq.NewScheduler())
-	for i := 0; i < 5; i++ {
-		r.Record(Event{T: 1, Kind: KindDrop})
+	if testing.Short() {
+		t.Skip("holds two recorders of maxEvents events")
 	}
-	if len(r.Events()) != 3 {
-		t.Fatalf("events = %d, want 3", len(r.Events()))
+	s := eventq.NewScheduler()
+	r := NewRecorder(s)
+	s.At(2, func() {
+		for i := 0; i < maxEvents+2; i++ {
+			r.Record(Event{Kind: KindDrop, Flow: packet.FlowID(i)})
+		}
+	})
+	s.Run()
+	if len(r.Events()) != maxEvents || r.Dropped != 2 {
+		t.Fatalf("events = %d, dropped = %d: want %d and 2", len(r.Events()), r.Dropped, maxEvents)
 	}
-	if r.Dropped != 2 {
-		t.Fatalf("dropped = %d", r.Dropped)
+	if last := r.Events()[maxEvents-1].Flow; last != maxEvents-1 {
+		t.Fatalf("last kept event is flow %d, want %d", last, maxEvents-1)
 	}
 	// Counts include discarded events.
-	if r.Count(KindDrop) != 5 {
+	if r.Count(KindDrop) != maxEvents+2 {
 		t.Fatalf("count = %d", r.Count(KindDrop))
 	}
-	if !strings.Contains(r.Summary(), "drop=5") || !strings.Contains(r.Summary(), "truncated") {
+	if !strings.Contains(r.Summary(), fmt.Sprintf("drop=%d", maxEvents+2)) || !strings.Contains(r.Summary(), "truncated") {
 		t.Fatalf("summary = %q", r.Summary())
+	}
+
+	s1 := eventq.NewScheduler()
+	early := NewRecorder(s1)
+	s1.At(1, func() {
+		for i := 0; i < 3; i++ {
+			early.Record(Event{Kind: KindDeliver, Flow: -1})
+		}
+	})
+	s1.Run()
+	r.MergeFrom(early)
+	got := r.Events()
+	if len(got) != maxEvents || r.Dropped != 5 {
+		t.Fatalf("merged: events = %d, dropped = %d: want %d and 5", len(got), r.Dropped, maxEvents)
+	}
+	if got[2].Flow != -1 || got[3].Flow != 0 || got[maxEvents-1].Flow != maxEvents-4 {
+		t.Fatalf("merged prefix is not the first %d events in time order", maxEvents)
+	}
+	if r.Count(KindDrop) != maxEvents+2 || r.Count(KindDeliver) != 3 {
+		t.Fatalf("merged counts: drop %d, deliver %d", r.Count(KindDrop), r.Count(KindDeliver))
 	}
 }
 
@@ -66,7 +98,6 @@ func TestFilters(t *testing.T) {
 // Two shards' recorders merge into the order one scheduler running every
 // event would have recorded them in: by time, then by the recording
 // event's same-instant key, then by flow among ordinary (pri 0) events.
-// The cap keeps the first max events of that order and counts the rest.
 func TestMergeRestoresOneSchedulerOrder(t *testing.T) {
 	type rec struct {
 		at   eventq.Time
@@ -76,9 +107,9 @@ func TestMergeRestoresOneSchedulerOrder(t *testing.T) {
 	// Flow numbers spell out the expected merged order.
 	shard0 := []rec{{5, 0, 0}, {5, 0, 3}, {5, 7, 4}, {9, 2, 7}}
 	shard1 := []rec{{5, 0, 1}, {5, 0, 2}, {5, 9, 5}, {5, 9, 6}, {9, 3, 8}}
-	record := func(max int, recs []rec) *Recorder {
+	record := func(recs []rec) *Recorder {
 		s := eventq.NewScheduler()
-		r := NewRecorder(max, s)
+		r := NewRecorder(s)
 		for _, e := range recs {
 			e := e
 			s.AtPri(e.at, e.pri, func() { r.Record(Event{Kind: KindDeliver, Flow: e.flow}) })
@@ -86,21 +117,19 @@ func TestMergeRestoresOneSchedulerOrder(t *testing.T) {
 		s.Run()
 		return r
 	}
-	for _, max := range []int{100, 6, 3} {
-		r := record(max, shard0)
-		r.MergeFrom(record(max, shard1))
-		got := r.Events()
-		if want := min(max, 9); len(got) != want {
-			t.Fatalf("max %d: merged %d events, want %d", max, len(got), want)
+	r := record(shard0)
+	r.MergeFrom(record(shard1))
+	got := r.Events()
+	if len(got) != 9 {
+		t.Fatalf("merged %d events, want 9", len(got))
+	}
+	for i, e := range got {
+		if e.Flow != packet.FlowID(i) {
+			t.Fatalf("event %d is flow %d: %v", i, e.Flow, got)
 		}
-		for i, e := range got {
-			if e.Flow != packet.FlowID(i) {
-				t.Fatalf("max %d: event %d is flow %d: %v", max, i, e.Flow, got)
-			}
-		}
-		if r.Dropped != 9-len(got) || r.Count(KindDeliver) != 9 {
-			t.Fatalf("max %d: dropped %d, counted %d", max, r.Dropped, r.Count(KindDeliver))
-		}
+	}
+	if r.Dropped != 0 || r.Count(KindDeliver) != 9 {
+		t.Fatalf("dropped %d, counted %d", r.Dropped, r.Count(KindDeliver))
 	}
 }
 

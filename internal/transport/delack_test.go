@@ -57,23 +57,24 @@ func TestDelayedAckFlushesOnTimeout(t *testing.T) {
 func TestDelayedAckFlushesOnCEChange(t *testing.T) {
 	sched := eventq.NewScheduler()
 	var acks []*packet.Packet
-	cfg := delAckConfig()
-	cfg.AckEvery = 100 // only CE changes and completion flush
 	env := Env{Sched: sched, Emit: func(p *packet.Packet) { acks = append(acks, p) }}
-	r := NewReceiver(env, cfg, 1, 9, 100*1460)
+	r := NewReceiver(env, delAckConfig(), 1, 9, 100*1460)
 	mk := func(i int, ce bool) *packet.Packet {
 		return &packet.Packet{Kind: packet.Data, Flow: 1, Seq: int64(i) * 1460, PayloadBytes: 1460, CE: ce}
 	}
-	// Three unmarked, then a marked segment: the CE transition must flush
-	// an ACK echoing the *unmarked* state for the first three.
+	// The first two segments fill the coalescing window and flush. The
+	// third waits alone, so the marked fourth is a CE transition that must
+	// flush an ACK echoing the *unmarked* state for the first three.
 	r.OnData(mk(0, false))
 	r.OnData(mk(1, false))
-	if len(acks) != 1 { // AckEvery=100, but default flushes at 2? No: every=100
-		// With AckEvery=100 nothing flushed yet; adjust expectation.
-		_ = acks
+	if len(acks) != 1 {
+		t.Fatalf("two segments sent %d acks, want the coalesced 1", len(acks))
 	}
 	acks = acks[:0]
 	r.OnData(mk(2, false))
+	if len(acks) != 0 {
+		t.Fatal("a lone segment was acked before the window closed")
+	}
 	r.OnData(mk(3, true)) // CE state change
 	if len(acks) != 1 {
 		t.Fatalf("CE change did not flush: %d acks", len(acks))

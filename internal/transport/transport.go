@@ -67,71 +67,59 @@ func (v Variant) String() string {
 	}
 }
 
-// Config carries the tunables from the paper's Table 1.
+// The transport's mechanism constants: Table 1's initial window and DCTCP
+// gain, §5.8's pFabric RTO, and the stack defaults the paper leaves to NS-3.
+// No experiment varies them.
+const (
+	// initCwnd is the initial congestion window in packets (Table 1: 10).
+	initCwnd = 10
+	// maxCwnd caps the window in packets.
+	maxCwnd = 10000
+	// maxRTO caps exponential backoff.
+	maxRTO = 2 * eventq.Second
+	// dctcpGain is the alpha EWMA gain g (Table 1: 1/16).
+	dctcpGain = 1.0 / 16
+	// pfabricRTO is pFabric's fixed retransmission timeout at 1 Gbps (§5.8):
+	// it bypasses RTT estimation and backoff entirely.
+	pfabricRTO = 350 * eventq.Microsecond
+	// ackEvery is the delayed-ACK coalescing factor.
+	ackEvery = 2
+	// ackTimeout bounds how long a delayed ACK may be withheld.
+	ackTimeout = 500 * eventq.Microsecond
+)
+
+// Config carries the settings an experiment varies.
 type Config struct {
 	Variant Variant
-	// MSS is the maximum payload per segment (1460 for a 1500 MTU).
-	MSS int
-	// InitCwnd is the initial congestion window in packets (paper: 10).
-	InitCwnd float64
-	// MaxCwnd caps the window in packets (0 = effectively uncapped).
-	MaxCwnd float64
-	// MinRTO clamps the retransmission timeout (paper: 10 ms).
-	MinRTO eventq.Time
-	// MaxRTO caps exponential backoff.
-	MaxRTO eventq.Time
-	// DupAckThresh triggers fast retransmit; 0 disables it entirely, the
-	// paper's setting when DIBS is on (§4: reordering tolerance).
-	DupAckThresh int
-	// DCTCPGain is the alpha EWMA gain g (paper default 1/16).
-	DCTCPGain float64
-	// TTL is stamped on every emitted packet (§5.5.3 varies it).
-	TTL int
-	// FixedRTO, when nonzero, bypasses RTT estimation entirely (pFabric
-	// uses a constant 350 us at 1 Gbps).
-	FixedRTO eventq.Time
-
 	// DelayedAck enables the DCTCP paper's delayed-ACK ECN-echo state
-	// machine: the receiver coalesces up to AckEvery segments per ACK
-	// (flushing early on an AckTimeout, on flow completion, or whenever
+	// machine: the receiver coalesces up to ackEvery segments per ACK
+	// (flushing early after ackTimeout, on flow completion, or whenever
 	// the CE state of arriving segments changes, so the echo stream
 	// remains an exact run-length encoding of the mark stream).
 	DelayedAck bool
-	// AckEvery is the delayed-ACK coalescing factor (default 2).
-	AckEvery int
-	// AckTimeout bounds how long an ACK may be withheld (default 500us).
-	AckTimeout eventq.Time
+	// MinRTO clamps the retransmission timeout (paper: 10 ms). pFabric
+	// never reads it: its RTO is the fixed pfabricRTO.
+	MinRTO eventq.Time
+	// DupAckThresh triggers fast retransmit; 0 disables it entirely, the
+	// paper's setting when DIBS is on (§4: reordering tolerance).
+	DupAckThresh int
+	// TTL is stamped on every emitted packet (§5.5.3 varies it).
+	TTL int
 }
 
 // DefaultConfig returns the paper's Table 1 settings for the given variant,
 // with fast retransmit disabled (the DIBS configuration). Callers enable
 // DupAckThresh explicitly for non-DIBS runs.
 func DefaultConfig(v Variant) Config {
-	c := Config{
+	return Config{
 		Variant:      v,
-		MSS:          packet.DefaultMSS,
-		InitCwnd:     10,
-		MaxCwnd:      10000,
 		MinRTO:       10 * eventq.Millisecond,
-		MaxRTO:       2 * eventq.Second,
 		DupAckThresh: 0,
-		DCTCPGain:    1.0 / 16,
 		TTL:          packet.DefaultTTL,
 	}
-	if v == PFabric {
-		c.FixedRTO = 350 * eventq.Microsecond
-		c.MinRTO = 350 * eventq.Microsecond
-	}
-	return c
 }
 
 func (c *Config) validate() {
-	if c.MSS <= 0 {
-		panic("transport: MSS must be positive")
-	}
-	if c.InitCwnd < 1 {
-		panic("transport: InitCwnd must be >= 1")
-	}
 	if c.MinRTO <= 0 {
 		panic("transport: MinRTO must be positive")
 	}
@@ -238,7 +226,7 @@ func InitSender(s *Sender, env Env, cfg Config, flow packet.FlowID, src, dst pac
 		Src:      src,
 		Dst:      dst,
 		Total:    total,
-		cwnd:     cfg.InitCwnd,
+		cwnd:     initCwnd,
 		ssthresh: 1 << 30,
 		rto:      cfg.initialRTO(),
 		// DCTCP convention (and Linux default): start alpha at 1 so the
@@ -250,8 +238,8 @@ func InitSender(s *Sender, env Env, cfg Config, flow packet.FlowID, src, dst pac
 }
 
 func (c *Config) initialRTO() eventq.Time {
-	if c.FixedRTO > 0 {
-		return c.FixedRTO
+	if c.Variant == PFabric {
+		return pfabricRTO
 	}
 	return c.MinRTO
 }
@@ -285,7 +273,7 @@ func (s *Sender) SRTT() eventq.Time { return s.srtt }
 func (s *Sender) inflight() int64 { return s.sndNxt - s.sndUna }
 
 func (s *Sender) cwndBytes() int64 {
-	return int64(s.cwnd * float64(s.cfg.MSS))
+	return int64(s.cwnd * packet.DefaultMSS)
 }
 
 // trySend emits segments while the window allows. A quiescing sender
@@ -300,8 +288,8 @@ func (s *Sender) trySend() {
 	}
 	for s.sndNxt < limit && s.inflight() < s.cwndBytes() {
 		payload := limit - s.sndNxt
-		if payload > int64(s.cfg.MSS) {
-			payload = int64(s.cfg.MSS)
+		if payload > packet.DefaultMSS {
+			payload = packet.DefaultMSS
 		}
 		s.emitSegment(s.sndNxt, int(payload))
 		s.sndNxt += payload
@@ -365,8 +353,8 @@ func (s *Sender) onRTO() {
 	s.cwnd = 1
 	s.dupacks = 0
 	s.inRecovery = false
-	if s.cfg.FixedRTO == 0 {
-		s.rto = minT(s.rto*2, s.cfg.MaxRTO)
+	if s.cfg.Variant != PFabric {
+		s.rto = minT(s.rto*2, maxRTO)
 	}
 	s.sndNxt = s.sndUna
 	s.trySend()
@@ -389,7 +377,7 @@ func (s *Sender) OnAck(p *packet.Packet) {
 		s.dupacks = 0
 		// RTT sampling from the echoed send timestamp, original
 		// transmissions only (Karn's rule).
-		if !p.Rexmit && s.cfg.FixedRTO == 0 {
+		if !p.Rexmit && s.cfg.Variant != PFabric {
 			s.updateRTT(s.env.Sched.Now() - eventq.Time(p.SentAt))
 		}
 		if s.cfg.Variant == DCTCP {
@@ -429,8 +417,8 @@ func (s *Sender) OnAck(p *packet.Packet) {
 // segLenAt returns the payload length of the segment starting at seq.
 func (s *Sender) segLenAt(seq int64) int {
 	n := s.Total - seq
-	if n > int64(s.cfg.MSS) {
-		n = int64(s.cfg.MSS)
+	if n > packet.DefaultMSS {
+		n = packet.DefaultMSS
 	}
 	return int(n)
 }
@@ -449,14 +437,14 @@ func (s *Sender) fastRetransmit() {
 
 // grow applies slow start / congestion avoidance for newly acked bytes.
 func (s *Sender) grow(newly int64) {
-	pkts := float64(newly) / float64(s.cfg.MSS)
+	pkts := float64(newly) / packet.DefaultMSS
 	if s.cwnd < s.ssthresh {
 		s.cwnd += pkts
 	} else {
 		s.cwnd += pkts / s.cwnd
 	}
-	if s.cfg.MaxCwnd > 0 && s.cwnd > s.cfg.MaxCwnd {
-		s.cwnd = s.cfg.MaxCwnd
+	if s.cwnd > maxCwnd {
+		s.cwnd = maxCwnd
 	}
 }
 
@@ -477,7 +465,7 @@ func (s *Sender) dctcpOnAck(ack, newly int64, echo bool) {
 	if ack >= s.windowEnd {
 		if s.ackedBytes > 0 {
 			f := float64(s.markedBytes) / float64(s.ackedBytes)
-			s.alpha = float64((1-s.cfg.DCTCPGain)*s.alpha) + float64(s.cfg.DCTCPGain*f)
+			s.alpha = float64((1-dctcpGain)*s.alpha) + float64(dctcpGain*f)
 		}
 		s.ackedBytes, s.markedBytes = 0, 0
 		s.windowEnd = s.sndNxt
@@ -506,8 +494,8 @@ func (s *Sender) updateRTT(sample eventq.Time) {
 	if s.rto < s.cfg.MinRTO {
 		s.rto = s.cfg.MinRTO
 	}
-	if s.rto > s.cfg.MaxRTO {
-		s.rto = s.cfg.MaxRTO
+	if s.rto > maxRTO {
+		s.rto = maxRTO
 	}
 }
 
@@ -642,7 +630,7 @@ func (s *Sender) ResumeFromFluid() {
 	}
 	s.fluid = false
 	s.ssthresh = maxf(s.cwnd, 2)
-	s.cwnd = s.cfg.InitCwnd
+	s.cwnd = initCwnd
 	s.ackedBytes, s.markedBytes = 0, 0
 	s.windowEnd = s.sndNxt
 	s.cwndReduced = false
@@ -768,21 +756,13 @@ func (r *Receiver) OnData(p *packet.Packet) {
 		r.lastSentAt = p.SentAt
 		r.lastRexmit = p.Rexmit
 		r.pendingCnt++
-		every := r.cfg.AckEvery
-		if every <= 0 {
-			every = 2
-		}
-		if r.pendingCnt >= every || complete {
+		if r.pendingCnt >= ackEvery || complete {
 			r.flushAck()
 		} else if !r.ackTimer.Pending() {
-			timeout := r.cfg.AckTimeout
-			if timeout <= 0 {
-				timeout = 500 * eventq.Microsecond
-			}
 			if r.flushFn == nil {
 				r.flushFn = r.flushAck
 			}
-			r.ackTimer = r.env.Sched.After(timeout, r.flushFn)
+			r.ackTimer = r.env.Sched.After(ackTimeout, r.flushFn)
 		}
 	}
 

@@ -49,22 +49,20 @@ func TestQuickTransferSurvivesChaos(t *testing.T) {
 	}
 }
 
-// Property: cwnd always stays within [1, MaxCwnd] and sndUna never exceeds
+// Property: cwnd always stays within [1, maxCwnd] and sndUna never exceeds
 // sndNxt, across random loss patterns.
 func TestQuickSenderInvariants(t *testing.T) {
 	f := func(seed int64, lossPct uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
-		cfg := DefaultConfig(DCTCP)
-		cfg.MaxCwnd = 64
 		w := newWire(20 * eventq.Microsecond)
-		s, _ := w.connect(cfg, 300_000)
+		s, _ := w.connect(DefaultConfig(DCTCP), 300_000)
 		loss := int(lossPct % 30)
 		w.dropData = func(i int, p *packet.Packet) bool {
 			return rng.Intn(100) < loss && !p.Rexmit
 		}
 		ok := true
 		check := func() {
-			if s.cwnd < 1 || s.cwnd > cfg.MaxCwnd+1 {
+			if s.cwnd < 1 || s.cwnd > maxCwnd {
 				ok = false
 			}
 			if s.sndUna > s.sndNxt || s.sndUna > s.Total {

@@ -223,7 +223,7 @@ func TestDCTCPAlphaDecaysWithoutMarking(t *testing.T) {
 		t.Fatalf("alpha = %v with no marking, want decayed below 0.75", s.Alpha())
 	}
 	// Unmarked transfer should grow cwnd past its initial value.
-	if s.Cwnd() <= cfg.InitCwnd {
+	if s.Cwnd() <= initCwnd {
 		t.Fatalf("cwnd = %v never grew", s.Cwnd())
 	}
 }
@@ -350,6 +350,22 @@ func TestPFabricFixedRTO(t *testing.T) {
 	}
 }
 
+// TestCwndStopsAtMaxCwnd drives a lossless slow start past the window cap:
+// each ACK grows cwnd by exactly one packet, so without the clamp a flow of
+// 2,000 segments more than the cap would end 2,000 packets above it.
+func TestCwndStopsAtMaxCwnd(t *testing.T) {
+	w := newWire(20 * eventq.Microsecond)
+	s, r := w.connect(DefaultConfig(DCTCP), (maxCwnd+2000)*packet.DefaultMSS)
+	s.Start()
+	w.sched.Run()
+	if !r.Done() {
+		t.Fatal("flow did not complete")
+	}
+	if s.Cwnd() != maxCwnd {
+		t.Fatalf("cwnd = %v after a lossless slow start past the cap, want %v", s.Cwnd(), maxCwnd)
+	}
+}
+
 func TestPFabricLossRecoveryIsFast(t *testing.T) {
 	w := newWire(20 * eventq.Microsecond)
 	cfg := DefaultConfig(PFabric)
@@ -414,10 +430,8 @@ func TestCompletionFiresExactlyOnce(t *testing.T) {
 
 func TestConfigValidation(t *testing.T) {
 	bad := []Config{
-		{MSS: 0, InitCwnd: 10, MinRTO: 1, TTL: 64},
-		{MSS: 1460, InitCwnd: 0, MinRTO: 1, TTL: 64},
-		{MSS: 1460, InitCwnd: 10, MinRTO: 0, TTL: 64},
-		{MSS: 1460, InitCwnd: 10, MinRTO: 1, TTL: 0},
+		{MinRTO: 0, TTL: 64},
+		{MinRTO: 1, TTL: 0},
 	}
 	for i, cfg := range bad {
 		func() {

@@ -116,14 +116,15 @@ func (d *SizeDist) Mean(rng *rand.Rand, samples int) float64 {
 	return sum / float64(samples)
 }
 
-// Background generates per-host Poisson flow arrivals.
+// Background generates per-host Poisson flow arrivals with web-search
+// flow sizes (WebSearchBackground).
 type Background struct {
 	sched *eventq.Scheduler
 	rng   *rand.Rand
 	hosts []packet.NodeID
 	// MeanInterarrival is the per-host mean time between flow starts.
 	MeanInterarrival eventq.Time
-	Sizes            *SizeDist
+	sizes            *SizeDist
 	start            Launch
 	stopAt           eventq.Time
 
@@ -134,7 +135,7 @@ type Background struct {
 // NewBackground creates a background generator over hosts. Flows start
 // until stopAt.
 func NewBackground(sched *eventq.Scheduler, rng *rand.Rand, hosts []packet.NodeID,
-	meanInterarrival eventq.Time, sizes *SizeDist, stopAt eventq.Time, start Launch) *Background {
+	meanInterarrival, stopAt eventq.Time, start Launch) *Background {
 	if meanInterarrival <= 0 {
 		panic("workload: mean interarrival must be positive")
 	}
@@ -143,7 +144,7 @@ func NewBackground(sched *eventq.Scheduler, rng *rand.Rand, hosts []packet.NodeI
 	}
 	return &Background{
 		sched: sched, rng: rng, hosts: hosts,
-		MeanInterarrival: meanInterarrival, Sizes: sizes,
+		MeanInterarrival: meanInterarrival, sizes: WebSearchBackground(),
 		start: start, stopAt: stopAt,
 	}
 }
@@ -164,7 +165,7 @@ func (b *Background) scheduleNext(h packet.NodeID) {
 	b.sched.At(at, func() {
 		dst := b.randOtherHost(h)
 		b.Started++
-		b.start(h, dst, b.Sizes.Sample(b.rng), metrics.ClassBackground, -1)
+		b.start(h, dst, b.sizes.Sample(b.rng), metrics.ClassBackground, -1)
 		b.scheduleNext(h)
 	})
 }

@@ -82,7 +82,7 @@ func TestBackgroundGeneratorRate(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	var flows int
 	var sizes []int64
-	gen := NewBackground(sched, rng, hosts(8), 10*eventq.Millisecond, WebSearchBackground(),
+	gen := NewBackground(sched, rng, hosts(8), 10*eventq.Millisecond,
 		eventq.Second, func(src, dst packet.NodeID, bytes int64, class metrics.FlowClass, queryID int) {
 			flows++
 			sizes = append(sizes, bytes)
@@ -108,7 +108,7 @@ func TestBackgroundStopsAtDeadline(t *testing.T) {
 	sched := eventq.NewScheduler()
 	rng := rand.New(rand.NewSource(3))
 	lastStart := eventq.Time(0)
-	gen := NewBackground(sched, rng, hosts(4), eventq.Millisecond, WebSearchBackground(),
+	gen := NewBackground(sched, rng, hosts(4), eventq.Millisecond,
 		100*eventq.Millisecond, func(src, dst packet.NodeID, bytes int64, class metrics.FlowClass, queryID int) {
 			if sched.Now() > lastStart {
 				lastStart = sched.Now()

@@ -10,6 +10,9 @@
 #   fma     no fused multiply-add in any module function built for arm64
 #   tested  every package has a test file
 #   test    full test suite (use SHORT=1 for the quick subset)
+#   evidence figures -all -seed 1 -scale 1 is byte-identical to the tracked
+#           figures_full.txt that EXPERIMENTS.md cites (full only, ~3-5 min
+#           on 2 cores)
 #   mutants seeded-mutation corpus: runtime backstops and lint rules (full
 #           only)
 #   bench   go run ./benchmark -quick: every workload's correctness checks
@@ -71,6 +74,17 @@ if [ "${SHORT:-0}" = "1" ]; then
     go test -short ./...
 else
     go test ./...
+
+    # EXPERIMENTS.md quotes figures_full.txt, so the tracked file must be
+    # what the tree computes: a change that moves any number fails here
+    # until the evidence (and the rows citing it) is regenerated.
+    step "evidence: figures -all -seed 1 -scale 1 equals figures_full.txt"
+    go run ./cmd/figures -all -seed 1 -scale 1 > "$armdir/figures_full.txt"
+    if ! cmp "$armdir/figures_full.txt" figures_full.txt; then
+        echo "figures_full.txt is stale: regenerate it and the EXPERIMENTS.md rows that cite it" >&2
+        diff "$armdir/figures_full.txt" figures_full.txt | head -40 >&2
+        exit 1
+    fi
 
     # Plant each bug of the seeded-mutation corpus and require the named
     # check to fail: the score sheet for the packet-ownership and
